@@ -64,6 +64,7 @@ from .privacy import (
     RecordDistanceResult,
     RecordPrivacy,
     RecordVerification,
+    Release,
     batch_permutation_distances,
     certify_dataset,
     permutation_distance,
@@ -109,6 +110,7 @@ __all__ = [
     "RecordDistanceResult",
     "RecordPrivacy",
     "RecordVerification",
+    "Release",
     "ResidualDecomposition",
     "Role",
     "RunConfig",

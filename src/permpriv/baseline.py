@@ -10,14 +10,13 @@ close.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import CapExceededError, InvalidSpecError, ShapeMismatchError
-from .privacy import batch_permutation_distances, permutation_distance
+from .privacy import Release, batch_permutation_distances, permutation_distance
 from .reverse_map import reverse_map_table
 from .table import DEFAULT_TIE_SEED, MicrodataTable, RankProfile, Role, derive_column_seed
 
@@ -139,9 +138,19 @@ class DistanceDistribution:
         )
 
 
+def _tabulate(distances: np.ndarray, source_tag: str) -> DistanceDistribution:
+    values, counts = np.unique(distances, return_counts=True)
+    total = distances.size
+    return DistanceDistribution(
+        frequencies={d: c / total for d, c in zip(values.tolist(), counts.tolist())},
+        sample_size=total,
+        source_tag=source_tag,
+    )
+
+
 def distance_distribution(
     records: MicrodataTable,
-    target: MicrodataTable,
+    target: MicrodataTable | Release,
     *,
     ranks: RankProfile | None = None,
     tie_seed: int = DEFAULT_TIE_SEED,
@@ -153,16 +162,10 @@ def distance_distribution(
             f"records have {records.m} attributes, target has {target.m}"
         )
     dists = batch_permutation_distances(records, target, ranks, tie_seed=tie_seed)
-    counts = Counter(int(d) for d in dists)
-    total = records.n
     tag = source_tag
     if tag is None:
         tag = "baseline" if records.role is Role.BASELINE else "original"
-    return DistanceDistribution(
-        frequencies={d: c / total for d, c in counts.items()},
-        sample_size=total,
-        source_tag=tag,
-    )
+    return _tabulate(dists, tag)
 
 
 def plausibility(distance: float, baseline: DistanceDistribution) -> float:
@@ -211,7 +214,7 @@ class SubjectSafety:
 
 def subject_safety_check(
     x,
-    permuted: MicrodataTable,
+    permuted: MicrodataTable | Release,
     spec: BaselineSpec,
     *,
     threshold: float = 0.05,
@@ -224,10 +227,10 @@ def subject_safety_check(
     their own record and the published permuted data.  Safe means a random
     record would match at least this close with probability >= threshold.
     """
-    profile = RankProfile.of(permuted, tie_seed)
-    dist = permutation_distance(x, permuted, profile).distance
-    base_table = generate_baseline(permuted, spec)
-    base = distance_distribution(base_table, permuted, ranks=profile)
+    release = Release.of(permuted, tie_seed=tie_seed)
+    dist = permutation_distance(x, release).distance
+    base_table = generate_baseline(release.table, spec)
+    base = distance_distribution(base_table, release)
     p = plausibility(dist, base)
     return SubjectSafety(
         distance=dist, plausibility=p, safe=bool(p >= threshold), threshold=float(threshold)
@@ -278,15 +281,16 @@ def assess_tables(
 
     Distances are always measured against the reverse-mapped table, which is
     what a maximum-knowledge intruder would attack; baseline records draw
-    from the original columns.
+    from the original columns.  `reverse_map_table` rejects a pair that
+    differs in shape or in attribute names or order.
     """
     z = reverse_map_table(original, anonymized, tie_seed)
-    profile = RankProfile.of(z, tie_seed)
-    dist_x = distance_distribution(original, z, ranks=profile, source_tag="original")
+    release = Release(z, tie_seed=tie_seed)
+    dists = batch_permutation_distances(original, release)
+    dist_x = _tabulate(dists, "original")
     base_table = generate_baseline(original, spec)
-    dist_a = distance_distribution(base_table, z, ranks=profile, source_tag="baseline")
+    dist_a = distance_distribution(base_table, release, source_tag="baseline")
     div = divergence(dist_x, dist_a)
-    dists = batch_permutation_distances(original, z, profile)
     median_d = float(np.median(dists))
     plaus = plausibility(median_d, dist_a)
     return AssessmentReport(

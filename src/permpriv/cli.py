@@ -52,14 +52,9 @@ from .masking import (
     gaussian_mask,
     synth_original,
 )
-from .privacy import (
-    certify_dataset,
-    permutation_distance,
-    verify_record,
-    window_variance,
-)
+from .privacy import Release, certify_dataset, permutation_distance, verify_record
 from .reverse_map import reverse_map_table
-from .table import DEFAULT_TIE_SEED, RankProfile, Role
+from .table import DEFAULT_TIE_SEED, Role
 
 __all__ = ["main", "build_parser"]
 
@@ -154,9 +149,8 @@ def cmd_certify(args, config) -> int:
         raise ShapeMismatchError(
             f"{len(v_target)} variance targets for {original.m} attributes"
         )
-    certificate = certify_dataset(
-        original, anonymized, tie_seed=tie_seed, disclosure=_disclosure(args, config)
-    )
+    release = Release(anonymized, tie_seed=tie_seed)
+    certificate = certify_dataset(original, release, disclosure=_disclosure(args, config))
     path = _out_dir(args, config) / "certificate.json"
     write_report(
         certificate,
@@ -172,18 +166,15 @@ def cmd_certify(args, config) -> int:
 
     if d_target is None and v_target is None:
         return EXIT_OK
-    # Joint per-record check at the requested targets. Missing halves default
-    # to the vacuous clause.
+    # Joint per-record check at the requested targets, on the certificate's
+    # own evidence. Missing halves default to the vacuous clause.
     d_t = 0 if d_target is None else int(d_target)
     v_t = [-1.0] * original.m if v_target is None else [float(t) for t in v_target]
-    ranks = RankProfile.of(anonymized, tie_seed)
-    failures = []
-    for i in range(original.n):
-        outcome = verify_record(
-            original.values[i], anonymized, d_t, v_t, ranks=ranks, tie_seed=tie_seed
-        )
-        if not outcome.passed:
-            failures.append(i + 1)
+    failures = [
+        i + 1
+        for i, entry in enumerate(certificate.per_record)
+        if not release.verify(entry.result, d_t, v_t).passed
+    ]
     if failures:
         shown = ", ".join(str(i) for i in failures[:10])
         more = "" if len(failures) <= 10 else f" and {len(failures) - 10} more"
@@ -203,14 +194,9 @@ def cmd_subject(args, config) -> int:
         raise ShapeMismatchError(
             f"{len(v_target)} variance targets for {anonymized.m} attributes"
         )
-    ranks = RankProfile.of(anonymized, tie_seed)
-    evidence = permutation_distance(record, anonymized, ranks, tie_seed=tie_seed)
-    variances = tuple(
-        window_variance(
-            anonymized.column(j), ranks.vector(j), evidence.closest_ranks[j], evidence.distance
-        )
-        for j in range(anonymized.m)
-    )
+    release = Release(anonymized, tie_seed=tie_seed)
+    evidence = permutation_distance(record, release)
+    variances = release.window_variances(evidence.closest_ranks, evidence.distance)
     print(
         f"distance {evidence.distance}; matched records {evidence.matched_indices}; "
         f"window variances {_fmt_vector(variances)}"
@@ -227,9 +213,7 @@ def cmd_subject(args, config) -> int:
     if d_target is not None or v_target is not None:
         d_t = 0 if d_target is None else int(d_target)
         v_t = [-1.0] * anonymized.m if v_target is None else [float(t) for t in v_target]
-        outcome = verify_record(
-            record, anonymized, d_t, v_t, ranks=ranks, tie_seed=tie_seed
-        )
+        outcome = verify_record(record, release, d_t, v_t)
         payload["verification"] = outcome.to_dict()
         verdict = "met" if outcome.passed else "NOT met"
         print(
@@ -241,9 +225,7 @@ def cmd_subject(args, config) -> int:
     if args.baseline is not None:
         spec = _baseline_spec(args, config, args.baseline)
         threshold = float(resolve(args.threshold, config, "threshold", 0.05))
-        safety = subject_safety_check(
-            record, anonymized, spec, threshold=threshold, tie_seed=tie_seed
-        )
+        safety = subject_safety_check(record, release, spec, threshold=threshold)
         payload["safety"] = safety.to_dict()
         seeds["baseline_seed"] = spec.seed
         print(

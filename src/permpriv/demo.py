@@ -17,7 +17,7 @@ from .baseline import BaselineSpec, distance_distribution, divergence, generate_
 from .decompose import decompose, spearman_rho
 from .io_report import emit_histogram, write_csv, write_report
 from .linkage import link_records, score_linkage
-from .privacy import certify_dataset, permutation_distance, window_variance
+from .privacy import Release, certify_dataset, permutation_distance
 from .reverse_map import reverse_map_table
 from .table import DEFAULT_TIE_SEED, MicrodataTable, RankProfile, Role
 
@@ -29,7 +29,8 @@ def regenerate(tie_seed: int = DEFAULT_TIE_SEED) -> dict:
     original, masked = fixtures.running_example()
     permuted = reverse_map_table(original, masked, tie_seed=tie_seed)
     masked_ranks = RankProfile.of(masked, tie_seed=tie_seed)
-    permuted_ranks = RankProfile.of(permuted, tie_seed=tie_seed)
+    masked_release = Release(masked, masked_ranks)
+    permuted_release = Release(permuted, tie_seed=tie_seed)
 
     decomposition = decompose(original, masked, tie_seed=tie_seed)
     correlations = tuple(
@@ -38,28 +39,18 @@ def regenerate(tie_seed: int = DEFAULT_TIE_SEED) -> dict:
     )
 
     record3 = np.asarray(fixtures.RECORD3["record"], dtype=np.float64)
-    evidence = permutation_distance(
-        record3, masked, masked_ranks, tie_seed=tie_seed, record_index=3
-    )
-    evidence_variances = tuple(
-        window_variance(masked.column(j), masked_ranks.vector(j),
-                        evidence.closest_ranks[j], evidence.distance)
-        for j in range(masked.m)
+    evidence = permutation_distance(record3, masked_release, record_index=3)
+    evidence_variances = masked_release.window_variances(
+        evidence.closest_ranks, evidence.distance
     )
 
-    certificate = certify_dataset(
-        original, masked, tie_seed=tie_seed, disclosure=fixtures.DISCLOSURE
-    )
-    linkage = link_records(original, permuted, tie_seed=tie_seed)
+    certificate = certify_dataset(original, masked_release, disclosure=fixtures.DISCLOSURE)
+    linkage = link_records(original, permuted_release)
     score = score_linkage(linkage, list(range(1, original.n + 1)))
 
-    dist_original = distance_distribution(
-        original, permuted, ranks=permuted_ranks, tie_seed=tie_seed
-    )
+    dist_original = distance_distribution(original, permuted_release)
     baseline = generate_baseline(original, BaselineSpec(mode="exhaustive"))
-    dist_baseline = distance_distribution(
-        baseline, permuted, ranks=permuted_ranks, tie_seed=tie_seed
-    )
+    dist_baseline = distance_distribution(baseline, permuted_release)
 
     return {
         "original": original,

@@ -16,9 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidTruthMappingError, ShapeMismatchError
-from .privacy import RecordDistanceResult, _DistanceEngine, _query_matrix
-from .table import DEFAULT_TIE_SEED, MicrodataTable, RankProfile
+from .errors import InvalidTruthMappingError
+from .privacy import RecordDistanceResult, Release
+from .table import DEFAULT_TIE_SEED, MicrodataTable, check_same_layout
 
 
 @dataclass(frozen=True)
@@ -64,42 +64,36 @@ class LinkageResult:
 
 def link_records(
     original: MicrodataTable,
-    permuted: MicrodataTable,
+    permuted: MicrodataTable | Release,
     *,
     tie_seed: int = DEFAULT_TIE_SEED,
 ) -> LinkageResult:
-    """Match every original record to its minimum-distance permuted records."""
-    if original.n != permuted.n or original.m != permuted.m:
-        raise ShapeMismatchError(
-            f"table shapes differ: {original.n}x{original.m} vs {permuted.n}x{permuted.m}"
-        )
+    """Match every original record to its minimum-distance permuted records.
+
+    A `Release` is used as it is, and its own tie seed is the one recorded.
+    """
+    release = Release.of(permuted, tie_seed=tie_seed)
+    check_same_layout(original, release.table)
     for j in range(original.m):
-        if not np.array_equal(
-            np.sort(original.column(j)), np.sort(permuted.column(j))
-        ):
+        if not np.array_equal(np.sort(original.column(j)), release.values_by_rank[j]):
             warnings.warn(
-                f"attribute {permuted.attribute_names[j]!r} of the permuted table "
+                f"attribute {original.attribute_names[j]!r} of the permuted table "
                 "is not a permutation of the original; distances remain valid but "
                 "the permuted table looks like raw anonymized output",
                 stacklevel=2,
             )
             break
-    profile = RankProfile.of(permuted, tie_seed)
-    engine = _DistanceEngine(permuted, profile)
-    queries = _query_matrix(original.values, permuted.m)
-    per_record = tuple(
-        engine.record_result(queries[i], i + 1) for i in range(original.n)
-    )
+    per_record = tuple(release.results(original.values, range(1, original.n + 1)))
     hits = Counter()
     for r in per_record:
         hits.update(r.matched_indices)
-    unmatched = tuple(t for t in range(1, permuted.n + 1) if t not in hits)
+    unmatched = tuple(t for t in range(1, release.n + 1) if t not in hits)
     multiply = tuple(sorted(t for t, c in hits.items() if c > 1))
     return LinkageResult(
         per_record=per_record,
         unmatched_targets=unmatched,
         multiply_matched_targets=multiply,
-        tie_seed=int(tie_seed),
+        tie_seed=release.tie_seed,
     )
 
 

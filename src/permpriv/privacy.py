@@ -16,14 +16,23 @@ evidence; no access to the rest of the original data is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidValueError, RankOutOfRangeError, ShapeMismatchError
-from .table import DEFAULT_TIE_SEED, MicrodataTable, RankProfile, _as_column
+from .table import (
+    DEFAULT_TIE_SEED,
+    MicrodataTable,
+    RankProfile,
+    _as_column,
+    check_same_layout,
+)
 
-_CHUNK = 512  # query rows per deviation block; bounds peak memory
+# Bytes of rank deviations one search block may hold, counted as queries x
+# candidate rows x attributes x 8; bounds the search's peak memory whatever n
+# and the number of queries.
+_BLOCK_BYTES = 1 << 19
 
 
 def _values_by_rank(column: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -54,69 +63,194 @@ def _query_matrix(queries, m: int) -> np.ndarray:
     return q
 
 
-class _DistanceEngine:
-    """Shared machinery: nearest ranks and min-max rank deviations vs one table."""
+class Release:
+    """One released table, ranked once and indexed for permutation distances.
 
-    def __init__(self, anonymized: MicrodataTable, profile: RankProfile):
-        if profile.n != anonymized.n or profile.m != anonymized.m:
+    Holds the table, its rank profile, each attribute's values in rank order,
+    and the search index: every attribute's ranks listed in the order of the
+    attribute-0 ranks.  Index row r holds attribute-0 rank r + 1, so it
+    deviates from a center c by exactly |r + 1 - c[0]| on attribute 0.  A
+    search scans outward from row c[0] - 1 and stops once that gap alone
+    reaches the best deviation found (Friedman, Baskett & Shustek 1975).  Its
+    cost is O(q * d * m) for q queries at distance about d, against O(q * n * m)
+    for a full scan.  Every distance query in the package goes through one.
+    """
+
+    def __init__(
+        self,
+        table: MicrodataTable,
+        ranks: RankProfile | None = None,
+        *,
+        tie_seed: int = DEFAULT_TIE_SEED,
+    ):
+        profile = ranks if ranks is not None else RankProfile.of(table, tie_seed)
+        if profile.n != table.n or profile.m != table.m:
             raise ShapeMismatchError("rank profile does not match the table shape")
-        self.table = anonymized
+        self.table = table
         self.profile = profile
-        self.rank_matrix = profile.ranks  # (n, m)
         self.values_by_rank = [
-            _values_by_rank(anonymized.column(j), profile.vector(j))
-            for j in range(anonymized.m)
+            _values_by_rank(table.column(j), profile.vector(j)) for j in range(table.m)
         ]
+        # record (0-based) holding each attribute-0 rank, and the other
+        # attributes' ranks in that order
+        self._order = np.argsort(profile.vector(0))
+        self._index = [profile.vector(j)[self._order] for j in range(1, table.m)]
+
+    @classmethod
+    def of(
+        cls,
+        anonymized: MicrodataTable | Release,
+        ranks: RankProfile | None = None,
+        tie_seed: int = DEFAULT_TIE_SEED,
+    ) -> Release:
+        """A release is used as it is; a table is ranked and indexed."""
+        if isinstance(anonymized, Release):
+            return anonymized
+        return cls(anonymized, ranks, tie_seed=tie_seed)
+
+    @property
+    def n(self) -> int:
+        return self.table.n
+
+    @property
+    def m(self) -> int:
+        return self.table.m
+
+    @property
+    def tie_seed(self) -> int:
+        return self.profile.tie_seed
 
     def centers(self, queries: np.ndarray) -> np.ndarray:
         """(q, m) nearest-value ranks for a block of query records."""
         return np.column_stack(
-            [
-                _closest_ranks(self.values_by_rank[j], queries[:, j])
-                for j in range(self.table.m)
-            ]
+            [_closest_ranks(self.values_by_rank[j], queries[:, j]) for j in range(self.m)]
         )
 
-    def distances(self, queries: np.ndarray, centers: np.ndarray | None = None) -> np.ndarray:
-        """(q,) min-max rank deviation for each query record."""
-        if centers is None:
-            centers = self.centers(queries)
-        out = np.empty(centers.shape[0], dtype=np.int64)
-        for lo in range(0, centers.shape[0], _CHUNK):
-            hi = min(lo + _CHUNK, centers.shape[0])
-            dev = np.abs(
-                self.rank_matrix[None, :, :] - centers[lo:hi, None, :]
-            ).max(axis=2)
-            out[lo:hi] = dev.min(axis=1)
+    def _max_deviation(self, rows: np.ndarray, centers: Sequence[np.ndarray]) -> np.ndarray:
+        """Largest rank deviation of index rows from per-attribute centers.
+
+        `centers[j]` broadcasts against `rows`.
+        """
+        dev = rows - (centers[0] - 1)
+        np.abs(dev, out=dev)
+        for ranks, c in zip(self._index, centers[1:]):
+            gap = ranks[rows]
+            gap -= c
+            np.maximum(dev, np.abs(gap, out=gap), out=dev)
+        return dev
+
+    def distances(self, centers: np.ndarray) -> np.ndarray:
+        """(q,) min-max rank deviation for each row of (q, m) 1-based centers.
+
+        Scans index offsets 0, +-1, +-2, ... in rings that double in width,
+        each over blocks of at most _BLOCK_BYTES.  A query leaves the scan
+        once the next ring's offset reaches its best deviation, or no row is
+        left.  Rows past either end are clipped to the end row: a duplicate
+        of a real record never lowers the minimum below the true one.
+        """
+        n, m = self.n, self.m
+        best = np.full(centers.shape[0], n, dtype=np.int64)
+        start = centers[:, 0] - 1
+        active = np.arange(centers.shape[0])
+        lo, hi = 0, 1
+        while active.size:
+            k = np.arange(lo, min(hi, n))
+            offsets = k if lo == 0 else np.concatenate([-k, k])
+            step = max(1, _BLOCK_BYTES // (offsets.size * m * 8))
+            for b in range(0, active.size, step):
+                idx = active[b : b + step]
+                rows = start[idx, None] + offsets
+                np.clip(rows, 0, n - 1, out=rows)
+                dev = self._max_deviation(rows, [centers[idx, j, None] for j in range(m)])
+                best[idx] = np.minimum(best[idx], dev.min(axis=1))
+            # every row still unscanned lies at offset hi or beyond
+            s = start[active]
+            active = active[(best[active] > hi) & ((s >= hi) | (s + hi < n))]
+            lo, hi = hi, 2 * hi
+        return best
+
+    def _match_sets(self, centers: np.ndarray, distances: np.ndarray) -> list[np.ndarray]:
+        """Ascending 1-based record numbers at each query's distance.
+
+        A record at distance d lies within d of the center on attribute 0, so
+        index rows [c[0] - 1 - d, c[0] - 1 + d] hold every match.  Windows are
+        scanned in blocks of at most _BLOCK_BYTES (or one window).
+        """
+        n, m = self.n, self.m
+        first = np.maximum(centers[:, 0] - 1 - distances, 0)
+        size = np.minimum(centers[:, 0] - 1 + distances, n - 1) - first + 1
+        ends = np.cumsum(size)
+        cap = max(1, _BLOCK_BYTES // (m * 8))
+        out: list[np.ndarray] = []
+        a = 0
+        while a < size.size:
+            base = ends[a] - size[a]
+            b = max(a + 1, int(np.searchsorted(ends, base + cap, side="right")))
+            sz = size[a:b]
+            query = np.repeat(np.arange(a, b), sz)
+            rows = np.arange(base, ends[b - 1]) + np.repeat(first[a:b] - (ends[a:b] - sz), sz)
+            dev = self._max_deviation(rows, [centers[query, j] for j in range(m)])
+            hit = dev == distances[query]
+            records, query = self._order[rows[hit]] + 1, query[hit]
+            records = records[np.lexsort((records, query))]
+            counts = np.bincount(query - a, minlength=b - a)
+            out.extend(np.split(records, np.cumsum(counts)[:-1]))
+            a = b
         return out
 
-    def record_result(self, x: np.ndarray, record_index: int | None) -> "RecordDistanceResult":
-        centers = self.centers(x.reshape(1, -1))[0]
-        dev = np.abs(self.rank_matrix - centers[None, :]).max(axis=1)
-        distance = int(dev.min())
-        matched = np.nonzero(dev == distance)[0]
-        first = matched[0]
-        return RecordDistanceResult(
-            record_index=record_index,
-            closest_values=tuple(
-                float(self.values_by_rank[j][centers[j] - 1]) for j in range(self.table.m)
-            ),
-            closest_ranks=tuple(int(c) for c in centers),
-            matched_indices=tuple(int(i) + 1 for i in matched),
-            matched_deviations=tuple(
-                int(abs(r - c)) for r, c in zip(self.rank_matrix[first], centers)
-            ),
-            distance=distance,
-        )
+    def results(
+        self, queries, record_indices: Iterable[int | None]
+    ) -> list[RecordDistanceResult]:
+        """Full distance evidence for each query record, numbered as given."""
+        q = _query_matrix(queries, self.m)
+        centers = self.centers(q)
+        distances = self.distances(centers)
+        matches = self._match_sets(centers, distances)
+        firsts = np.array([s[0] for s in matches], dtype=np.int64) - 1
+        values = np.column_stack(
+            [self.values_by_rank[j][centers[:, j] - 1] for j in range(self.m)]
+        ).tolist()
+        deviations = np.abs(self.profile.ranks[firsts] - centers).tolist()
+        return [
+            RecordDistanceResult(
+                record_index=index,
+                closest_values=tuple(v),
+                closest_ranks=tuple(c),
+                matched_indices=tuple(s.tolist()),
+                matched_deviations=tuple(dv),
+                distance=d,
+            )
+            for index, v, c, s, dv, d in zip(
+                record_indices, values, centers.tolist(), matches, deviations,
+                distances.tolist(),
+            )
+        ]
 
     def window_variances(self, centers: Sequence[int], d: int) -> tuple[float, ...]:
-        n = self.table.n
+        """Per-attribute variance of the values ranked within d of each center."""
+        n = self.n
         out = []
         for j, c in enumerate(centers):
             lo = max(int(c) - int(d), 1)
             hi = min(int(c) + int(d), n)
             out.append(float(self.values_by_rank[j][lo - 1 : hi].var()))
         return tuple(out)
+
+    def verify(
+        self, result: RecordDistanceResult, d_target: int, v_target: Sequence[float]
+    ) -> RecordVerification:
+        """Check a record's evidence against (d_target, v_target)."""
+        variances = self.window_variances(result.closest_ranks, d_target)
+        passed = result.distance >= d_target and all(
+            var > t for var, t in zip(variances, v_target)
+        )
+        return RecordVerification(
+            passed=passed,
+            result=result,
+            window_variances=variances,
+            d_target=int(d_target),
+            v_target=tuple(v_target),
+        )
 
 
 @dataclass(frozen=True)
@@ -162,33 +296,31 @@ class RecordDistanceResult:
 
 def permutation_distance(
     x,
-    anonymized: MicrodataTable,
+    anonymized: MicrodataTable | Release,
     ranks: RankProfile | None = None,
     *,
     tie_seed: int = DEFAULT_TIE_SEED,
     record_index: int | None = None,
 ) -> RecordDistanceResult:
     """Distance evidence for a single record against an anonymized table."""
-    profile = ranks if ranks is not None else RankProfile.of(anonymized, tie_seed)
-    engine = _DistanceEngine(anonymized, profile)
-    q = _query_matrix(x, anonymized.m)
+    release = Release.of(anonymized, ranks, tie_seed)
+    q = _query_matrix(x, release.m)
     if q.shape[0] != 1:
         raise ShapeMismatchError("expected a single record; use batch_permutation_distances")
-    return engine.record_result(q[0], record_index)
+    return release.results(q, [record_index])[0]
 
 
 def batch_permutation_distances(
     queries,
-    anonymized: MicrodataTable,
+    anonymized: MicrodataTable | Release,
     ranks: RankProfile | None = None,
     *,
     tie_seed: int = DEFAULT_TIE_SEED,
 ) -> np.ndarray:
     """Distances only, vectorized over many query records."""
-    profile = ranks if ranks is not None else RankProfile.of(anonymized, tie_seed)
-    engine = _DistanceEngine(anonymized, profile)
+    release = Release.of(anonymized, ranks, tie_seed)
     q = queries.values if isinstance(queries, MicrodataTable) else queries
-    return engine.distances(_query_matrix(q, anonymized.m))
+    return release.distances(release.centers(_query_matrix(q, release.m)))
 
 
 def window_variance(anonymized_column, ranks, center_rank: int, d: int) -> float:
@@ -250,7 +382,7 @@ class RecordVerification:
 
 def verify_record(
     x,
-    anonymized: MicrodataTable,
+    anonymized: MicrodataTable | Release,
     d_target: int,
     v_target,
     *,
@@ -268,21 +400,9 @@ def verify_record(
     v = tuple(float(t) for t in np.asarray(v_target, dtype=float).ravel())
     if len(v) != anonymized.m:
         raise ShapeMismatchError(f"{len(v)} variance targets for {anonymized.m} attributes")
-    profile = ranks if ranks is not None else RankProfile.of(anonymized, tie_seed)
-    engine = _DistanceEngine(anonymized, profile)
-    q = _query_matrix(x, anonymized.m)
-    result = engine.record_result(q[0], None)
-    variances = engine.window_variances(result.closest_ranks, int(d_target))
-    passed = result.distance >= int(d_target) and all(
-        var > t for var, t in zip(variances, v)
-    )
-    return RecordVerification(
-        passed=passed,
-        result=result,
-        window_variances=variances,
-        d_target=int(d_target),
-        v_target=v,
-    )
+    release = Release.of(anonymized, ranks, tie_seed)
+    q = _query_matrix(x, release.m)
+    return release.verify(release.results(q[:1], [None])[0], int(d_target), v)
 
 
 @dataclass(frozen=True)
@@ -357,26 +477,23 @@ class PrivacyCertificate:
 
 def certify_dataset(
     original: MicrodataTable,
-    anonymized: MicrodataTable,
+    anonymized: MicrodataTable | Release,
     *,
     tie_seed: int = DEFAULT_TIE_SEED,
     disclosure: str | None = None,
 ) -> PrivacyCertificate:
-    """Distance and variance evidence for every original record at once."""
-    if original.n != anonymized.n or original.m != anonymized.m:
-        raise ShapeMismatchError(
-            f"table shapes differ: {original.n}x{original.m} vs {anonymized.n}x{anonymized.m}"
-        )
-    profile = RankProfile.of(anonymized, tie_seed)
-    engine = _DistanceEngine(anonymized, profile)
-    results = [
-        engine.record_result(original.values[i], i + 1) for i in range(original.n)
-    ]
+    """Distance and variance evidence for every original record at once.
+
+    A `Release` is used as it is, and its own tie seed is the one recorded.
+    """
+    release = Release.of(anonymized, tie_seed=tie_seed)
+    check_same_layout(original, release.table)
+    results = release.results(original.values, range(1, original.n + 1))
     dataset_distance = min(r.distance for r in results)
     per_record = []
     for r in results:
-        at_d = engine.window_variances(r.closest_ranks, dataset_distance)
-        at_di = engine.window_variances(r.closest_ranks, r.distance)
+        at_d = release.window_variances(r.closest_ranks, dataset_distance)
+        at_di = release.window_variances(r.closest_ranks, r.distance)
         per_record.append(
             RecordPrivacy(
                 result=r,
@@ -393,5 +510,5 @@ def certify_dataset(
         dataset_distance=dataset_distance,
         dataset_variances=dataset_variances,
         disclosure=disclosure,
-        tie_seed=int(tie_seed),
+        tie_seed=release.tie_seed,
     )

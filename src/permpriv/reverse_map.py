@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import InvalidValueError, ShapeMismatchError
 from .table import (
     DEFAULT_TIE_SEED,
     MicrodataTable,
     Role,
     _as_column,
+    check_same_layout,
     compute_ranks,
     derive_column_seed,
 )
@@ -34,10 +35,15 @@ def reverse_map_column(original, anonymized, tie_seed: int = DEFAULT_TIE_SEED) -
     if x.size != y.size:
         raise ShapeMismatchError(f"column lengths differ: {x.size} vs {y.size}")
     y_ranks = compute_ranks(y, tie_seed)
-    z = np.sort(x, kind="stable")[y_ranks - 1]
-    # postconditions, cheap enough to keep on every run
-    assert np.array_equal(np.sort(z), np.sort(x)), "multiset not preserved"
-    assert np.all(np.diff(z[np.argsort(y_ranks)]) >= 0), "rank order not preserved"
+    x_sorted = np.sort(x, kind="stable")
+    z = x_sorted[y_ranks - 1]
+    # postconditions, cheap enough to keep on every run: z is a rearrangement
+    # of x, and the ranks order both y and z
+    if not np.array_equal(np.sort(z), x_sorted):
+        raise InvalidValueError("reverse mapping did not preserve the original multiset")
+    by_rank = np.argsort(y_ranks)
+    if np.any(np.diff(y[by_rank]) < 0) or np.any(np.diff(z[by_rank]) < 0):
+        raise InvalidValueError("reverse mapping did not preserve the anonymized rank order")
     return z
 
 
@@ -51,12 +57,7 @@ def reverse_map_table(
     The result carries role ``reverse_mapped`` and provenance recording the
     method, the tie seed, and the roles of both source tables.
     """
-    if original.n != anonymized.n or original.m != anonymized.m:
-        raise ShapeMismatchError(
-            f"table shapes differ: {original.n}x{original.m} vs {anonymized.n}x{anonymized.m}"
-        )
-    if original.attribute_names != anonymized.attribute_names:
-        raise ShapeMismatchError("attribute names or order differ between tables")
+    check_same_layout(original, anonymized)
     cols = [
         reverse_map_column(
             original.column(j), anonymized.column(j), derive_column_seed(tie_seed, j)

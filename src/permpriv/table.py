@@ -70,15 +70,27 @@ def compute_ranks(column, tie_seed: int = DEFAULT_TIE_SEED) -> np.ndarray:
     order = np.argsort(col, kind="stable")
     svals = col[order]
     rng = np.random.default_rng(int(tie_seed))
-    start = 0
-    for stop in range(1, n + 1):
-        if stop == n or svals[stop] != svals[start]:
-            if stop - start > 1:
-                rng.shuffle(order[start:stop])
-            start = stop
+    starts = np.flatnonzero(np.r_[True, svals[1:] != svals[:-1]])
+    stops = np.r_[starts[1:], n]
+    tied = stops - starts > 1
+    for start, stop in zip(starts[tied].tolist(), stops[tied].tolist()):
+        rng.shuffle(order[start:stop])
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
     return ranks
+
+
+def check_same_layout(first: MicrodataTable, second: MicrodataTable) -> None:
+    """Reject two tables unless they agree on shape and on attribute names and order."""
+    if first.n != second.n or first.m != second.m:
+        raise ShapeMismatchError(
+            f"table shapes differ: {first.n}x{first.m} vs {second.n}x{second.m}"
+        )
+    if first.attribute_names != second.attribute_names:
+        raise ShapeMismatchError(
+            f"attribute names or order differ between tables: "
+            f"{first.attribute_names} vs {second.attribute_names}"
+        )
 
 
 def value_at_rank(column, ranks, rank: int) -> float:

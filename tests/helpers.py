@@ -1,8 +1,10 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracle functions below are deliberate reimplementations in plain Python
-loops.  They share no code with the package, so agreement between the two
-routes is meaningful evidence rather than a tautology.
+loops, apart from `brute_search`, the full numpy scan the package replaced
+with its projection search.  They share no code with the package, so
+agreement between the two routes is meaningful evidence rather than a
+tautology.
 """
 
 import numpy as np
@@ -41,6 +43,13 @@ def random_integer_table(rng, n, m, role=Role.ORIGINAL, low=0, high=10_000):
     return MicrodataTable(np.column_stack(cols), names, role=role)
 
 
+def random_tied_table(rng, n, m, role=Role.ORIGINAL, levels=4):
+    """Integer cells drawn from `levels` values, so most cells repeat in their column."""
+    values = rng.integers(0, levels, size=(n, m)).astype(float)
+    names = tuple(f"a{j + 1}" for j in range(m))
+    return MicrodataTable(values, names, role=role)
+
+
 def shuffle_rows(rng, table, role=Role.ANONYMIZED):
     """Row permutation of a table; returns (shuffled table, truth mapping).
 
@@ -72,10 +81,16 @@ def oracle_ranks(column):
 
 
 def oracle_closest(column, ranks, value):
-    """(closest value, its rank); distance ties go to the smaller rank."""
+    """(closest value, its rank); distance ties go to the smaller value.
+
+    Among records tied at that value, the rank next to the position where
+    `value` would be inserted is taken; on tie-free data this is the only
+    rank of the closest value.
+    """
+    insert_at = 1 + sum(1 for y in column if y < value)
     best = None
     for y, r in zip(column, ranks):
-        key = (abs(y - value), r)
+        key = (abs(y - value), y, abs(r - insert_at))
         if best is None or key < best[0]:
             best = (key, y, r)
     return best[1], best[2]
@@ -102,11 +117,62 @@ def oracle_distance(record, table_values, rank_matrix):
     return best_d, tuple(matches), tuple(centers)
 
 
+def brute_search(values, rank_matrix, queries, block=64):
+    """Full min-max scan of every query against every record, vectorised.
+
+    Returns (distances, closest ranks, match sets) under the same rules as
+    `oracle_distance`, in blocks of `block` queries; fast enough for a few
+    thousand records and queries.
+    """
+    values = np.asarray(values, dtype=float)
+    ranks = np.asarray(rank_matrix, dtype=np.int64)
+    queries = np.asarray(queries, dtype=float)
+    distances, centers, matches = [], [], []
+    for lo in range(0, len(queries), block):
+        x = queries[lo : lo + block]
+        c = np.empty(x.shape, dtype=np.int64)
+        for j in range(values.shape[1]):
+            y, r = values[None, :, j], ranks[None, :, j]
+            gap = np.abs(y - x[:, j, None])
+            near = gap == gap.min(axis=1, keepdims=True)
+            near &= y == np.where(near, y, np.inf).min(axis=1, keepdims=True)
+            insert_at = 1 + (y < x[:, j, None]).sum(axis=1, keepdims=True)
+            pick = np.where(near, np.abs(r - insert_at), ranks.shape[0] + 1).argmin(axis=1)
+            c[:, j] = ranks[pick, j]
+        dev = np.abs(ranks[None, :, :] - c[:, None, :]).max(axis=2)
+        d = dev.min(axis=1)
+        distances.append(d)
+        centers.append(c)
+        matches.extend(tuple((np.flatnonzero(row == k) + 1).tolist()) for row, k in zip(dev, d))
+    return np.concatenate(distances), np.concatenate(centers), matches
+
+
 def oracle_window_variance(column, ranks, center, d):
     """Population variance of the values whose rank is within d of center."""
     vals = [v for v, r in zip(column, ranks) if abs(r - center) <= d]
     mean = sum(vals) / len(vals)
     return sum((v - mean) ** 2 for v in vals) / len(vals)
+
+
+def oracle_tied_ranks(column, tie_seed):
+    """Seeded ranks by a per-value walk over the sorted column.
+
+    Each run of equal values is shuffled in turn with one generator, the
+    definition `compute_ranks` vectorises.
+    """
+    col = np.asarray(column, dtype=float)
+    order = np.argsort(col, kind="stable")
+    values = col[order]
+    rng = np.random.default_rng(tie_seed)
+    start = 0
+    for stop in range(1, col.size + 1):
+        if stop == col.size or values[stop] != values[start]:
+            if stop - start > 1:
+                rng.shuffle(order[start:stop])
+            start = stop
+    ranks = np.empty(col.size, dtype=np.int64)
+    ranks[order] = np.arange(1, col.size + 1)
+    return ranks
 
 
 def oracle_spearman(a, b):

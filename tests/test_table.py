@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import oracle_ranks, random_table
+from helpers import oracle_ranks, oracle_tied_ranks, random_table, random_tied_table
 from permpriv import fixtures
 from permpriv.errors import (
     EmptyInputError,
@@ -78,6 +78,17 @@ def test_ties_shuffled_only_within_their_group():
         assert ranks[0] == 1
         assert ranks[3] == 4
         assert sorted(ranks[1:3]) == [2, 3]
+
+
+def test_tied_ranks_equal_the_per_value_walk():
+    for case in range(50):
+        rng = np.random.default_rng(9000 + case)
+        n = int(rng.integers(1, 400))
+        column = random_tied_table(rng, n, 1, levels=int(rng.integers(1, 60))).column(0)
+        if case % 5 == 0:
+            column = np.where(column == 0, -0.0, column)  # -0.0 ties with 0.0
+        seed = int(rng.integers(0, 10_000))
+        assert np.array_equal(compute_ranks(column, seed), oracle_tied_ranks(column, seed))
 
 
 def test_rank_determinism():
