@@ -122,21 +122,6 @@ class DistanceDistribution:
         """P(D <= distance); accepts non-integer thresholds."""
         return float(sum(f for d, f in self.frequencies.items() if d <= distance))
 
-    def to_dict(self) -> dict:
-        return {
-            "frequencies": {str(d): f for d, f in self.frequencies.items()},
-            "sample_size": self.sample_size,
-            "source_tag": self.source_tag,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DistanceDistribution":
-        return cls(
-            frequencies={int(d): float(f) for d, f in data["frequencies"].items()},
-            sample_size=int(data["sample_size"]),
-            source_tag=data["source_tag"],
-        )
-
 
 def _tabulate(distances: np.ndarray, source_tag: str) -> DistanceDistribution:
     values, counts = np.unique(distances, return_counts=True)
@@ -178,9 +163,6 @@ class DivergenceSummary:
     total_variation: float
     hellinger: float
 
-    def to_dict(self) -> dict:
-        return {"total_variation": self.total_variation, "hellinger": self.hellinger}
-
 
 def divergence(a: DistanceDistribution, b: DistanceDistribution) -> DivergenceSummary:
     """Total-variation and Hellinger distances over the union of supports."""
@@ -202,14 +184,6 @@ class SubjectSafety:
     threshold: float
 
     report_kind = "subject_safety"
-
-    def to_dict(self) -> dict:
-        return {
-            "distance": self.distance,
-            "plausibility": self.plausibility,
-            "safe": self.safe,
-            "threshold": self.threshold,
-        }
 
 
 def subject_safety_check(
@@ -256,17 +230,6 @@ class AssessmentReport:
     withstands: bool
 
     report_kind = "assessment"
-
-    def to_dict(self) -> dict:
-        return {
-            "original": self.original.to_dict(),
-            "baseline": self.baseline.to_dict(),
-            "divergence": self.divergence.to_dict(),
-            "median_distance": self.median_distance,
-            "plausibility_at_median": self.plausibility_at_median,
-            "threshold": self.threshold,
-            "withstands": self.withstands,
-        }
 
 
 def assess_tables(

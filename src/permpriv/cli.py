@@ -40,6 +40,7 @@ from .io_report import (
     emit_histogram,
     load_csv,
     resolve,
+    to_payload,
     write_csv,
     write_report,
 )
@@ -90,6 +91,14 @@ def _disclosure(args, config) -> str | None:
     return resolve(getattr(args, "disclosure", None), config, "disclosure", None)
 
 
+def _write_report(obj, path, args, config, seeds: dict, kind: str | None = None) -> None:
+    """Write a report under the command's --disclosure and --withhold-seeds."""
+    write_report(
+        obj, path, kind=kind, seeds=seeds,
+        disclosure=_disclosure(args, config), withhold_seeds=_withhold(args, config),
+    )
+
+
 def _baseline_spec(args, config, mode: str) -> BaselineSpec:
     return BaselineSpec(
         mode=mode,
@@ -103,6 +112,19 @@ def _baseline_spec(args, config, mode: str) -> BaselineSpec:
             resolve(args.exhaustive_cap, config, "exhaustive_cap", DEFAULT_EXHAUSTIVE_CAP)
         ),
     )
+
+
+def _targets(args, config, m: int) -> tuple[int, list[float]] | None:
+    """The --d/--v targets, None when both are unset; a missing half is vacuous."""
+    d_target = resolve(args.d, config, "d", None)
+    v_target = resolve(args.v, config, "v", None)
+    if v_target is not None and len(v_target) != m:
+        raise ShapeMismatchError(f"{len(v_target)} variance targets for {m} attributes")
+    if d_target is None and v_target is None:
+        return None
+    d_t = 0 if d_target is None else int(d_target)
+    v_t = [-1.0] * m if v_target is None else [float(t) for t in v_target]
+    return d_t, v_t
 
 
 def _fmt_vector(values) -> str:
@@ -143,33 +165,21 @@ def cmd_certify(args, config) -> int:
     original = load_csv(args.original, role=Role.ORIGINAL)
     anonymized = load_csv(args.anonymized, role=Role.ANONYMIZED)
     tie_seed = _tie_seed(args, config)
-    d_target = resolve(args.d, config, "d", None)
-    v_target = resolve(args.v, config, "v", None)
-    if v_target is not None and len(v_target) != original.m:
-        raise ShapeMismatchError(
-            f"{len(v_target)} variance targets for {original.m} attributes"
-        )
+    targets = _targets(args, config, original.m)
     release = Release(anonymized, tie_seed=tie_seed)
     certificate = certify_dataset(original, release, disclosure=_disclosure(args, config))
     path = _out_dir(args, config) / "certificate.json"
-    write_report(
-        certificate,
-        path,
-        seeds={"tie_seed": tie_seed},
-        disclosure=_disclosure(args, config),
-        withhold_seeds=_withhold(args, config),
-    )
+    _write_report(certificate, path, args, config, {"tie_seed": tie_seed})
     print(
         f"certificate: d={certificate.dataset_distance}, "
         f"v={_fmt_vector(certificate.dataset_variances)}; wrote {path}"
     )
 
-    if d_target is None and v_target is None:
+    if targets is None:
         return EXIT_OK
     # Joint per-record check at the requested targets, on the certificate's
-    # own evidence. Missing halves default to the vacuous clause.
-    d_t = 0 if d_target is None else int(d_target)
-    v_t = [-1.0] * original.m if v_target is None else [float(t) for t in v_target]
+    # own evidence.
+    d_t, v_t = targets
     failures = [
         i + 1
         for i, entry in enumerate(certificate.per_record)
@@ -188,12 +198,7 @@ def cmd_subject(args, config) -> int:
     record = _load_single_record(args.record)
     anonymized = load_csv(args.anonymized, role=Role.ANONYMIZED)
     tie_seed = _tie_seed(args, config)
-    d_target = resolve(args.d, config, "d", None)
-    v_target = resolve(args.v, config, "v", None)
-    if v_target is not None and len(v_target) != anonymized.m:
-        raise ShapeMismatchError(
-            f"{len(v_target)} variance targets for {anonymized.m} attributes"
-        )
+    targets = _targets(args, config, anonymized.m)
     release = Release(anonymized, tie_seed=tie_seed)
     evidence = permutation_distance(record, release)
     variances = release.window_variances(evidence.closest_ranks, evidence.distance)
@@ -202,19 +207,18 @@ def cmd_subject(args, config) -> int:
         f"window variances {_fmt_vector(variances)}"
     )
     payload: dict = {
-        "evidence": evidence.to_dict(),
-        "variances_at_distance": list(variances),
+        "evidence": to_payload(evidence),
+        "variances_at_distance": variances,
         "verification": None,
         "safety": None,
     }
     seeds: dict[str, int] = {"tie_seed": tie_seed}
     failed = False
 
-    if d_target is not None or v_target is not None:
-        d_t = 0 if d_target is None else int(d_target)
-        v_t = [-1.0] * anonymized.m if v_target is None else [float(t) for t in v_target]
+    if targets is not None:
+        d_t, v_t = targets
         outcome = verify_record(record, release, d_t, v_t)
-        payload["verification"] = outcome.to_dict()
+        payload["verification"] = to_payload(outcome)
         verdict = "met" if outcome.passed else "NOT met"
         print(
             f"targets (d={d_t}, v={_fmt_vector(v_t)}) {verdict}: distance "
@@ -226,7 +230,7 @@ def cmd_subject(args, config) -> int:
         spec = _baseline_spec(args, config, args.baseline)
         threshold = float(resolve(args.threshold, config, "threshold", 0.05))
         safety = subject_safety_check(record, release, spec, threshold=threshold)
-        payload["safety"] = safety.to_dict()
+        payload["safety"] = to_payload(safety)
         seeds["baseline_seed"] = spec.seed
         print(
             f"plausibility P(D <= {safety.distance}) = {safety.plausibility:.4f} "
@@ -235,14 +239,7 @@ def cmd_subject(args, config) -> int:
         failed = failed or not safety.safe
 
     path = _out_dir(args, config) / "subject.json"
-    write_report(
-        payload,
-        path,
-        kind="subject",
-        seeds=seeds,
-        disclosure=_disclosure(args, config),
-        withhold_seeds=_withhold(args, config),
-    )
+    _write_report(payload, path, args, config, seeds, kind="subject")
     print(f"wrote {path}")
     return EXIT_VERDICT if failed else EXIT_OK
 
@@ -252,7 +249,7 @@ def cmd_link(args, config) -> int:
     permuted = load_csv(args.permuted, role=Role.REVERSE_MAPPED)
     tie_seed = _tie_seed(args, config)
     result = link_records(original, permuted, tie_seed=tie_seed)
-    payload = result.to_dict()
+    payload = to_payload(result)
     summary = (
         f"{original.n} records linked; "
         f"{sum(1 for r in result.per_record if len(r.matched_indices) > 1)} with multiple matches; "
@@ -261,26 +258,13 @@ def cmd_link(args, config) -> int:
     if args.truth is not None:
         truth = _read_truth(args.truth, original.n)
         score = score_linkage(result, truth)
-        payload["score"] = {
-            "correct": score.correct,
-            "multiple": score.multiple,
-            "misidentified": score.misidentified,
-            "correct_fraction": score.correct_fraction,
-            "classes": list(score.classes),
-        }
+        payload["score"] = to_payload(score)
         summary += (
             f"; score {score.correct} correct / {score.multiple} multiple / "
             f"{score.misidentified} misidentified"
         )
     path = _out_dir(args, config) / "linkage.json"
-    write_report(
-        payload,
-        path,
-        kind="linkage",
-        seeds={"tie_seed": tie_seed},
-        disclosure=_disclosure(args, config),
-        withhold_seeds=_withhold(args, config),
-    )
+    _write_report(payload, path, args, config, {"tie_seed": tie_seed}, kind="linkage")
     print(summary)
     print(f"wrote {path}")
     return EXIT_OK
@@ -298,13 +282,8 @@ def cmd_assess(args, config) -> int:
     )
     out = _out_dir(args, config)
     report_path = out / "assessment.json"
-    write_report(
-        report,
-        report_path,
-        seeds={"tie_seed": tie_seed, "baseline_seed": spec.seed},
-        disclosure=_disclosure(args, config),
-        withhold_seeds=_withhold(args, config),
-    )
+    seeds = {"tie_seed": tie_seed, "baseline_seed": spec.seed}
+    _write_report(report, report_path, args, config, seeds)
     histogram_path = out / "distance_histogram.csv"
     emit_histogram(report.original, report.baseline, histogram_path)
     print(

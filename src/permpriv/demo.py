@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from .baseline import BaselineSpec, distance_distribution, divergence, generate_baseline
+from .baseline import BaselineSpec, distance_distribution, generate_baseline
 from .decompose import decompose, spearman_rho
 from .io_report import emit_histogram, write_csv, write_report
 from .linkage import link_records, score_linkage

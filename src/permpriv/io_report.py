@@ -4,7 +4,9 @@ CSV tables carry a mandatory header row and numeric cells with period decimal
 separators.  Values are written with shortest round-trip formatting, so a
 write followed by a load reproduces every cell bit-exactly.  Reports are JSON
 with a schema version, tool identification, the operational seeds (unless
-withheld), and a free-text disclosure of the anonymization parameters.
+withheld), and a free-text disclosure of the anonymization parameters.  A
+report's payload is read off the analysis dataclass itself, so it names
+exactly the fields the analysis carries, in declaration order.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Mapping
 
 from ._version import __version__
@@ -72,6 +74,38 @@ def write_csv(table: MicrodataTable, path) -> None:
             writer.writerow([repr(float(v)) for v in table.values[i]])
 
 
+class _FieldNames(dict):
+    """Each type's dataclass field names in declaration order; None for other types."""
+
+    def __missing__(self, cls: type) -> tuple[str, ...] | None:
+        names = self[cls] = tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+        return names
+
+
+_FIELD_NAMES = _FieldNames()
+
+
+def to_payload(obj) -> dict:
+    """Nested dicts of an analysis dataclass, fields in declaration order.
+
+    Fields holding a dataclass, or a non-empty tuple of them, are converted in
+    turn; every other value goes to `json` as it is, which writes tuples as
+    arrays and integer keys as their decimal strings.  Unlike
+    `dataclasses.asdict`, it never copies or visits a scalar, so it stays a
+    small part of writing a large certificate.
+    """
+    payload = {}
+    for name in _FIELD_NAMES[type(obj)]:
+        value = getattr(obj, name)
+        if type(value) is tuple:
+            if value and _FIELD_NAMES[type(value[0])] is not None:
+                value = [to_payload(v) for v in value]
+        elif _FIELD_NAMES[type(value)] is not None:
+            value = to_payload(value)
+        payload[name] = value
+    return payload
+
+
 def write_report(
     obj,
     path,
@@ -83,18 +117,17 @@ def write_report(
 ) -> None:
     """Serialize an analysis object to a versioned JSON report.
 
-    Accepts any analysis result carrying to_dict/report_kind, or a plain
-    mapping when `kind` is given explicitly.  Seeds marked withheld are
-    reported by name with a null value, so the report still shows what was
-    randomized while revealing nothing.
+    Accepts an analysis dataclass carrying `report_kind`, whose payload is
+    `to_payload(obj)`, or a plain mapping when `kind` is given explicitly.
+    Seeds marked withheld are reported by name with a null value, so the
+    report still shows what was randomized while revealing nothing.
     """
     if obj is None:
         raise EmptyReportError("nothing to report")
-    to_dict = getattr(obj, "to_dict", None)
     if kind is None:
         kind = getattr(obj, "report_kind", None)
-    if to_dict is not None:
-        payload = to_dict()
+    if _FIELD_NAMES[type(obj)] is not None:
+        payload = to_payload(obj)
     elif isinstance(obj, Mapping):
         payload = dict(obj)
     else:

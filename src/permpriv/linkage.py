@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -39,27 +39,6 @@ class LinkageResult:
     @property
     def match_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(r.matched_indices for r in self.per_record)
-
-    def to_dict(self) -> dict:
-        return {
-            "per_record": [r.to_dict() for r in self.per_record],
-            "unmatched_targets": list(self.unmatched_targets),
-            "multiply_matched_targets": list(self.multiply_matched_targets),
-            "tie_seed": self.tie_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "LinkageResult":
-        return cls(
-            per_record=tuple(
-                RecordDistanceResult.from_dict(r) for r in data["per_record"]
-            ),
-            unmatched_targets=tuple(int(v) for v in data["unmatched_targets"]),
-            multiply_matched_targets=tuple(
-                int(v) for v in data["multiply_matched_targets"]
-            ),
-            tie_seed=int(data["tie_seed"]),
-        )
 
 
 def link_records(
@@ -108,20 +87,11 @@ class LinkageScore:
     correct: int
     multiple: int
     misidentified: int
+    correct_fraction: float = field(init=False)
     classes: tuple[str, ...]  # per record: correct | multiple | misidentified
 
-    @property
-    def correct_fraction(self) -> float:
-        return self.correct / len(self.classes)
-
-    def to_dict(self) -> dict:
-        return {
-            "correct": self.correct,
-            "multiple": self.multiple,
-            "misidentified": self.misidentified,
-            "correct_fraction": self.correct_fraction,
-            "classes": list(self.classes),
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "correct_fraction", self.correct / len(self.classes))
 
 
 def score_linkage(result: LinkageResult, truth: Sequence[int]) -> LinkageScore:

@@ -16,7 +16,7 @@ evidence; no access to the rest of the original data is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -272,27 +272,6 @@ class RecordDistanceResult:
 
     report_kind = "record_distance"
 
-    def to_dict(self) -> dict:
-        return {
-            "record_index": self.record_index,
-            "closest_values": list(self.closest_values),
-            "closest_ranks": list(self.closest_ranks),
-            "matched_indices": list(self.matched_indices),
-            "matched_deviations": list(self.matched_deviations),
-            "distance": self.distance,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RecordDistanceResult":
-        return cls(
-            record_index=data["record_index"],
-            closest_values=tuple(float(v) for v in data["closest_values"]),
-            closest_ranks=tuple(int(v) for v in data["closest_ranks"]),
-            matched_indices=tuple(int(v) for v in data["matched_indices"]),
-            matched_deviations=tuple(int(v) for v in data["matched_deviations"]),
-            distance=int(data["distance"]),
-        )
-
 
 def permutation_distance(
     x,
@@ -360,25 +339,6 @@ class RecordVerification:
 
     report_kind = "record_verification"
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "result": self.result.to_dict(),
-            "window_variances": list(self.window_variances),
-            "d_target": self.d_target,
-            "v_target": list(self.v_target),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RecordVerification":
-        return cls(
-            passed=bool(data["passed"]),
-            result=RecordDistanceResult.from_dict(data["result"]),
-            window_variances=tuple(float(v) for v in data["window_variances"]),
-            d_target=int(data["d_target"]),
-            v_target=tuple(float(v) for v in data["v_target"]),
-        )
-
 
 def verify_record(
     x,
@@ -393,7 +353,9 @@ def verify_record(
 
     The variance clause is strict and evaluated at radius d_target.  Passing
     at (d_target, v_target) implies the distance clause passes at any smaller
-    d', but the variance clause must be re-evaluated there.
+    d', but the variance clause must be re-evaluated there.  `x` is one
+    record; several records raise ShapeMismatchError, as in
+    `permutation_distance`.
     """
     if int(d_target) < 0:
         raise RankOutOfRangeError("d_target must be nonnegative")
@@ -401,8 +363,7 @@ def verify_record(
     if len(v) != anonymized.m:
         raise ShapeMismatchError(f"{len(v)} variance targets for {anonymized.m} attributes")
     release = Release.of(anonymized, ranks, tie_seed)
-    q = _query_matrix(x, release.m)
-    return release.verify(release.results(q[:1], [None])[0], int(d_target), v)
+    return release.verify(permutation_distance(x, release), int(d_target), v)
 
 
 @dataclass(frozen=True)
@@ -412,25 +373,6 @@ class RecordPrivacy:
     result: RecordDistanceResult
     variances_at_dataset_distance: tuple[float, ...]
     variances_at_record_distance: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "result": self.result.to_dict(),
-            "variances_at_dataset_distance": list(self.variances_at_dataset_distance),
-            "variances_at_record_distance": list(self.variances_at_record_distance),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RecordPrivacy":
-        return cls(
-            result=RecordDistanceResult.from_dict(data["result"]),
-            variances_at_dataset_distance=tuple(
-                float(v) for v in data["variances_at_dataset_distance"]
-            ),
-            variances_at_record_distance=tuple(
-                float(v) for v in data["variances_at_record_distance"]
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -454,25 +396,6 @@ class PrivacyCertificate:
     @property
     def record_distances(self) -> tuple[int, ...]:
         return tuple(entry.result.distance for entry in self.per_record)
-
-    def to_dict(self) -> dict:
-        return {
-            "per_record": [entry.to_dict() for entry in self.per_record],
-            "dataset_distance": self.dataset_distance,
-            "dataset_variances": list(self.dataset_variances),
-            "disclosure": self.disclosure,
-            "tie_seed": self.tie_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PrivacyCertificate":
-        return cls(
-            per_record=tuple(RecordPrivacy.from_dict(e) for e in data["per_record"]),
-            dataset_distance=int(data["dataset_distance"]),
-            dataset_variances=tuple(float(v) for v in data["dataset_variances"]),
-            disclosure=data["disclosure"],
-            tie_seed=int(data["tie_seed"]),
-        )
 
 
 def certify_dataset(

@@ -226,17 +226,6 @@ class RankProfile:
     def vector(self, j: int) -> np.ndarray:
         return self.ranks[:, j]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "tie_seed": self.tie_seed,
-            "ranks": [self.ranks[:, j].tolist() for j in range(self.m)],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Mapping) -> "RankProfile":
-        ranks = np.column_stack([np.asarray(v, dtype=np.int64) for v in data["ranks"]])
-        return cls(ranks, int(data["tie_seed"]))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RankProfile):
             return NotImplemented

@@ -7,8 +7,13 @@ agreement between the two routes is meaningful evidence rather than a
 tautology.
 """
 
+import dataclasses
+import json
+import typing
+
 import numpy as np
 
+from permpriv.io_report import to_payload
 from permpriv.table import MicrodataTable, Role
 
 
@@ -185,3 +190,33 @@ def oracle_spearman(a, b):
 def oracle_total_variation(freq_a, freq_b):
     support = set(freq_a) | set(freq_b)
     return 0.5 * sum(abs(freq_a.get(d, 0.0) - freq_b.get(d, 0.0)) for d in support)
+
+
+# ---------------------------------------------------------------------------
+# report payloads read back
+
+
+def from_payload(cls, data):
+    """Rebuild an analysis dataclass from its report payload as JSON gives it back.
+
+    The inverse of `io_report.to_payload` after a trip through `json`: arrays
+    become tuples again and nested payloads their dataclasses, guided by the
+    field annotations.  Fields computed in `__post_init__` are skipped.
+    """
+    hints = typing.get_type_hints(cls)
+    return cls(
+        **{f.name: _decode(hints[f.name], data[f.name]) for f in dataclasses.fields(cls) if f.init}
+    )
+
+
+def _decode(hint, value):
+    if dataclasses.is_dataclass(hint):
+        return from_payload(hint, value)
+    if typing.get_origin(hint) is tuple:
+        return tuple(_decode(typing.get_args(hint)[0], v) for v in value)
+    return value
+
+
+def json_round_trip(obj):
+    """`obj` serialized as a report payload, through JSON text, and rebuilt."""
+    return from_payload(type(obj), json.loads(json.dumps(to_payload(obj))))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import oracle_total_variation, random_table
+from helpers import json_round_trip, oracle_total_variation, random_table
 from permpriv import fixtures
 from permpriv.baseline import (
     AssessmentReport,
@@ -61,6 +61,9 @@ def test_exhaustive_two_by_one():
 
 
 def test_exhaustive_cap_refusal(original):
+    # 20 records, 3 attributes: the full product is exactly 20**3 records
+    at_cap = BaselineSpec(mode="exhaustive", exhaustive_cap=8000)
+    assert generate_baseline(original, at_cap).n == 8000
     with pytest.raises(CapExceededError):
         generate_baseline(
             original, BaselineSpec(mode="exhaustive", exhaustive_cap=7999)
@@ -154,15 +157,7 @@ def test_plausibility_is_monotone_and_reaches_one(baseline_dist):
 
 
 def test_small_noise_reference_plausibility():
-    dist = DistanceDistribution.from_dict(
-        {
-            "frequencies": {
-                str(d): f for d, f in fixtures.SMALL_NOISE_FREQ_BASELINE.items()
-            },
-            "sample_size": 8000,
-            "source_tag": "baseline",
-        }
-    )
+    dist = DistanceDistribution(fixtures.SMALL_NOISE_FREQ_BASELINE, 8000, "baseline")
     assert dist.cumulative(5) == pytest.approx(0.0011, abs=0.00005)
 
 
@@ -205,10 +200,7 @@ def test_distribution_validation():
 
 
 def test_distribution_round_trip(baseline_dist):
-    again = DistanceDistribution.from_dict(baseline_dist.to_dict())
-    assert again.frequencies == baseline_dist.frequencies
-    assert again.sample_size == baseline_dist.sample_size
-    assert again.source_tag == baseline_dist.source_tag
+    assert json_round_trip(baseline_dist) == baseline_dist
 
 
 def test_subject_safety_for_the_synthetic_probe(permuted, baseline_dist):
@@ -269,10 +261,8 @@ def test_assessment_threshold_controls_the_verdict(original, masked):
 
 def test_assessment_round_trip(original, masked):
     report = assess_tables(original, masked, BaselineSpec(mode="exhaustive"))
-    payload = report.to_dict()
-    assert payload["withstands"] is True
-    rebuilt_orig = DistanceDistribution.from_dict(payload["original"])
-    assert rebuilt_orig.frequencies == report.original.frequencies
+    assert report.withstands is True
+    assert json_round_trip(report) == report
     assert AssessmentReport.report_kind == "assessment"
 
 

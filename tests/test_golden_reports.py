@@ -1,8 +1,8 @@
 """Golden report bytes: the CLI on the bundled running example.
 
-Each artifact's SHA-256 was recorded when every report was still built by
-hand-written per-class serializers; the dataclass codec in `io_report` must
-reproduce them byte for byte.  A digest changes legitimately only when a
+Reports are read off the analysis dataclasses by `io_report.to_payload`, so
+a renamed, reordered or dropped field changes a report's bytes.  Each
+artifact's SHA-256 is pinned here; a digest changes legitimately only when a
 report gains or loses a field on purpose, or the package version changes.
 """
 
@@ -35,18 +35,18 @@ def artifacts(tmp_path_factory, original, masked, permuted):
     record = MicrodataTable([fixtures.RECORD3["record"]], original.attribute_names)
     write_csv(record, root / "record3.csv")
     runs = [
-        (0, "certify", "original.csv", "masked.csv", "--d", "1", "--v", "0", "0", "0",
+        ("certify", "original.csv", "masked.csv", "--d", "1", "--v", "0", "0", "0",
          "--disclosure", fixtures.DISCLOSURE),
-        (0, "subject", "record3.csv", "masked.csv", "--d", "4", "--v", "24", "890", "20000",
+        ("subject", "record3.csv", "masked.csv", "--d", "4", "--v", "24", "890", "20000",
          "--baseline", "exhaustive"),
-        (0, "link", "original.csv", "permuted.csv"),
-        (0, "link-truth", "original.csv", "permuted.csv", "--truth", "identity"),
-        (0, "assess", "original.csv", "masked.csv"),
+        ("link", "original.csv", "permuted.csv"),
+        ("link-truth", "original.csv", "permuted.csv", "--truth", "identity"),
+        ("assess", "original.csv", "masked.csv"),
     ]
-    for code, out, *argv in runs:
+    for out, *argv in runs:
         command = out.split("-")[0]
         files = [str(root / a) if a.endswith(".csv") else a for a in argv]
-        assert main([command, *files, "--out", str(root / out)]) == code, out
+        assert main([command, *files, "--out", str(root / out)]) == 0, out
     assert main(["demo", "--out", str(root / "demo")]) == 0
     return root
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_table
+from helpers import from_payload, random_table
 from permpriv import __version__
 from permpriv.baseline import DistanceDistribution
 from permpriv.errors import (
@@ -119,8 +119,7 @@ def test_report_round_trip(tmp_path, certificate):
     path = tmp_path / "cert.json"
     write_report(certificate, path)
     report = read_report(path)
-    again = PrivacyCertificate.from_dict(report["payload"])
-    assert again.to_dict() == certificate.to_dict()
+    assert from_payload(PrivacyCertificate, report["payload"]) == certificate
 
 
 def test_withheld_seeds_keep_names_but_lose_values(tmp_path, certificate):
@@ -158,13 +157,7 @@ def test_read_report_rejects_other_json(tmp_path):
 
 
 def _fixture_distribution(freqs, size, tag):
-    return DistanceDistribution.from_dict(
-        {
-            "frequencies": {str(d): f for d, f in freqs.items() if f > 0},
-            "sample_size": size,
-            "source_tag": tag,
-        }
-    )
+    return DistanceDistribution({d: f for d, f in freqs.items() if f > 0}, size, tag)
 
 
 def test_histogram_covers_the_union_support(tmp_path, original, permuted):

@@ -5,10 +5,10 @@ import collections
 import numpy as np
 import pytest
 
-from helpers import oracle_distance, random_table, shuffle_rows
+from helpers import json_round_trip, oracle_distance, random_table, shuffle_rows
 from permpriv import fixtures
 from permpriv.errors import InvalidTruthMappingError, ShapeMismatchError
-from permpriv.linkage import LinkageResult, link_records, score_linkage
+from permpriv.linkage import link_records, score_linkage
 from permpriv.privacy import batch_permutation_distances
 from permpriv.table import RankProfile, Role
 
@@ -154,8 +154,9 @@ def test_linkage_against_brute_force_oracle():
 
 
 def test_linkage_round_trip(linkage):
-    again = LinkageResult.from_dict(linkage.to_dict())
-    assert again.to_dict() == linkage.to_dict()
+    assert json_round_trip(linkage) == linkage
+    score = score_linkage(linkage, range(1, len(linkage.per_record) + 1))
+    assert json_round_trip(score) == score
 
 
 def test_linkage_distances_aggregate_to_the_reference_histogram(linkage):

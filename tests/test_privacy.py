@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    json_round_trip,
     oracle_distance,
     oracle_window_variance,
     random_pair,
@@ -12,9 +13,6 @@ from helpers import (
 from permpriv import fixtures
 from permpriv.errors import RankOutOfRangeError, ShapeMismatchError
 from permpriv.privacy import (
-    PrivacyCertificate,
-    RecordDistanceResult,
-    RecordVerification,
     batch_permutation_distances,
     certify_dataset,
     permutation_distance,
@@ -158,11 +156,13 @@ def test_single_record_rejects_matrices(permuted):
         permutation_distance([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], permuted)
     with pytest.raises(ShapeMismatchError):
         permutation_distance([1.0, 2.0], permuted)
+    with pytest.raises(ShapeMismatchError):
+        verify_record(permuted.values[:5], permuted, 0, (-1.0, -1.0, -1.0))
 
 
 def test_distance_result_round_trip(permuted):
     result = permutation_distance(fixtures.RECORD3["record"], permuted)
-    assert RecordDistanceResult.from_dict(result.to_dict()) == result
+    assert json_round_trip(result) == result
 
 
 def test_verify_record3_passes_its_published_targets(masked):
@@ -225,7 +225,7 @@ def test_verification_round_trip(masked):
     verdict = verify_record(
         fixtures.RECORD3["record"], masked, 4, (24.0, 890.0, 20000.0)
     )
-    assert RecordVerification.from_dict(verdict.to_dict()).to_dict() == verdict.to_dict()
+    assert json_round_trip(verdict) == verdict
 
 
 def test_certificate_golden_summary(certificate):
@@ -305,8 +305,7 @@ def test_certificate_verification_interplay(original, masked, certificate):
 
 
 def test_certificate_round_trip(certificate):
-    again = PrivacyCertificate.from_dict(certificate.to_dict())
-    assert again.to_dict() == certificate.to_dict()
+    assert json_round_trip(certificate) == certificate
 
 
 def test_matched_indices_are_exactly_the_minimizers():
