@@ -7,6 +7,7 @@ report gains or loses a field on purpose, or the package version changes.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -55,3 +56,24 @@ def artifacts(tmp_path_factory, original, masked, permuted):
 def test_report_bytes_match_the_recorded_digests(artifacts, name):
     digest = hashlib.sha256((artifacts / name).read_bytes()).hexdigest()
     assert digest == GOLDEN[name]
+
+
+# certify --d 2 --v 1 1 1 on `synth --n 1000` masked with the CLI defaults.
+# Its record distances reach 100, so the variance windows hold up to 201
+# values: long enough for numpy's pairwise summation (blocks of 8 and 128)
+# to shape the low bits that the running example's short windows never reach.
+LONG_WINDOW_CERTIFICATE = "053c84a92a4282de77831c5d79c2c04085750863b5e640dd70614ca10bddff43"
+
+
+def test_certificate_bytes_with_long_windows(tmp_path):
+    assert main(["synth", "--n", "1000", "--out", str(tmp_path)]) == 0
+    assert main(["mask", str(tmp_path / "original.csv"), "--out", str(tmp_path)]) == 0
+    code = main(
+        ["certify", str(tmp_path / "original.csv"), str(tmp_path / "masked.csv"),
+         "--d", "2", "--v", "1", "1", "1", "--out", str(tmp_path / "certify")]
+    )
+    assert code == 4
+    path = tmp_path / "certify" / "certificate.json"
+    per_record = json.loads(path.read_text())["payload"]["per_record"]
+    assert max(entry["result"]["distance"] for entry in per_record) >= 64
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LONG_WINDOW_CERTIFICATE
