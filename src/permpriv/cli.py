@@ -17,6 +17,8 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ._version import __version__
 from .baseline import (
     DEFAULT_BASELINE_SEED,
@@ -33,6 +35,7 @@ from .errors import (
     ParseError,
     PermprivError,
     RaggedRowError,
+    RankOutOfRangeError,
     ShapeMismatchError,
 )
 from .io_report import (
@@ -53,7 +56,7 @@ from .masking import (
     gaussian_mask,
     synth_original,
 )
-from .privacy import Release, certify_dataset, permutation_distance, verify_record
+from .privacy import Release, certify_dataset, permutation_distance
 from .reverse_map import reverse_map_table
 from .table import DEFAULT_TIE_SEED, Role
 
@@ -123,6 +126,8 @@ def _targets(args, config, m: int) -> tuple[int, list[float]] | None:
     if d_target is None and v_target is None:
         return None
     d_t = 0 if d_target is None else int(d_target)
+    if d_t < 0:
+        raise RankOutOfRangeError("d_target must be nonnegative")
     v_t = [-1.0] * m if v_target is None else [float(t) for t in v_target]
     return d_t, v_t
 
@@ -180,11 +185,9 @@ def cmd_certify(args, config) -> int:
     # Joint per-record check at the requested targets, on the certificate's
     # own evidence.
     d_t, v_t = targets
-    failures = [
-        i + 1
-        for i, entry in enumerate(certificate.per_record)
-        if not release.verify(entry.result, d_t, v_t).passed
-    ]
+    centers = [entry.result.closest_ranks for entry in certificate.per_record]
+    passed, _ = release.verdicts(centers, certificate.record_distances, d_t, v_t)
+    failures = (np.flatnonzero(~passed) + 1).tolist()
     if failures:
         shown = ", ".join(str(i) for i in failures[:10])
         more = "" if len(failures) <= 10 else f" and {len(failures) - 10} more"
@@ -201,7 +204,7 @@ def cmd_subject(args, config) -> int:
     targets = _targets(args, config, anonymized.m)
     release = Release(anonymized, tie_seed=tie_seed)
     evidence = permutation_distance(record, release)
-    variances = release.window_variances(evidence.closest_ranks, evidence.distance)
+    variances = release.window_variances([evidence.closest_ranks], evidence.distance)[0].tolist()
     print(
         f"distance {evidence.distance}; matched records {evidence.matched_indices}; "
         f"window variances {_fmt_vector(variances)}"
@@ -217,7 +220,7 @@ def cmd_subject(args, config) -> int:
 
     if targets is not None:
         d_t, v_t = targets
-        outcome = verify_record(record, release, d_t, v_t)
+        outcome = release.verify(evidence, d_t, v_t)
         payload["verification"] = to_payload(outcome)
         verdict = "met" if outcome.passed else "NOT met"
         print(

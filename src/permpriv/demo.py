@@ -41,8 +41,8 @@ def regenerate(tie_seed: int = DEFAULT_TIE_SEED) -> dict:
     record3 = np.asarray(fixtures.RECORD3["record"], dtype=np.float64)
     evidence = permutation_distance(record3, masked_release, record_index=3)
     evidence_variances = masked_release.window_variances(
-        evidence.closest_ranks, evidence.distance
-    )
+        [evidence.closest_ranks], evidence.distance
+    )[0].tolist()
 
     certificate = certify_dataset(original, masked_release, disclosure=fixtures.DISCLOSURE)
     linkage = link_records(original, permuted_release)

@@ -226,28 +226,64 @@ class Release:
             )
         ]
 
-    def window_variances(self, centers: Sequence[int], d: int) -> tuple[float, ...]:
-        """Per-attribute variance of the values ranked within d of each center."""
+    def window_variances(self, centers, d) -> np.ndarray:
+        """(q, m) variance of the values ranked within d of each center.
+
+        `centers` is a (q, m) matrix of 1-based ranks and `d` one radius or
+        one per row.  Each window is clipped to [1, n].  Per attribute, the
+        windows are grouped by length and gathered into C-contiguous blocks of
+        at most _BLOCK_BYTES (or one window), and each block takes one
+        `var(axis=1)`.  numpy reduces each row of a contiguous block exactly
+        as it reduces the same window as a 1-D slice of `values_by_rank[j]`,
+        so every variance has the bits a per-window `var` call gives.
+        """
         n = self.n
-        out = []
-        for j, c in enumerate(centers):
-            lo = max(int(c) - int(d), 1)
-            hi = min(int(c) + int(d), n)
-            out.append(float(self.values_by_rank[j][lo - 1 : hi].var()))
-        return tuple(out)
+        centers = np.asarray(centers, dtype=np.int64)
+        if centers.ndim != 2 or centers.shape[1] != self.m:
+            raise ShapeMismatchError(f"centers have shape {centers.shape}, expected (*, {self.m})")
+        radius = np.broadcast_to(np.asarray(d, dtype=np.int64), centers.shape[:1])
+        if np.any(radius < 0):
+            raise RankOutOfRangeError("window radius must be nonnegative")
+        if centers.size and (centers.min() < 1 or centers.max() > n):
+            raise RankOutOfRangeError(f"center ranks outside 1..{n}")
+        out = np.empty(centers.shape, dtype=float)
+        for j, values in enumerate(self.values_by_rank):
+            first = np.maximum(centers[:, j] - radius, 1) - 1
+            width = np.minimum(centers[:, j] + radius, n) - first
+            order = np.argsort(width, kind="stable")
+            for rows in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
+                w = int(width[rows[0]])
+                step = max(1, _BLOCK_BYTES // (w * 8))
+                for b in range(0, rows.size, step):
+                    block = rows[b : b + step]
+                    out[block, j] = values[first[block, None] + np.arange(w)].var(axis=1)
+        return out
+
+    def verdicts(
+        self, centers, distances, d_target: int, v_target: Sequence[float]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pass mask and (q, m) window variances of many records at the targets.
+
+        A record passes when its distance is at least d_target and every
+        window variance at radius d_target is strictly above v_target[j].
+        """
+        variances = self.window_variances(centers, d_target)
+        passed = (np.asarray(distances) >= d_target) & np.all(
+            variances > np.asarray(v_target, dtype=float), axis=1
+        )
+        return passed, variances
 
     def verify(
         self, result: RecordDistanceResult, d_target: int, v_target: Sequence[float]
     ) -> RecordVerification:
         """Check a record's evidence against (d_target, v_target)."""
-        variances = self.window_variances(result.closest_ranks, d_target)
-        passed = result.distance >= d_target and all(
-            var > t for var, t in zip(variances, v_target)
+        passed, variances = self.verdicts(
+            [result.closest_ranks], [result.distance], d_target, v_target
         )
         return RecordVerification(
-            passed=passed,
+            passed=bool(passed[0]),
             result=result,
-            window_variances=variances,
+            window_variances=tuple(variances[0].tolist()),
             d_target=int(d_target),
             v_target=tuple(v_target),
         )
@@ -412,22 +448,20 @@ def certify_dataset(
     release = Release.of(anonymized, tie_seed=tie_seed)
     check_same_layout(original, release.table)
     results = release.results(original.values, range(1, original.n + 1))
-    dataset_distance = min(r.distance for r in results)
-    per_record = []
-    for r in results:
-        at_d = release.window_variances(r.closest_ranks, dataset_distance)
-        at_di = release.window_variances(r.closest_ranks, r.distance)
-        per_record.append(
-            RecordPrivacy(
-                result=r,
-                variances_at_dataset_distance=at_d,
-                variances_at_record_distance=at_di,
-            )
+    centers = np.array([r.closest_ranks for r in results])
+    distances = np.array([r.distance for r in results])
+    dataset_distance = int(distances.min())
+    at_d = release.window_variances(centers, dataset_distance)
+    at_di = release.window_variances(centers, distances)
+    per_record = [
+        RecordPrivacy(
+            result=r,
+            variances_at_dataset_distance=tuple(v_d),
+            variances_at_record_distance=tuple(v_di),
         )
-    dataset_variances = tuple(
-        min(entry.variances_at_dataset_distance[j] for entry in per_record)
-        for j in range(original.m)
-    )
+        for r, v_d, v_di in zip(results, at_d.tolist(), at_di.tolist())
+    ]
+    dataset_variances = tuple(at_d.min(axis=0).tolist())
     return PrivacyCertificate(
         per_record=tuple(per_record),
         dataset_distance=dataset_distance,

@@ -2,9 +2,10 @@
 
 The oracle functions below are deliberate reimplementations in plain Python
 loops, apart from `brute_search`, the full numpy scan the package replaced
-with its projection search.  They share no code with the package, so
-agreement between the two routes is meaningful evidence rather than a
-tautology.
+with its projection search, and `oracle_window_variances`, the per-window
+`ndarray.var` loop the package replaced with a batched kernel.  They share
+no code with the package, so agreement between the two routes is meaningful
+evidence rather than a tautology.
 """
 
 import dataclasses
@@ -157,6 +158,25 @@ def oracle_window_variance(column, ranks, center, d):
     vals = [v for v, r in zip(column, ranks) if abs(r - center) <= d]
     mean = sum(vals) / len(vals)
     return sum((v - mean) ** 2 for v in vals) / len(vals)
+
+
+def oracle_window_variances(values_by_rank, centers, d):
+    """(q, m) window variances, one `ndarray.var` call per record and attribute.
+
+    The per-window loop `Release.window_variances` batches.  Its bits are the
+    reference: the batched kernel must reproduce them exactly, not within a
+    tolerance, because report bytes depend on them.  `d` is one radius or one
+    per row; windows are clipped to [1, n].
+    """
+    n = len(values_by_rank[0])
+    centers = np.asarray(centers, dtype=np.int64)
+    radii = np.broadcast_to(np.asarray(d, dtype=np.int64), centers.shape[:1])
+    out = np.empty(centers.shape)
+    for i, (row, r) in enumerate(zip(centers.tolist(), radii.tolist())):
+        for j, c in enumerate(row):
+            lo, hi = max(c - r, 1), min(c + r, n)
+            out[i, j] = values_by_rank[j][lo - 1 : hi].var()
+    return out
 
 
 def oracle_tied_ranks(column, tie_seed):

@@ -115,6 +115,22 @@ def test_certify_rejects_wrong_variance_count(workspace, capsys):
     assert not (workspace / "untouched" / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("command", ["certify", "subject"])
+def test_negative_distance_target_exits_2(workspace, capsys, original, command):
+    write_csv(
+        original.__class__(original.values[2:3], original.attribute_names),
+        workspace / "record3.csv",
+    )
+    first = "original.csv" if command == "certify" else "record3.csv"
+    code, _, err = run(
+        capsys, command, workspace / first, workspace / "masked.csv",
+        "--d", "-1", "--out", workspace / "untouched",
+    )
+    assert code == 2
+    assert "d_target must be nonnegative" in err
+    assert not (workspace / "untouched").exists()
+
+
 def test_subject_evidence_only(workspace, capsys, original):
     write_csv(
         original.__class__(original.values[2:3], original.attribute_names),
