@@ -15,10 +15,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CapExceededError, InvalidSpecError, ShapeMismatchError
+from .errors import CapExceededError, InvalidSpecError
 from .privacy import Release, batch_permutation_distances, permutation_distance
 from .reverse_map import reverse_map_table
-from .table import DEFAULT_TIE_SEED, MicrodataTable, RankProfile, Role, derive_column_seed
+from .table import DEFAULT_TIE_SEED, MicrodataTable, Role, derive_column_seed
 
 DEFAULT_BASELINE_SEED = 303
 DEFAULT_SAMPLE_SIZE = 10_000
@@ -133,24 +133,13 @@ def _tabulate(distances: np.ndarray, source_tag: str) -> DistanceDistribution:
     )
 
 
-def distance_distribution(
-    records: MicrodataTable,
-    target: MicrodataTable | Release,
-    *,
-    ranks: RankProfile | None = None,
-    tie_seed: int = DEFAULT_TIE_SEED,
-    source_tag: str | None = None,
-) -> DistanceDistribution:
-    """Distance of every record against the target, tabulated as frequencies."""
-    if records.m != target.m:
-        raise ShapeMismatchError(
-            f"records have {records.m} attributes, target has {target.m}"
-        )
-    dists = batch_permutation_distances(records, target, ranks, tie_seed=tie_seed)
-    tag = source_tag
-    if tag is None:
-        tag = "baseline" if records.role is Role.BASELINE else "original"
-    return _tabulate(dists, tag)
+def distance_distribution(records: MicrodataTable, release: Release) -> DistanceDistribution:
+    """Distance of every record against the release, tabulated as frequencies.
+
+    Baseline records are tagged "baseline", any other role "original".
+    """
+    tag = "baseline" if records.role is Role.BASELINE else "original"
+    return _tabulate(batch_permutation_distances(records, release), tag)
 
 
 def plausibility(distance: float, baseline: DistanceDistribution) -> float:
@@ -187,12 +176,7 @@ class SubjectSafety:
 
 
 def subject_safety_check(
-    x,
-    permuted: MicrodataTable | Release,
-    spec: BaselineSpec,
-    *,
-    threshold: float = 0.05,
-    tie_seed: int = DEFAULT_TIE_SEED,
+    x, release: Release, spec: BaselineSpec, *, threshold: float = 0.05
 ) -> SubjectSafety:
     """Is the subject's match distance plausible as a pure-chance match?
 
@@ -201,7 +185,6 @@ def subject_safety_check(
     their own record and the published permuted data.  Safe means a random
     record would match at least this close with probability >= threshold.
     """
-    release = Release.of(permuted, tie_seed=tie_seed)
     dist = permutation_distance(x, release).distance
     base_table = generate_baseline(release.table, spec)
     base = distance_distribution(base_table, release)
@@ -252,7 +235,7 @@ def assess_tables(
     dists = batch_permutation_distances(original, release)
     dist_x = _tabulate(dists, "original")
     base_table = generate_baseline(original, spec)
-    dist_a = distance_distribution(base_table, release, source_tag="baseline")
+    dist_a = distance_distribution(base_table, release)
     div = divergence(dist_x, dist_a)
     median_d = float(np.median(dists))
     plaus = plausibility(median_d, dist_a)

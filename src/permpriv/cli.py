@@ -35,7 +35,6 @@ from .errors import (
     ParseError,
     PermprivError,
     RaggedRowError,
-    RankOutOfRangeError,
     ShapeMismatchError,
 )
 from .io_report import (
@@ -56,9 +55,9 @@ from .masking import (
     gaussian_mask,
     synth_original,
 )
-from .privacy import Release, certify_dataset, permutation_distance
+from .privacy import Release, certify_dataset, check_targets, permutation_distance
 from .reverse_map import reverse_map_table
-from .table import DEFAULT_TIE_SEED, Role
+from .table import DEFAULT_TIE_SEED, MicrodataTable, Role, check_same_attributes
 
 __all__ = ["main", "build_parser"]
 
@@ -117,32 +116,28 @@ def _baseline_spec(args, config, mode: str) -> BaselineSpec:
     )
 
 
-def _targets(args, config, m: int) -> tuple[int, list[float]] | None:
+def _targets(args, config, m: int) -> tuple[int, tuple[float, ...]] | None:
     """The --d/--v targets, None when both are unset; a missing half is vacuous."""
     d_target = resolve(args.d, config, "d", None)
     v_target = resolve(args.v, config, "v", None)
-    if v_target is not None and len(v_target) != m:
-        raise ShapeMismatchError(f"{len(v_target)} variance targets for {m} attributes")
     if d_target is None and v_target is None:
         return None
-    d_t = 0 if d_target is None else int(d_target)
-    if d_t < 0:
-        raise RankOutOfRangeError("d_target must be nonnegative")
-    v_t = [-1.0] * m if v_target is None else [float(t) for t in v_target]
-    return d_t, v_t
+    return check_targets(
+        0 if d_target is None else d_target, [-1.0] * m if v_target is None else v_target, m
+    )
 
 
 def _fmt_vector(values) -> str:
     return "(" + ", ".join(f"{float(v):.2f}" for v in values) + ")"
 
 
-def _load_single_record(path):
+def _load_single_record(path) -> MicrodataTable:
     table = load_csv(path, role=Role.ORIGINAL)
     if table.n != 1:
         raise ShapeMismatchError(
             f"{path}: subject record file must contain exactly one data row, got {table.n}"
         )
-    return table.values[0]
+    return table
 
 
 def _read_truth(value: str, n: int) -> list[int]:
@@ -198,8 +193,10 @@ def cmd_certify(args, config) -> int:
 
 
 def cmd_subject(args, config) -> int:
-    record = _load_single_record(args.record)
+    subject = _load_single_record(args.record)
     anonymized = load_csv(args.anonymized, role=Role.ANONYMIZED)
+    check_same_attributes(subject, anonymized)
+    record = subject.values[0]
     tie_seed = _tie_seed(args, config)
     targets = _targets(args, config, anonymized.m)
     release = Release(anonymized, tie_seed=tie_seed)
@@ -251,7 +248,7 @@ def cmd_link(args, config) -> int:
     original = load_csv(args.original, role=Role.ORIGINAL)
     permuted = load_csv(args.permuted, role=Role.REVERSE_MAPPED)
     tie_seed = _tie_seed(args, config)
-    result = link_records(original, permuted, tie_seed=tie_seed)
+    result = link_records(original, Release(permuted, tie_seed=tie_seed))
     payload = to_payload(result)
     summary = (
         f"{original.n} records linked; "

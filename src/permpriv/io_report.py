@@ -15,7 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Mapping
+from typing import Mapping, get_args, get_origin, get_type_hints
 
 from ._version import __version__
 from .baseline import DistanceDistribution
@@ -213,7 +213,19 @@ class RunConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise InvalidSpecError(f"{path}: unknown config keys {unknown}")
+        hints = get_type_hints(cls)
+        for key, value in data.items():
+            if value is not None and not _fits(value, get_args(hints[key])[0]):
+                raise InvalidSpecError(f"{path}: config key {key!r} must be {hints[key]}")
         return cls(**data)
+
+
+def _fits(value, hint) -> bool:
+    """Does a parsed JSON value fit a config type?  Floats take ints; ints take no bools."""
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
+    kinds = (int, float) if hint is float else hint
+    return isinstance(value, kinds) and isinstance(value, bool) == (hint is bool)
 
 
 def resolve(flag_value, config: RunConfig | None, key: str, default):

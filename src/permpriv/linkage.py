@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidTruthMappingError
 from .privacy import RecordDistanceResult, Release
-from .table import DEFAULT_TIE_SEED, MicrodataTable, check_same_layout
+from .table import MicrodataTable, check_same_layout
 
 
 @dataclass(frozen=True)
@@ -41,17 +41,11 @@ class LinkageResult:
         return tuple(r.matched_indices for r in self.per_record)
 
 
-def link_records(
-    original: MicrodataTable,
-    permuted: MicrodataTable | Release,
-    *,
-    tie_seed: int = DEFAULT_TIE_SEED,
-) -> LinkageResult:
+def link_records(original: MicrodataTable, release: Release) -> LinkageResult:
     """Match every original record to its minimum-distance permuted records.
 
-    A `Release` is used as it is, and its own tie seed is the one recorded.
+    `release` holds the permuted table; its tie seed is the one recorded.
     """
-    release = Release.of(permuted, tie_seed=tie_seed)
     check_same_layout(original, release.table)
     for j in range(original.m):
         if not np.array_equal(np.sort(original.column(j)), release.values_by_rank[j]):

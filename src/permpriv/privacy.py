@@ -52,6 +52,17 @@ def _closest_ranks(values_by_rank: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.where(take_right, right, left) + 1
 
 
+def check_targets(d_target, v_target, m: int) -> tuple[int, tuple[float, ...]]:
+    """(d, v) targets as checked values: one variance floor per attribute, d >= 0."""
+    v = tuple(float(t) for t in np.asarray(v_target, dtype=float).ravel())
+    if len(v) != m:
+        raise ShapeMismatchError(f"{len(v)} variance targets for {m} attributes")
+    d = int(d_target)
+    if d < 0:
+        raise RankOutOfRangeError("d_target must be nonnegative")
+    return d, v
+
+
 def _query_matrix(queries, m: int) -> np.ndarray:
     q = np.asarray(queries, dtype=float)
     if q.ndim == 1:
@@ -73,7 +84,8 @@ class Release:
     search scans outward from row c[0] - 1 and stops once that gap alone
     reaches the best deviation found (Friedman, Baskett & Shustek 1975).  Its
     cost is O(q * d * m) for q queries at distance about d, against O(q * n * m)
-    for a full scan.  Every distance query in the package goes through one.
+    for a full scan.  Every distance entry point takes one, and this is the
+    only place a table is ranked and indexed for a search.
     """
 
     def __init__(
@@ -95,18 +107,6 @@ class Release:
         # attributes' ranks in that order
         self._order = np.argsort(profile.vector(0))
         self._index = [profile.vector(j)[self._order] for j in range(1, table.m)]
-
-    @classmethod
-    def of(
-        cls,
-        anonymized: MicrodataTable | Release,
-        ranks: RankProfile | None = None,
-        tie_seed: int = DEFAULT_TIE_SEED,
-    ) -> Release:
-        """A release is used as it is; a table is ranked and indexed."""
-        if isinstance(anonymized, Release):
-            return anonymized
-        return cls(anonymized, ranks, tie_seed=tie_seed)
 
     @property
     def n(self) -> int:
@@ -193,8 +193,8 @@ class Release:
             hit = dev == distances[query]
             records, query = self._order[rows[hit]] + 1, query[hit]
             records = records[np.lexsort((records, query))]
-            counts = np.bincount(query - a, minlength=b - a)
-            out.extend(np.split(records, np.cumsum(counts)[:-1]))
+            bounds = np.cumsum(np.bincount(query - a, minlength=b - a)).tolist()
+            out.extend(records[i:j] for i, j in zip([0] + bounds[:-1], bounds))
             a = b
         return out
 
@@ -267,9 +267,10 @@ class Release:
         A record passes when its distance is at least d_target and every
         window variance at radius d_target is strictly above v_target[j].
         """
+        d_target, v_target = check_targets(d_target, v_target, self.m)
         variances = self.window_variances(centers, d_target)
         passed = (np.asarray(distances) >= d_target) & np.all(
-            variances > np.asarray(v_target, dtype=float), axis=1
+            variances > np.asarray(v_target), axis=1
         )
         return passed, variances
 
@@ -277,6 +278,7 @@ class Release:
         self, result: RecordDistanceResult, d_target: int, v_target: Sequence[float]
     ) -> RecordVerification:
         """Check a record's evidence against (d_target, v_target)."""
+        d_target, v_target = check_targets(d_target, v_target, self.m)
         passed, variances = self.verdicts(
             [result.closest_ranks], [result.distance], d_target, v_target
         )
@@ -284,8 +286,8 @@ class Release:
             passed=bool(passed[0]),
             result=result,
             window_variances=tuple(variances[0].tolist()),
-            d_target=int(d_target),
-            v_target=tuple(v_target),
+            d_target=d_target,
+            v_target=v_target,
         )
 
 
@@ -310,30 +312,17 @@ class RecordDistanceResult:
 
 
 def permutation_distance(
-    x,
-    anonymized: MicrodataTable | Release,
-    ranks: RankProfile | None = None,
-    *,
-    tie_seed: int = DEFAULT_TIE_SEED,
-    record_index: int | None = None,
+    x, release: Release, *, record_index: int | None = None
 ) -> RecordDistanceResult:
-    """Distance evidence for a single record against an anonymized table."""
-    release = Release.of(anonymized, ranks, tie_seed)
+    """Distance evidence for a single record against a release."""
     q = _query_matrix(x, release.m)
     if q.shape[0] != 1:
         raise ShapeMismatchError("expected a single record; use batch_permutation_distances")
     return release.results(q, [record_index])[0]
 
 
-def batch_permutation_distances(
-    queries,
-    anonymized: MicrodataTable | Release,
-    ranks: RankProfile | None = None,
-    *,
-    tie_seed: int = DEFAULT_TIE_SEED,
-) -> np.ndarray:
+def batch_permutation_distances(queries, release: Release) -> np.ndarray:
     """Distances only, vectorized over many query records."""
-    release = Release.of(anonymized, ranks, tie_seed)
     q = queries.values if isinstance(queries, MicrodataTable) else queries
     return release.distances(release.centers(_query_matrix(q, release.m)))
 
@@ -376,15 +365,7 @@ class RecordVerification:
     report_kind = "record_verification"
 
 
-def verify_record(
-    x,
-    anonymized: MicrodataTable | Release,
-    d_target: int,
-    v_target,
-    *,
-    ranks: RankProfile | None = None,
-    tie_seed: int = DEFAULT_TIE_SEED,
-) -> RecordVerification:
+def verify_record(x, release: Release, d_target: int, v_target) -> RecordVerification:
     """Check distance >= d_target and every window variance > v_target[j].
 
     The variance clause is strict and evaluated at radius d_target.  Passing
@@ -393,13 +374,7 @@ def verify_record(
     record; several records raise ShapeMismatchError, as in
     `permutation_distance`.
     """
-    if int(d_target) < 0:
-        raise RankOutOfRangeError("d_target must be nonnegative")
-    v = tuple(float(t) for t in np.asarray(v_target, dtype=float).ravel())
-    if len(v) != anonymized.m:
-        raise ShapeMismatchError(f"{len(v)} variance targets for {anonymized.m} attributes")
-    release = Release.of(anonymized, ranks, tie_seed)
-    return release.verify(permutation_distance(x, release), int(d_target), v)
+    return release.verify(permutation_distance(x, release), d_target, v_target)
 
 
 @dataclass(frozen=True)
@@ -435,17 +410,12 @@ class PrivacyCertificate:
 
 
 def certify_dataset(
-    original: MicrodataTable,
-    anonymized: MicrodataTable | Release,
-    *,
-    tie_seed: int = DEFAULT_TIE_SEED,
-    disclosure: str | None = None,
+    original: MicrodataTable, release: Release, *, disclosure: str | None = None
 ) -> PrivacyCertificate:
     """Distance and variance evidence for every original record at once.
 
-    A `Release` is used as it is, and its own tie seed is the one recorded.
+    The release's tie seed is the one recorded.
     """
-    release = Release.of(anonymized, tie_seed=tie_seed)
     check_same_layout(original, release.table)
     results = release.results(original.values, range(1, original.n + 1))
     centers = np.array([r.closest_ranks for r in results])

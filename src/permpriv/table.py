@@ -86,6 +86,11 @@ def check_same_layout(first: MicrodataTable, second: MicrodataTable) -> None:
         raise ShapeMismatchError(
             f"table shapes differ: {first.n}x{first.m} vs {second.n}x{second.m}"
         )
+    check_same_attributes(first, second)
+
+
+def check_same_attributes(first: MicrodataTable, second: MicrodataTable) -> None:
+    """Reject two tables unless they name the same attributes in the same order."""
     if first.attribute_names != second.attribute_names:
         raise ShapeMismatchError(
             f"attribute names or order differ between tables: "

@@ -1,7 +1,7 @@
 import pytest
 
 from permpriv import fixtures
-from permpriv.privacy import certify_dataset
+from permpriv.privacy import Release, certify_dataset
 from permpriv.reverse_map import reverse_map_table
 from permpriv.table import RankProfile
 
@@ -49,4 +49,4 @@ def permuted_ranks(permuted):
 
 @pytest.fixture(scope="session")
 def certificate(original, masked):
-    return certify_dataset(original, masked)
+    return certify_dataset(original, Release(masked))

@@ -23,7 +23,7 @@ from permpriv.cli import main
 from permpriv.decompose import decompose, spearman_rho
 from permpriv.linkage import link_records, score_linkage
 from permpriv.masking import NoiseSpec, SynthSpec, gaussian_mask, synth_original
-from permpriv.privacy import certify_dataset, permutation_distance
+from permpriv.privacy import Release, certify_dataset, permutation_distance
 from permpriv.reverse_map import reverse_map_table
 
 
@@ -73,7 +73,7 @@ def test_criterion_03_noise_decomposition(original, masked):
 def test_criterion_04_single_record_evidence(masked):
     with criterion("04 record 3 distance evidence and window variances"):
         ref = fixtures.RECORD3
-        result = permutation_distance(ref["record"], masked)
+        result = permutation_distance(ref["record"], Release(masked))
         assert result.distance == ref["distance"]
         assert result.matched_indices == (ref["matched_index"],)
         assert result.closest_ranks == ref["closest_ranks"]
@@ -83,7 +83,7 @@ def test_criterion_04_single_record_evidence(masked):
         from permpriv.privacy import verify_record
 
         verdict = verify_record(
-            ref["record"], masked, ref["distance"], (24.0, 890.0, 20000.0)
+            ref["record"], Release(masked), ref["distance"], (24.0, 890.0, 20000.0)
         )
         assert verdict.passed
         assert verdict.window_variances == pytest.approx(
@@ -116,7 +116,7 @@ def test_criterion_05_dataset_certificate(certificate):
 
 def test_criterion_06_linkage_simulation(original, permuted):
     with criterion("06 intruder linkage: match sets, coverage, identity score"):
-        linkage = link_records(original, permuted)
+        linkage = link_records(original, Release(permuted))
         assert linkage.match_sets == fixtures.LINKAGE_MATCHES
         assert linkage.distances == fixtures.LINKAGE_DISTANCES
         assert linkage.unmatched_targets == fixtures.LINKAGE_UNMATCHED
@@ -138,8 +138,8 @@ def test_criterion_06_linkage_simulation(original, permuted):
 def test_criterion_07_baseline_distributions(original, permuted, permuted_ranks):
     with criterion("07 chance baseline: both distance distributions to 4 places"):
         base = generate_baseline(original, BaselineSpec(mode="exhaustive"))
-        dist_x = distance_distribution(original, permuted, ranks=permuted_ranks)
-        dist_a = distance_distribution(base, permuted, ranks=permuted_ranks)
+        dist_x = distance_distribution(original, Release(permuted, permuted_ranks))
+        dist_a = distance_distribution(base, Release(permuted, permuted_ranks))
         for d in range(11):
             assert dist_x.frequency(d) == pytest.approx(
                 fixtures.DISTANCE_FREQ_ORIGINAL[d], abs=0.00005
@@ -169,16 +169,16 @@ def test_criterion_08_thousand_record_experiment():
             # near-zero noise: real records sit far closer than chance
             tiny = gaussian_mask(x, NoiseSpec(sigmas=(0.05, 0.25, 1.0), seed=mask_seed))
             z = reverse_map_table(x, tiny)
-            dist_x = distance_distribution(x, z)
-            dist_a = distance_distribution(base, z)
+            dist_x = distance_distribution(x, Release(z))
+            dist_a = distance_distribution(base, Release(z))
             assert dist_x.cumulative(5) >= 0.85
             assert dist_a.cumulative(5) <= 0.005
 
             # heavy noise: the real distance profile approaches chance
             heavy = gaussian_mask(x, NoiseSpec(sigmas=(5.0, 25.0, 100.0), seed=mask_seed))
             z = reverse_map_table(x, heavy)
-            dist_x = distance_distribution(x, z)
-            dist_a = distance_distribution(base, z)
+            dist_x = distance_distribution(x, Release(z))
+            dist_a = distance_distribution(base, Release(z))
             assert divergence(dist_x, dist_a).total_variation <= 0.15
 
 

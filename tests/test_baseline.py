@@ -17,7 +17,7 @@ from permpriv.baseline import (
     subject_safety_check,
 )
 from permpriv.errors import CapExceededError, InvalidSpecError
-from permpriv.privacy import batch_permutation_distances
+from permpriv.privacy import Release, batch_permutation_distances
 from permpriv.table import MicrodataTable, Role
 
 
@@ -28,12 +28,12 @@ def exhaustive_baseline(original):
 
 @pytest.fixture(scope="module")
 def baseline_dist(exhaustive_baseline, permuted, permuted_ranks):
-    return distance_distribution(exhaustive_baseline, permuted, ranks=permuted_ranks)
+    return distance_distribution(exhaustive_baseline, Release(permuted, permuted_ranks))
 
 
 @pytest.fixture(scope="module")
 def original_dist(original, permuted, permuted_ranks):
-    return distance_distribution(original, permuted, ranks=permuted_ranks)
+    return distance_distribution(original, Release(permuted, permuted_ranks))
 
 
 def test_exhaustive_baseline_is_the_full_product(original, exhaustive_baseline):
@@ -123,14 +123,14 @@ def test_distribution_frequencies_sum_to_one(original_dist, baseline_dist):
 
 
 def test_distribution_against_direct_counting(original, permuted, original_dist):
-    dists = batch_permutation_distances(original, permuted)
+    dists = batch_permutation_distances(original, Release(permuted))
     for d in set(dists.tolist()):
         expected = (dists == d).sum() / 20
         assert original_dist.frequency(d) == pytest.approx(expected)
 
 
 def test_target_against_itself_sits_at_zero(permuted):
-    dist = distance_distribution(permuted, permuted, source_tag="original")
+    dist = distance_distribution(permuted, Release(permuted))
     assert dist.frequencies == {0: 1.0}
 
 
@@ -143,7 +143,7 @@ def test_plausibility_against_exhaustive_summation(
     original, permuted, exhaustive_baseline, baseline_dist
 ):
     # count qualifying baseline rows directly
-    dists = batch_permutation_distances(exhaustive_baseline, permuted)
+    dists = batch_permutation_distances(exhaustive_baseline, Release(permuted))
     for threshold in (0, 1, 3, 7):
         expected = (dists <= threshold).sum() / 8000
         assert plausibility(threshold, baseline_dist) == pytest.approx(expected)
@@ -206,7 +206,7 @@ def test_distribution_round_trip(baseline_dist):
 def test_subject_safety_for_the_synthetic_probe(permuted, baseline_dist):
     ref = fixtures.SYNTHETIC_PROBE
     safety = subject_safety_check(
-        ref["record"], permuted, BaselineSpec(mode="exhaustive")
+        ref["record"], Release(permuted), BaselineSpec(mode="exhaustive")
     )
     assert safety.distance == ref["distance"]
     assert safety.plausibility == pytest.approx(
@@ -219,7 +219,7 @@ def test_subject_safety_for_the_synthetic_probe(permuted, baseline_dist):
 
 def test_subject_safety_for_a_present_record_is_unsafe(permuted):
     safety = subject_safety_check(
-        permuted.values[0], permuted, BaselineSpec(mode="exhaustive")
+        permuted.values[0], Release(permuted), BaselineSpec(mode="exhaustive")
     )
     assert safety.distance == 0
     assert not safety.safe  # an exact match is never plausible by chance here
@@ -229,10 +229,10 @@ def test_subject_safety_for_a_present_record_is_unsafe(permuted):
 def test_subject_safety_sampled_close_to_exhaustive(permuted):
     ref = fixtures.SYNTHETIC_PROBE
     exhaustive = subject_safety_check(
-        ref["record"], permuted, BaselineSpec(mode="exhaustive")
+        ref["record"], Release(permuted), BaselineSpec(mode="exhaustive")
     )
     sampled = subject_safety_check(
-        ref["record"], permuted, BaselineSpec(mode="sampled", sample_size=10_000)
+        ref["record"], Release(permuted), BaselineSpec(mode="sampled", sample_size=10_000)
     )
     p = exhaustive.plausibility
     se = (p * (1 - p) / 10_000) ** 0.5
@@ -270,7 +270,7 @@ def test_sampled_distribution_approaches_exhaustive(original, permuted, baseline
     sampled_table = generate_baseline(
         original, BaselineSpec(mode="sampled", sample_size=100_000)
     )
-    sampled = distance_distribution(sampled_table, permuted)
+    sampled = distance_distribution(sampled_table, Release(permuted))
     for d in baseline_dist.support:
         assert sampled.frequency(d) == pytest.approx(
             baseline_dist.frequency(d), abs=0.01

@@ -390,6 +390,22 @@ def test_config_errors(workspace, capsys):
     assert code == 3
 
 
+def test_config_values_of_the_wrong_type_exit_2(workspace, capsys):
+    cases = [
+        ("reverse-map", {"tie_seed": "abc"}),
+        ("assess", {"threshold": "x"}),
+        ("certify", {"v": 3}),
+    ]
+    for command, config in cases:
+        (workspace / "typed.json").write_text(json.dumps(config))
+        code, _, err = run(
+            capsys, command, workspace / "original.csv", workspace / "masked.csv",
+            "--config", workspace / "typed.json", "--out", workspace,
+        )
+        assert code == 2
+        assert f"config key {next(iter(config))!r}" in err
+
+
 def test_io_errors_exit_3(workspace, capsys):
     code, _, err = run(
         capsys, "certify", workspace / "nowhere.csv", workspace / "masked.csv",

@@ -24,7 +24,7 @@ from permpriv.io_report import (
     write_csv,
     write_report,
 )
-from permpriv.privacy import PrivacyCertificate
+from permpriv.privacy import PrivacyCertificate, Release
 from permpriv.table import Role
 
 
@@ -164,8 +164,8 @@ def test_histogram_covers_the_union_support(tmp_path, original, permuted):
     from permpriv.baseline import BaselineSpec, distance_distribution, generate_baseline
 
     base = generate_baseline(original, BaselineSpec(mode="exhaustive"))
-    dist_x = distance_distribution(original, permuted)
-    dist_a = distance_distribution(base, permuted)
+    dist_x = distance_distribution(original, Release(permuted))
+    dist_a = distance_distribution(base, Release(permuted))
     path = tmp_path / "hist.csv"
     emit_histogram(dist_x, dist_a, path)
     lines = path.read_text().strip().splitlines()
@@ -189,8 +189,8 @@ def test_histogram_with_reference_zero_bins(tmp_path, original, permuted):
     from permpriv.baseline import BaselineSpec, distance_distribution, generate_baseline
 
     base = generate_baseline(original, BaselineSpec(mode="exhaustive"))
-    dist_x = distance_distribution(original, permuted)
-    dist_a = distance_distribution(base, permuted)
+    dist_x = distance_distribution(original, Release(permuted))
+    dist_a = distance_distribution(base, Release(permuted))
     padded_x = DistanceDistribution(
         {**{d: 0.0 for d in range(11)}, **dist_x.frequencies}, 20, "original"
     )

@@ -9,13 +9,13 @@ from helpers import json_round_trip, oracle_distance, random_table, shuffle_rows
 from permpriv import fixtures
 from permpriv.errors import InvalidTruthMappingError, ShapeMismatchError
 from permpriv.linkage import link_records, score_linkage
-from permpriv.privacy import batch_permutation_distances
+from permpriv.privacy import Release, batch_permutation_distances
 from permpriv.table import RankProfile, Role
 
 
 @pytest.fixture(scope="module")
 def linkage(original, permuted):
-    return link_records(original, permuted)
+    return link_records(original, Release(permuted))
 
 
 def test_match_sets_match_reference(linkage):
@@ -54,7 +54,7 @@ def test_coverage_tallies_against_a_row_scan(linkage):
 
 def test_linkage_distances_equal_direct_distances(linkage, original, permuted):
     assert list(linkage.distances) == batch_permutation_distances(
-        original, permuted
+        original, Release(permuted)
     ).tolist()
 
 
@@ -107,7 +107,7 @@ def test_truth_validation(linkage):
 
 
 def test_self_linkage_is_perfect(original):
-    result = link_records(original, original)
+    result = link_records(original, Release(original))
     assert all(r.distance == 0 for r in result.per_record)
     assert result.match_sets == tuple((i,) for i in range(1, 21))
     score = score_linkage(result, range(1, 21))
@@ -116,22 +116,22 @@ def test_self_linkage_is_perfect(original):
 
 def test_linking_against_raw_masked_output_warns(original, masked):
     with pytest.warns(UserWarning, match="not a permutation"):
-        link_records(original, masked)
+        link_records(original, Release(masked))
 
 
 def test_shape_mismatch_rejected(original):
     rng = np.random.default_rng(3)
     other = random_table(rng, 10, 3, role=Role.ANONYMIZED)
     with pytest.raises(ShapeMismatchError):
-        link_records(original, other)
+        link_records(original, Release(other))
 
 
 def test_row_shuffle_only_relabels_matches(original, permuted):
     # shuffling the permuted rows permutes match labels but nothing else
     rng = np.random.default_rng(23)
     shuffled, relabel = shuffle_rows(rng, permuted, role=Role.REVERSE_MAPPED)
-    base = link_records(original, permuted)
-    moved = link_records(original, shuffled)
+    base = link_records(original, Release(permuted))
+    moved = link_records(original, Release(shuffled))
     assert moved.distances == base.distances
     for b, m in zip(base.match_sets, moved.match_sets):
         assert tuple(sorted(relabel[t - 1] for t in b)) == m
@@ -143,7 +143,7 @@ def test_linkage_against_brute_force_oracle():
     rng = np.random.default_rng(29)
     x = random_table(rng, 12, 2)
     z, truth = shuffle_rows(rng, x, role=Role.REVERSE_MAPPED)
-    result = link_records(x, z)
+    result = link_records(x, Release(z))
     profile = RankProfile.of(z)
     for i in range(12):
         d, matches, _ = oracle_distance(

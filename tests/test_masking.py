@@ -13,7 +13,7 @@ from permpriv.masking import (
     gaussian_mask,
     synth_original,
 )
-from permpriv.privacy import certify_dataset
+from permpriv.privacy import Release, certify_dataset
 from permpriv.table import MicrodataTable, Role
 
 
@@ -148,7 +148,7 @@ def test_pipeline_runs_end_to_end(n):
     original = synth_original(SynthSpec(n=n, means=MEANS, stds=STDS))
     masked = gaussian_mask(original, NoiseSpec(sigmas=(5.0, 25.0, 100.0)))
     dec = decompose(original, masked)
-    cert = certify_dataset(original, masked)
+    cert = certify_dataset(original, Release(masked))
     assert dec.z.n == n
     assert 0 <= cert.dataset_distance <= n - 1
     assert len(cert.per_record) == n

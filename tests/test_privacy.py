@@ -13,6 +13,7 @@ from helpers import (
 from permpriv import fixtures
 from permpriv.errors import RankOutOfRangeError, ShapeMismatchError
 from permpriv.privacy import (
+    Release,
     batch_permutation_distances,
     certify_dataset,
     permutation_distance,
@@ -25,7 +26,7 @@ from permpriv.table import MicrodataTable, RankProfile, Role
 
 def test_record3_distance_evidence(original, masked):
     ref = fixtures.RECORD3
-    result = permutation_distance(ref["record"], masked)
+    result = permutation_distance(ref["record"], Release(masked))
     assert result.distance == ref["distance"]
     assert result.matched_indices == (ref["matched_index"],)
     assert result.closest_ranks == ref["closest_ranks"]
@@ -71,8 +72,8 @@ def test_record3_window_variances(masked, masked_ranks):
 def test_record3_view_depends_on_the_target_table(masked, permuted):
     # the subject checks the released table as-is; an intruder who rebuilt
     # the permuted table sees slightly different evidence for the same record
-    vs_masked = permutation_distance(fixtures.RECORD3["record"], masked)
-    vs_permuted = permutation_distance(fixtures.RECORD3["record"], permuted)
+    vs_masked = permutation_distance(fixtures.RECORD3["record"], Release(masked))
+    vs_permuted = permutation_distance(fixtures.RECORD3["record"], Release(permuted))
     assert vs_masked.distance == 4
     assert vs_permuted.distance == 3
     assert vs_masked.matched_indices == vs_permuted.matched_indices == (10,)
@@ -120,14 +121,14 @@ def test_window_variance_errors():
 
 
 def test_distance_zero_for_a_present_record(permuted):
-    result = permutation_distance(permuted.values[4], permuted)
+    result = permutation_distance(permuted.values[4], Release(permuted))
     assert result.distance == 0
     assert 5 in result.matched_indices
 
 
 def test_synthetic_probe_record(permuted):
     ref = fixtures.SYNTHETIC_PROBE
-    result = permutation_distance(ref["record"], permuted)
+    result = permutation_distance(ref["record"], Release(permuted))
     assert result.distance == ref["distance"]
     assert result.matched_indices == (ref["matched_index"],)
     matched_row = permuted.values[ref["matched_index"] - 1]
@@ -137,15 +138,16 @@ def test_synthetic_probe_record(permuted):
 def test_distance_ties_go_to_the_smaller_rank():
     # query exactly midway between two values: the smaller rank wins
     table = MicrodataTable([[1.0], [3.0], [10.0]], ("a",), role=Role.ANONYMIZED)
-    result = permutation_distance([2.0], table)
+    result = permutation_distance([2.0], Release(table))
     assert result.closest_ranks == (1,)
     assert result.closest_values == (1.0,)
 
 
 def test_batch_agrees_with_single_calls(original, permuted):
-    batch = batch_permutation_distances(original, permuted)
+    release = Release(permuted)
+    batch = batch_permutation_distances(original, release)
     singles = [
-        permutation_distance(original.values[i], permuted).distance
+        permutation_distance(original.values[i], release).distance
         for i in range(original.n)
     ]
     assert batch.tolist() == singles
@@ -153,21 +155,21 @@ def test_batch_agrees_with_single_calls(original, permuted):
 
 def test_single_record_rejects_matrices(permuted):
     with pytest.raises(ShapeMismatchError):
-        permutation_distance([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], permuted)
+        permutation_distance([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], Release(permuted))
     with pytest.raises(ShapeMismatchError):
-        permutation_distance([1.0, 2.0], permuted)
+        permutation_distance([1.0, 2.0], Release(permuted))
     with pytest.raises(ShapeMismatchError):
-        verify_record(permuted.values[:5], permuted, 0, (-1.0, -1.0, -1.0))
+        verify_record(permuted.values[:5], Release(permuted), 0, (-1.0, -1.0, -1.0))
 
 
 def test_distance_result_round_trip(permuted):
-    result = permutation_distance(fixtures.RECORD3["record"], permuted)
+    result = permutation_distance(fixtures.RECORD3["record"], Release(permuted))
     assert json_round_trip(result) == result
 
 
 def test_verify_record3_passes_its_published_targets(masked):
     verdict = verify_record(
-        fixtures.RECORD3["record"], masked, 4, (24.0, 890.0, 20000.0)
+        fixtures.RECORD3["record"], Release(masked), 4, (24.0, 890.0, 20000.0)
     )
     assert verdict.passed
     assert verdict.result.distance == 4
@@ -178,7 +180,7 @@ def test_verify_record3_passes_its_published_targets(masked):
 
 def test_verify_fails_on_an_unreachable_distance(masked, masked_ranks):
     verdict = verify_record(
-        fixtures.RECORD3["record"], masked, 5, (0.0, 0.0, 0.0)
+        fixtures.RECORD3["record"], Release(masked), 5, (0.0, 0.0, 0.0)
     )
     assert not verdict.passed
     # evidence still present, and the brute-force scan confirms no row
@@ -194,7 +196,7 @@ def test_verify_fails_on_an_unreachable_distance(masked, masked_ranks):
 
 def test_verify_trivial_targets_always_pass(masked):
     verdict = verify_record(
-        fixtures.RECORD3["record"], masked, 0, (-1.0, -1.0, -1.0)
+        fixtures.RECORD3["record"], Release(masked), 0, (-1.0, -1.0, -1.0)
     )
     assert verdict.passed
 
@@ -210,20 +212,27 @@ def test_verify_variance_bound_is_strict(masked):
         )
         for j in range(3)
     )
-    at_exact = verify_record(ref["record"], masked, ref["distance"], exact)
+    at_exact = verify_record(ref["record"], Release(masked), ref["distance"], exact)
     assert not at_exact.passed  # equality does not clear a strict bound
     eps = tuple(v - 1e-9 for v in exact)
-    assert verify_record(ref["record"], masked, ref["distance"], eps).passed
+    assert verify_record(ref["record"], Release(masked), ref["distance"], eps).passed
 
 
 def test_verify_rejects_wrong_target_length(masked):
-    with pytest.raises(ShapeMismatchError):
-        verify_record(fixtures.RECORD3["record"], masked, 1, (0.0, 0.0))
+    release = Release(masked)
+    record = fixtures.RECORD3["record"]
+    evidence = permutation_distance(record, release)
+    with pytest.raises(ShapeMismatchError, match="2 variance targets for 3 attributes"):
+        verify_record(record, release, 1, (0.0, 0.0))
+    with pytest.raises(ShapeMismatchError, match="1 variance targets for 3 attributes"):
+        release.verify(evidence, 1, [0.0])
+    with pytest.raises(ShapeMismatchError, match="2 variance targets for 3 attributes"):
+        release.verdicts([evidence.closest_ranks], [evidence.distance], 1, [0.0, 0.0])
 
 
 def test_verification_round_trip(masked):
     verdict = verify_record(
-        fixtures.RECORD3["record"], masked, 4, (24.0, 890.0, 20000.0)
+        fixtures.RECORD3["record"], Release(masked), 4, (24.0, 890.0, 20000.0)
     )
     assert json_round_trip(verdict) == verdict
 
@@ -281,7 +290,7 @@ def test_certificate_against_oracles(certificate, masked, masked_ranks, original
 
 
 def test_certifying_an_unchanged_table_gives_floor_zero(original):
-    cert = certify_dataset(original, original)
+    cert = certify_dataset(original, Release(original))
     assert cert.dataset_distance == 0
     assert all(d == 0 for d in cert.record_distances)
     assert cert.dataset_variances == pytest.approx((0.0, 0.0, 0.0))
@@ -292,13 +301,14 @@ def test_certificate_verification_interplay(original, masked, certificate):
     # the variance bound is strict; backing off by epsilon passes everywhere
     d = certificate.dataset_distance
     v = certificate.dataset_variances
+    release = Release(masked)
     at_certified = [
-        verify_record(original.values[i], masked, d, v) for i in range(original.n)
+        verify_record(original.values[i], release, d, v) for i in range(original.n)
     ]
     assert not all(r.passed for r in at_certified)
     eased = tuple(x - 1e-9 for x in v)
     at_eased = [
-        verify_record(original.values[i], masked, d, eased)
+        verify_record(original.values[i], release, d, eased)
         for i in range(original.n)
     ]
     assert all(r.passed for r in at_eased)
@@ -316,7 +326,7 @@ def test_matched_indices_are_exactly_the_minimizers():
         table = random_table(rng, n, m, role=Role.ANONYMIZED)
         profile = RankProfile.of(table)
         x = rng.normal(0.0, 120.0, size=m)
-        result = permutation_distance(x, table, profile)
+        result = permutation_distance(x, Release(table, profile))
         devs = np.abs(
             profile.ranks - np.array(result.closest_ranks)[None, :]
         ).max(axis=1)
@@ -330,6 +340,6 @@ def test_distances_bounded_by_table_size():
     rng = np.random.default_rng(53)
     x, y = random_pair(rng, 12, 2, sigma=500.0)
     z = reverse_map_table(x, y)
-    dists = batch_permutation_distances(x, z)
+    dists = batch_permutation_distances(x, Release(z))
     assert dists.min() >= 0
     assert dists.max() <= 11

@@ -16,7 +16,7 @@ from permpriv.baseline import (
     plausibility,
 )
 from permpriv.linkage import link_records
-from permpriv.privacy import batch_permutation_distances, permutation_distance
+from permpriv.privacy import Release, batch_permutation_distances, permutation_distance
 from permpriv.reverse_map import reverse_map_table
 from permpriv.table import MicrodataTable, RankProfile, Role
 
@@ -60,11 +60,10 @@ def test_distances_stay_within_the_rank_range():
         n = int(rng.integers(2, 25))
         m = int(rng.integers(1, 4))
         table = random_table(rng, n, m, role=Role.ANONYMIZED)
-        profile = RankProfile.of(table)
         # mix of nearby queries and far outliers
         scale = 1.0 if rng.random() < 0.5 else 1e6
         x = rng.normal(0.0, 100.0 * scale, size=m)
-        result = permutation_distance(x, table, profile)
+        result = permutation_distance(x, Release(table))
         assert 0 <= result.distance <= n - 1
         assert all(1 <= r <= n for r in result.closest_ranks)
         assert result.matched_indices
@@ -85,7 +84,7 @@ def test_plausibility_is_a_distribution_function():
                 seed=int(rng.integers(0, 10_000)),
             ),
         )
-        base = distance_distribution(base_table, z)
+        base = distance_distribution(base_table, Release(z))
         values = [plausibility(d, base) for d in range(n)]
         assert all(0.0 <= v <= 1.0 + 1e-12 for v in values)
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -107,7 +106,7 @@ def test_distance_is_invariant_under_monotone_transforms():
         z, _ = shuffle_rows(rng, x, role=Role.REVERSE_MAPPED)
         i = int(rng.integers(0, n))
         query = x.values[i]
-        before = permutation_distance(query, z)
+        before = permutation_distance(query, Release(z))
         picks = [transforms[int(rng.integers(0, 3))] for _ in range(m)]
         z2 = MicrodataTable(
             np.column_stack([picks[j](z.column(j)) for j in range(m)]),
@@ -115,7 +114,7 @@ def test_distance_is_invariant_under_monotone_transforms():
             role=Role.REVERSE_MAPPED,
         )
         query2 = np.array([picks[j](query[j]) for j in range(m)])
-        after = permutation_distance(query2, z2)
+        after = permutation_distance(query2, Release(z2))
         assert after.distance == before.distance
         assert after.matched_indices == before.matched_indices
         assert after.closest_ranks == before.closest_ranks
@@ -141,13 +140,13 @@ def test_every_distance_route_agrees():
         m = int(rng.integers(1, 4))
         x, y = random_pair(rng, n, m, sigma=float(rng.uniform(0.1, 30)))
         z = reverse_map_table(x, y)
-        profile = RankProfile.of(z)
-        linked = link_records(x, z)
-        batch = batch_permutation_distances(x, z, profile)
+        release = Release(z)
+        linked = link_records(x, release)
+        batch = batch_permutation_distances(x, release)
         values = z.values.tolist()
-        ranks = profile.ranks.tolist()
+        ranks = release.profile.ranks.tolist()
         for i in range(n):
-            single = permutation_distance(x.values[i], z, profile)
+            single = permutation_distance(x.values[i], release)
             d, matches, _ = oracle_distance(x.values[i], values, ranks)
             assert (
                 linked.per_record[i].distance

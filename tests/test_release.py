@@ -16,12 +16,15 @@ from helpers import (
     random_tied_table,
 )
 from permpriv import privacy
+from permpriv.baseline import BaselineSpec, distance_distribution, subject_safety_check
 from permpriv.errors import ShapeMismatchError
+from permpriv.linkage import link_records
 from permpriv.privacy import (
     Release,
     batch_permutation_distances,
     certify_dataset,
     permutation_distance,
+    verify_record,
 )
 from permpriv.table import MicrodataTable, RankProfile, Role
 
@@ -120,7 +123,7 @@ def test_search_reaches_the_last_row_at_a_ring_edge():
         ]
     )
     table = MicrodataTable(ranks.astype(float), ("a1", "a2", "a3", "a4"))
-    result = permutation_distance([5.0, 1.0, 8.0, 1.0], table)
+    result = permutation_distance([5.0, 1.0, 8.0, 1.0], Release(table))
     assert result.closest_ranks == (5, 1, 8, 1)
     assert (result.distance, result.matched_indices) == (4, (1,))
 
@@ -150,21 +153,26 @@ def test_one_query_per_block(monkeypatch):
 
 
 def test_entry_points_take_a_release(original, masked, permuted):
-    release = Release(permuted)
-    assert Release.of(release) is release
+    # a bare table is never ranked behind the caller's back: it fails loudly
     x = original.values[4]
-    assert permutation_distance(x, release) == permutation_distance(x, permuted)
-    assert np.array_equal(
-        batch_permutation_distances(original, release),
-        batch_permutation_distances(original, permuted),
-    )
-    assert certify_dataset(original, Release(masked)) == certify_dataset(original, masked)
+    spec = BaselineSpec(mode="sampled", sample_size=5)
+    calls = [
+        lambda: permutation_distance(x, permuted),
+        lambda: batch_permutation_distances(original, permuted),
+        lambda: verify_record(x, masked, 0, (0.0, 0.0, 0.0)),
+        lambda: certify_dataset(original, masked),
+        lambda: link_records(original, permuted),
+        lambda: distance_distribution(original, permuted),
+        lambda: subject_safety_check(x, permuted, spec),
+    ]
+    for call in calls:
+        with pytest.raises(AttributeError):
+            call()
 
 
-def test_release_records_its_own_tie_seed(original, masked):
-    certificate = certify_dataset(original, Release(masked, tie_seed=7), tie_seed=101)
-    assert certificate.tie_seed == 7
-    assert certificate == certify_dataset(original, masked, tie_seed=7)
+def test_release_records_its_own_tie_seed(original, masked, permuted):
+    assert certify_dataset(original, Release(masked, tie_seed=7)).tie_seed == 7
+    assert link_records(original, Release(permuted, tie_seed=7)).tie_seed == 7
 
 
 def test_release_rejects_a_profile_of_another_shape(masked):

@@ -30,9 +30,8 @@ def swapped(original):
 
 ENTRY_POINTS = {
     "reverse_map_table": lambda x, y: reverse_map_table(x, y),
-    "certify_dataset": lambda x, y: certify_dataset(x, y),
-    "certify_dataset(Release)": lambda x, y: certify_dataset(x, Release(y)),
-    "link_records": lambda x, y: link_records(x, y),
+    "certify_dataset": lambda x, y: certify_dataset(x, Release(y)),
+    "link_records": lambda x, y: link_records(x, Release(y)),
     "assess_tables": lambda x, y: assess_tables(x, y, BaselineSpec(mode="sampled", sample_size=50)),
 }
 
@@ -54,9 +53,11 @@ def test_the_validator_accepts_an_equal_layout(original, masked):
     check_same_layout(original, masked)
 
 
-@pytest.mark.parametrize("command", ["reverse-map", "certify", "link", "assess"])
+@pytest.mark.parametrize("command", ["reverse-map", "certify", "link", "assess", "subject"])
 def test_swapped_columns_exit_2(command, tmp_path, capsys, original, swapped):
-    write_csv(original, tmp_path / "original.csv")
+    # subject takes a file of one record, here the first original row
+    rows = original.values[:1] if command == "subject" else original.values
+    write_csv(MicrodataTable(rows, original.attribute_names), tmp_path / "original.csv")
     write_csv(swapped, tmp_path / "swapped.csv")
     code = main([command, str(tmp_path / "original.csv"), str(tmp_path / "swapped.csv"),
                  "--out", str(tmp_path)])
