@@ -79,7 +79,6 @@ from .table import (
     Role,
     compute_ranks,
     derive_column_seed,
-    value_at_rank,
 )
 
 __all__ = [
@@ -141,7 +140,6 @@ __all__ = [
     "spearman_rho",
     "subject_safety_check",
     "synth_original",
-    "value_at_rank",
     "verify_record",
     "window_variance",
     "write_csv",

@@ -41,7 +41,6 @@ from .io_report import (
     RunConfig,
     emit_histogram,
     load_csv,
-    resolve,
     to_payload,
     write_csv,
     write_report,
@@ -66,64 +65,36 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_VERDICT = 4
 
-# Generation defaults mirror the bundled running example: three independent
-# normal attributes and the noise that masked them.
-DEFAULT_SYNTH_N = 20
-DEFAULT_SYNTH_MEANS = [100.0, 1000.0, 5000.0]
-DEFAULT_SYNTH_STDS = [10.0, 50.0, 200.0]
-DEFAULT_MASK_SIGMAS = [5.0, 25.0, 100.0]
 
-
-def _out_dir(args, config) -> Path:
-    out = Path(resolve(args.out, config, "out", "."))
+def _out_dir(args) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _tie_seed(args, config) -> int:
-    return int(resolve(args.tie_seed, config, "tie_seed", DEFAULT_TIE_SEED))
-
-
-def _withhold(args, config) -> bool:
-    flag = True if getattr(args, "withhold_seeds", False) else None
-    return bool(resolve(flag, config, "withhold_seeds", False))
-
-
-def _disclosure(args, config) -> str | None:
-    return resolve(getattr(args, "disclosure", None), config, "disclosure", None)
-
-
-def _write_report(obj, path, args, config, seeds: dict, kind: str | None = None) -> None:
+def _write_report(obj, path, args, seeds: dict, kind: str | None = None) -> None:
     """Write a report under the command's --disclosure and --withhold-seeds."""
     write_report(
         obj, path, kind=kind, seeds=seeds,
-        disclosure=_disclosure(args, config), withhold_seeds=_withhold(args, config),
+        disclosure=args.disclosure, withhold_seeds=args.withhold_seeds,
     )
 
 
-def _baseline_spec(args, config, mode: str) -> BaselineSpec:
+def _baseline_spec(args, mode: str) -> BaselineSpec:
     return BaselineSpec(
         mode=mode,
-        sample_size=int(
-            resolve(args.baseline_size, config, "baseline_size", DEFAULT_SAMPLE_SIZE)
-        ),
-        seed=int(
-            resolve(args.baseline_seed, config, "baseline_seed", DEFAULT_BASELINE_SEED)
-        ),
-        exhaustive_cap=int(
-            resolve(args.exhaustive_cap, config, "exhaustive_cap", DEFAULT_EXHAUSTIVE_CAP)
-        ),
+        sample_size=args.baseline_size,
+        seed=args.baseline_seed,
+        exhaustive_cap=args.exhaustive_cap,
     )
 
 
-def _targets(args, config, m: int) -> tuple[int, tuple[float, ...]] | None:
+def _targets(args, m: int) -> tuple[int, tuple[float, ...]] | None:
     """The --d/--v targets, None when both are unset; a missing half is vacuous."""
-    d_target = resolve(args.d, config, "d", None)
-    v_target = resolve(args.v, config, "v", None)
-    if d_target is None and v_target is None:
+    if args.d is None and args.v is None:
         return None
     return check_targets(
-        0 if d_target is None else d_target, [-1.0] * m if v_target is None else v_target, m
+        0 if args.d is None else args.d, [-1.0] * m if args.v is None else args.v, m
     )
 
 
@@ -151,25 +122,24 @@ def _read_truth(value: str, n: int) -> list[int]:
         raise InvalidTruthMappingError(f"{value}: truth file must contain integers") from exc
 
 
-def cmd_reverse_map(args, config) -> int:
+def cmd_reverse_map(args) -> int:
     original = load_csv(args.original, role=Role.ORIGINAL)
     anonymized = load_csv(args.anonymized, role=Role.ANONYMIZED)
-    permuted = reverse_map_table(original, anonymized, tie_seed=_tie_seed(args, config))
-    path = _out_dir(args, config) / "reverse_mapped.csv"
+    permuted = reverse_map_table(original, anonymized, tie_seed=args.tie_seed)
+    path = _out_dir(args) / "reverse_mapped.csv"
     write_csv(permuted, path)
     print(f"wrote {path} ({permuted.n} records, {permuted.m} attributes)")
     return EXIT_OK
 
 
-def cmd_certify(args, config) -> int:
+def cmd_certify(args) -> int:
     original = load_csv(args.original, role=Role.ORIGINAL)
     anonymized = load_csv(args.anonymized, role=Role.ANONYMIZED)
-    tie_seed = _tie_seed(args, config)
-    targets = _targets(args, config, original.m)
-    release = Release(anonymized, tie_seed=tie_seed)
-    certificate = certify_dataset(original, release, disclosure=_disclosure(args, config))
-    path = _out_dir(args, config) / "certificate.json"
-    _write_report(certificate, path, args, config, {"tie_seed": tie_seed})
+    targets = _targets(args, original.m)
+    release = Release(anonymized, tie_seed=args.tie_seed)
+    certificate = certify_dataset(original, release, disclosure=args.disclosure)
+    path = _out_dir(args) / "certificate.json"
+    _write_report(certificate, path, args, {"tie_seed": args.tie_seed})
     print(
         f"certificate: d={certificate.dataset_distance}, "
         f"v={_fmt_vector(certificate.dataset_variances)}; wrote {path}"
@@ -192,14 +162,13 @@ def cmd_certify(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_subject(args, config) -> int:
+def cmd_subject(args) -> int:
     subject = _load_single_record(args.record)
     anonymized = load_csv(args.anonymized, role=Role.ANONYMIZED)
     check_same_attributes(subject, anonymized)
     record = subject.values[0]
-    tie_seed = _tie_seed(args, config)
-    targets = _targets(args, config, anonymized.m)
-    release = Release(anonymized, tie_seed=tie_seed)
+    targets = _targets(args, anonymized.m)
+    release = Release(anonymized, tie_seed=args.tie_seed)
     evidence = permutation_distance(record, release)
     variances = release.window_variances([evidence.closest_ranks], evidence.distance)[0].tolist()
     print(
@@ -212,7 +181,7 @@ def cmd_subject(args, config) -> int:
         "verification": None,
         "safety": None,
     }
-    seeds: dict[str, int] = {"tie_seed": tie_seed}
+    seeds: dict[str, int] = {"tie_seed": args.tie_seed}
     failed = False
 
     if targets is not None:
@@ -227,9 +196,8 @@ def cmd_subject(args, config) -> int:
         failed = failed or not outcome.passed
 
     if args.baseline is not None:
-        spec = _baseline_spec(args, config, args.baseline)
-        threshold = float(resolve(args.threshold, config, "threshold", 0.05))
-        safety = subject_safety_check(record, release, spec, threshold=threshold)
+        spec = _baseline_spec(args, args.baseline)
+        safety = subject_safety_check(record, release, spec, threshold=args.threshold)
         payload["safety"] = to_payload(safety)
         seeds["baseline_seed"] = spec.seed
         print(
@@ -238,17 +206,16 @@ def cmd_subject(args, config) -> int:
         )
         failed = failed or not safety.safe
 
-    path = _out_dir(args, config) / "subject.json"
-    _write_report(payload, path, args, config, seeds, kind="subject")
+    path = _out_dir(args) / "subject.json"
+    _write_report(payload, path, args, seeds, kind="subject")
     print(f"wrote {path}")
     return EXIT_VERDICT if failed else EXIT_OK
 
 
-def cmd_link(args, config) -> int:
+def cmd_link(args) -> int:
     original = load_csv(args.original, role=Role.ORIGINAL)
     permuted = load_csv(args.permuted, role=Role.REVERSE_MAPPED)
-    tie_seed = _tie_seed(args, config)
-    result = link_records(original, Release(permuted, tie_seed=tie_seed))
+    result = link_records(original, Release(permuted, tie_seed=args.tie_seed))
     payload = to_payload(result)
     summary = (
         f"{original.n} records linked; "
@@ -263,27 +230,24 @@ def cmd_link(args, config) -> int:
             f"; score {score.correct} correct / {score.multiple} multiple / "
             f"{score.misidentified} misidentified"
         )
-    path = _out_dir(args, config) / "linkage.json"
-    _write_report(payload, path, args, config, {"tie_seed": tie_seed}, kind="linkage")
+    path = _out_dir(args) / "linkage.json"
+    _write_report(payload, path, args, {"tie_seed": args.tie_seed}, kind="linkage")
     print(summary)
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_assess(args, config) -> int:
+def cmd_assess(args) -> int:
     original = load_csv(args.original, role=Role.ORIGINAL)
     anonymized = load_csv(args.anonymized, role=Role.ANONYMIZED)
-    tie_seed = _tie_seed(args, config)
-    mode = resolve(args.baseline_mode, config, "baseline_mode", "exhaustive")
-    spec = _baseline_spec(args, config, mode)
-    threshold = float(resolve(args.threshold, config, "threshold", 0.05))
+    spec = _baseline_spec(args, args.baseline_mode)
     report = assess_tables(
-        original, anonymized, spec, threshold=threshold, tie_seed=tie_seed
+        original, anonymized, spec, threshold=args.threshold, tie_seed=args.tie_seed
     )
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     report_path = out / "assessment.json"
-    seeds = {"tie_seed": tie_seed, "baseline_seed": spec.seed}
-    _write_report(report, report_path, args, config, seeds)
+    seeds = {"tie_seed": args.tie_seed, "baseline_seed": spec.seed}
+    _write_report(report, report_path, args, seeds)
     histogram_path = out / "distance_histogram.csv"
     emit_histogram(report.original, report.baseline, histogram_path)
     print(
@@ -298,12 +262,10 @@ def cmd_assess(args, config) -> int:
     return EXIT_OK if report.withstands else EXIT_VERDICT
 
 
-def cmd_mask(args, config) -> int:
+def cmd_mask(args) -> int:
     original = load_csv(args.original, role=Role.ORIGINAL)
-    sigmas = resolve(args.sigmas, config, "sigmas", DEFAULT_MASK_SIGMAS)
-    seed = int(resolve(args.mask_seed, config, "mask_seed", DEFAULT_MASK_SEED))
-    masked = gaussian_mask(original, NoiseSpec(sigmas=sigmas, seed=seed))
-    path = _out_dir(args, config) / "masked.csv"
+    masked = gaussian_mask(original, NoiseSpec(sigmas=args.sigmas, seed=args.mask_seed))
+    path = _out_dir(args) / "masked.csv"
     write_csv(masked, path)
     # The summary names the noise levels but never the masking seed; the seed
     # is the one anonymization parameter that stays secret.
@@ -311,24 +273,23 @@ def cmd_mask(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args, config) -> int:
+def cmd_synth(args) -> int:
     spec = SynthSpec(
-        n=int(resolve(args.n, config, "synth_n", DEFAULT_SYNTH_N)),
-        means=resolve(args.means, config, "means", DEFAULT_SYNTH_MEANS),
-        stds=resolve(args.stds, config, "stds", DEFAULT_SYNTH_STDS),
-        seed=int(resolve(args.synth_seed, config, "synth_seed", DEFAULT_SYNTH_SEED)),
-        names=resolve(args.names, config, "names", None),
+        n=args.synth_n,
+        means=args.means,
+        stds=args.stds,
+        seed=args.synth_seed,
+        names=args.names,
     )
     table = synth_original(spec)
-    path = _out_dir(args, config) / "original.csv"
+    path = _out_dir(args) / "original.csv"
     write_csv(table, path)
     print(f"wrote {path} ({table.n} records, {table.m} attributes)")
     return EXIT_OK
 
 
-def cmd_demo(args, config) -> int:
-    out = resolve(args.out, config, "out", None)
-    problems, files = run_demo(out_dir=out, tie_seed=_tie_seed(args, config))
+def cmd_demo(args) -> int:
+    problems, files = run_demo(out_dir=args.out, tie_seed=args.tie_seed)
     for line in problems:
         print(f"mismatch -- {line}")
     for path in files:
@@ -340,7 +301,8 @@ def cmd_demo(args, config) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: RunConfig | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; a config file's non-null values replace the flag defaults."""
     parser = argparse.ArgumentParser(
         prog="permpriv",
         description=(
@@ -353,14 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="JSON file with flag defaults")
-    common.add_argument("--out", metavar="DIR", help="output directory (default: .)")
+    config_file = argparse.ArgumentParser(add_help=False)
+    config_file.add_argument("--config", metavar="FILE", help="JSON file with flag defaults")
+
+    common = argparse.ArgumentParser(add_help=False, parents=[config_file])
+    common.add_argument(
+        "--out", metavar="DIR", default=".", help="output directory (default %(default)s)"
+    )
 
     tie = argparse.ArgumentParser(add_help=False)
     tie.add_argument(
-        "--tie-seed", type=int, dest="tie_seed", metavar="N",
-        help=f"seed for rank tie-breaking (default {DEFAULT_TIE_SEED})",
+        "--tie-seed", type=int, dest="tie_seed", metavar="N", default=DEFAULT_TIE_SEED,
+        help="seed for rank tie-breaking (default %(default)s)",
     )
 
     report = argparse.ArgumentParser(add_help=False)
@@ -373,18 +339,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="free-text description of the anonymization, embedded in reports",
     )
 
+    targets = argparse.ArgumentParser(add_help=False)
+    targets.add_argument("--d", type=int, metavar="D", help="distance target to check")
+    targets.add_argument(
+        "--v", type=float, nargs="+", metavar="V",
+        help="per-attribute variance targets to check (strict)",
+    )
+
     baseline = argparse.ArgumentParser(add_help=False)
     baseline.add_argument(
-        "--baseline-size", type=int, metavar="N",
-        help=f"records drawn in sampled mode (default {DEFAULT_SAMPLE_SIZE})",
+        "--baseline-size", type=int, metavar="N", default=DEFAULT_SAMPLE_SIZE,
+        help="records drawn in sampled mode (default %(default)s)",
     )
     baseline.add_argument(
         "--baseline-seed", "--seed", type=int, dest="baseline_seed", metavar="N",
-        help=f"seed for baseline draws (default {DEFAULT_BASELINE_SEED})",
+        default=DEFAULT_BASELINE_SEED, help="seed for baseline draws (default %(default)s)",
     )
     baseline.add_argument(
-        "--exhaustive-cap", type=int, metavar="N",
-        help=f"refuse exhaustive mode beyond this many records (default {DEFAULT_EXHAUSTIVE_CAP})",
+        "--exhaustive-cap", type=int, metavar="N", default=DEFAULT_EXHAUSTIVE_CAP,
+        help="refuse exhaustive mode beyond this many records (default %(default)s)",
+    )
+    baseline.add_argument(
+        "--threshold", type=float, metavar="P", default=0.05,
+        help="plausibility below this fails the check (default %(default)s)",
     )
 
     p = sub.add_parser(
@@ -396,36 +373,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reverse_map)
 
     p = sub.add_parser(
-        "certify", parents=[common, tie, report],
+        "certify", parents=[common, tie, report, targets],
         help="per-record distances and variance windows, with dataset floor",
     )
     p.add_argument("original", help="original table CSV")
     p.add_argument("anonymized", help="anonymized table CSV")
-    p.add_argument("--d", type=int, metavar="D", help="distance target to check")
-    p.add_argument(
-        "--v", type=float, nargs="+", metavar="V",
-        help="per-attribute variance targets to check (strict)",
-    )
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser(
-        "subject", parents=[common, tie, report, baseline],
+        "subject", parents=[common, tie, report, targets, baseline],
         help="one subject's own check against the released table",
     )
     p.add_argument("record", help="CSV with exactly one data row: the subject's record")
     p.add_argument("anonymized", help="released table CSV")
-    p.add_argument("--d", type=int, metavar="D", help="distance target to check")
-    p.add_argument(
-        "--v", type=float, nargs="+", metavar="V",
-        help="per-attribute variance targets to check (strict)",
-    )
     p.add_argument(
         "--baseline", choices=("exhaustive", "sampled"),
         help="also measure how plausible the match is for a random record",
-    )
-    p.add_argument(
-        "--threshold", type=float, metavar="P",
-        help="plausibility below this is unsafe (default 0.05)",
     )
     p.set_defaults(func=cmd_subject)
 
@@ -448,26 +411,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("original", help="original table CSV")
     p.add_argument("anonymized", help="anonymized table CSV")
     p.add_argument(
-        "--baseline-mode", choices=("exhaustive", "sampled"),
-        help="how to build the baseline (default exhaustive)",
-    )
-    p.add_argument(
-        "--threshold", type=float, metavar="P",
-        help="plausibility below this fails the release (default 0.05)",
+        "--baseline-mode", choices=("exhaustive", "sampled"), default="exhaustive",
+        help="how to build the baseline (default %(default)s)",
     )
     p.set_defaults(func=cmd_assess)
 
+    # Generation defaults mirror the bundled running example: three independent
+    # normal attributes and the noise that masked them.
     p = sub.add_parser(
         "mask", parents=[common],
         help="add independent zero-mean Gaussian noise to each attribute",
     )
     p.add_argument("original", help="original table CSV")
     p.add_argument(
-        "--sigmas", type=float, nargs="+", metavar="S",
-        help="per-attribute noise standard deviations",
+        "--sigmas", type=float, nargs="+", metavar="S", default=[5.0, 25.0, 100.0],
+        help="per-attribute noise standard deviations (default %(default)s)",
     )
     p.add_argument(
-        "--mask-seed", type=int, dest="mask_seed", metavar="N",
+        "--mask-seed", type=int, dest="mask_seed", metavar="N", default=DEFAULT_MASK_SEED,
         help="masking seed (kept out of all outputs)",
     )
     p.set_defaults(func=cmd_mask)
@@ -476,42 +437,56 @@ def build_parser() -> argparse.ArgumentParser:
         "synth", parents=[common],
         help="generate a synthetic original table of normal attributes",
     )
-    p.add_argument("--n", type=int, metavar="N", help="number of records (default 20)")
-    p.add_argument("--means", type=float, nargs="+", metavar="M", help="attribute means")
     p.add_argument(
-        "--stds", type=float, nargs="+", metavar="S", help="attribute standard deviations"
+        "--n", type=int, dest="synth_n", metavar="N", default=20,
+        help="number of records (default %(default)s)",
+    )
+    p.add_argument(
+        "--means", type=float, nargs="+", metavar="M", default=[100.0, 1000.0, 5000.0],
+        help="attribute means (default %(default)s)",
+    )
+    p.add_argument(
+        "--stds", type=float, nargs="+", metavar="S", default=[10.0, 50.0, 200.0],
+        help="attribute standard deviations (default %(default)s)",
     )
     p.add_argument("--names", nargs="+", metavar="NAME", help="attribute names")
     p.add_argument(
-        "--synth-seed", type=int, dest="synth_seed", metavar="N", help="generation seed"
+        "--synth-seed", type=int, dest="synth_seed", metavar="N", default=DEFAULT_SYNTH_SEED,
+        help="generation seed (default %(default)s)",
     )
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser(
-        "demo", parents=[common, tie],
+        "demo", parents=[config_file, tie],
         help="regenerate the bundled example and diff it against stored references",
     )
+    p.add_argument("--out", metavar="DIR", help="also write the regenerated artifacts here")
     p.set_defaults(func=cmd_demo)
 
+    if config is not None:
+        values = {k: v for k, v in vars(config).items() if v is not None}
+        for p in sub.choices.values():
+            p.set_defaults(**values)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.config:
+        try:
+            config = RunConfig.from_file(args.config)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except json.JSONDecodeError as exc:
+            print(f"error: {args.config}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except PermprivError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        args = build_parser(config).parse_args(argv)
     try:
-        config = RunConfig.from_file(args.config) if args.config else None
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.config}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PermprivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args, config)
+        return args.func(args)
     except (ParseError, RaggedRowError, EmptyInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -70,29 +70,32 @@ def regenerate(tie_seed: int = DEFAULT_TIE_SEED) -> dict:
     }
 
 
-def _cells_2dp(name: str, computed, reference, problems: list[str]) -> None:
+def _mismatches(name: str, computed, reference, check) -> list[str]:
+    """Messages where a computed result disagrees with its reference.
+
+    `check` is None for exact equality, an absolute tolerance, or a format
+    spec such as ".2f" under which both must print alike.  Numeric checks go
+    cell by cell; a message names the table, and the 1-based cell of an array.
+    """
+    if check is None:
+        return [] if computed == reference else [
+            f"{name} computed {computed} expected {reference}"
+        ]
     computed = np.asarray(computed, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
-    for i in range(reference.shape[0]):
-        for j in range(reference.shape[1]):
-            got = f"{computed[i, j]:.2f}"
-            want = f"{reference[i, j]:.2f}"
-            if got != want:
-                problems.append(
-                    f"{name}: record {i + 1} attribute {j + 1} computed {got} expected {want}"
-                )
-
-
-def _close(name: str, computed, reference, tol: float, problems: list[str]) -> None:
-    computed = np.asarray(computed, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    bad = np.argwhere(~(np.abs(computed - reference) <= tol))
-    for idx in bad:
-        spot = ", ".join(str(int(k) + 1) for k in idx)
-        problems.append(
-            f"{name}: position ({spot}) computed "
-            f"{computed[tuple(idx)]:.4f} expected {reference[tuple(idx)]:.4f}"
-        )
+    problems = []
+    for idx in np.ndindex(reference.shape):
+        got, want = computed[idx], reference[idx]
+        if isinstance(check, str):
+            got, want = f"{got:{check}}", f"{want:{check}}"
+            bad = got != want
+        else:
+            bad = not abs(got - want) <= check
+            got, want = f"{got:.4f}", f"{want:.4f}"
+        if bad:
+            spot = f": position ({', '.join(str(k + 1) for k in idx)})" if idx else ""
+            problems.append(f"{name}{spot} computed {got} expected {want}")
+    return problems
 
 
 def diff_against_reference(artifacts: dict) -> list[str]:
@@ -101,115 +104,52 @@ def diff_against_reference(artifacts: dict) -> list[str]:
     Returns one message per disagreement, each prefixed with the name of the
     offending table so a failure pinpoints what drifted.
     """
-    problems: list[str] = []
-    fx = fixtures
-
-    _cells_2dp("reverse_mapped", artifacts["permuted"].values, fx.REVERSE_MAPPED, problems)
-
-    dec = artifacts["decomposition"]
-    _close("residual_noise", dec.residual_noise, fx.RESIDUAL_NOISE, 0.01, problems)
-    _close("direct_noise", dec.direct_noise, fx.DIRECT_NOISE, 0.01, problems)
-
-    for j, (got, want) in enumerate(zip(artifacts["correlations"], fx.RANK_CORRELATIONS)):
-        if abs(got - want) > 0.0005:
-            problems.append(
-                f"rank_correlations: attribute {j + 1} computed {got:.5f} expected {want}"
-            )
-
-    ev = artifacts["evidence"]
-    if ev.distance != fx.RECORD3["distance"]:
-        problems.append(
-            f"record_evidence: distance computed {ev.distance} expected {fx.RECORD3['distance']}"
-        )
-    if ev.closest_ranks != fx.RECORD3["closest_ranks"]:
-        problems.append(
-            f"record_evidence: closest ranks computed {ev.closest_ranks} "
-            f"expected {fx.RECORD3['closest_ranks']}"
-        )
-    if ev.matched_indices[0] != fx.RECORD3["matched_index"]:
-        problems.append(
-            f"record_evidence: matched record computed {ev.matched_indices[0]} "
-            f"expected {fx.RECORD3['matched_index']}"
-        )
-    if ev.matched_deviations != fx.RECORD3["matched_deviations"]:
-        problems.append(
-            f"record_evidence: matched deviations computed {ev.matched_deviations} "
-            f"expected {fx.RECORD3['matched_deviations']}"
-        )
-    _close("record_evidence_values", ev.closest_values, fx.RECORD3["closest_values"], 0.005, problems)
-    _close("record_evidence_variances", artifacts["evidence_variances"],
-           fx.RECORD3["window_variances"], 0.01, problems)
-    deviations = np.abs(
-        artifacts["masked_ranks"].ranks - np.asarray(fx.RECORD3["closest_ranks"])
-    )
-    table3 = np.column_stack([deviations, deviations.max(axis=1)])
-    _close("record_deviation_table", table3, fx.RECORD3_DEVIATIONS, 0, problems)
-
-    cert = artifacts["certificate"]
-    if cert.dataset_distance != fx.CERTIFICATE["dataset_distance"]:
-        problems.append(
-            f"certificate: dataset distance computed {cert.dataset_distance} "
-            f"expected {fx.CERTIFICATE['dataset_distance']}"
-        )
-    _close("certificate_variances", cert.dataset_variances,
-           fx.CERTIFICATE["dataset_variances"], 0.01, problems)
-    if cert.record_distances != fx.CERTIFICATE["distances"]:
-        problems.append(
-            f"certificate: record distances computed {cert.record_distances} "
-            f"expected {fx.CERTIFICATE['distances']}"
-        )
-    first_matches = tuple(entry.result.matched_indices[0] for entry in cert.per_record)
-    if first_matches != fx.CERTIFICATE["matched"]:
-        problems.append(
-            f"certificate: matched records computed {first_matches} "
-            f"expected {fx.CERTIFICATE['matched']}"
-        )
-    _close("certificate_record_variances_at_dataset_distance",
-           [e.variances_at_dataset_distance for e in cert.per_record],
-           fx.CERTIFICATE["variances_at_d"], 0.01, problems)
-    _close("certificate_record_variances_at_record_distance",
-           [e.variances_at_record_distance for e in cert.per_record],
-           fx.CERTIFICATE["variances_at_di"], 0.01, problems)
-
-    link = artifacts["linkage"]
-    for i, (rec, want_set, want_d) in enumerate(
-        zip(link.per_record, fx.LINKAGE_MATCHES, fx.LINKAGE_DISTANCES)
-    ):
-        if rec.matched_indices != want_set:
-            problems.append(
-                f"linkage: record {i + 1} match set computed {rec.matched_indices} "
-                f"expected {want_set}"
-            )
-        if rec.distance != want_d:
-            problems.append(
-                f"linkage: record {i + 1} distance computed {rec.distance} expected {want_d}"
-            )
-    if link.unmatched_targets != fx.LINKAGE_UNMATCHED:
-        problems.append(
-            f"linkage: unmatched targets computed {link.unmatched_targets} "
-            f"expected {fx.LINKAGE_UNMATCHED}"
-        )
-    if link.multiply_matched_targets != fx.LINKAGE_MULTIPLY_MATCHED:
-        problems.append(
-            f"linkage: multiply matched targets computed {link.multiply_matched_targets} "
-            f"expected {fx.LINKAGE_MULTIPLY_MATCHED}"
-        )
-
+    fx, r3, c = fixtures, fixtures.RECORD3, fixtures.CERTIFICATE
+    dec, ev = artifacts["decomposition"], artifacts["evidence"]
+    cert, link = artifacts["certificate"], artifacts["linkage"]
+    deviations = np.abs(artifacts["masked_ranks"].ranks - np.asarray(r3["closest_ranks"]))
+    rows = [
+        # (table name, computed, reference, check)
+        ("reverse_mapped", artifacts["permuted"].values, fx.REVERSE_MAPPED, ".2f"),
+        ("residual_noise", dec.residual_noise, fx.RESIDUAL_NOISE, 0.01),
+        ("direct_noise", dec.direct_noise, fx.DIRECT_NOISE, 0.01),
+        ("rank_correlations", artifacts["correlations"], fx.RANK_CORRELATIONS, 0.0005),
+        ("record_evidence: distance", ev.distance, r3["distance"], None),
+        ("record_evidence: closest ranks", ev.closest_ranks, r3["closest_ranks"], None),
+        ("record_evidence: matched record", ev.matched_indices[0], r3["matched_index"], None),
+        ("record_evidence: matched deviations", ev.matched_deviations,
+         r3["matched_deviations"], None),
+        ("record_evidence_values", ev.closest_values, r3["closest_values"], 0.005),
+        ("record_evidence_variances", artifacts["evidence_variances"],
+         r3["window_variances"], 0.01),
+        ("record_deviation_table", np.column_stack([deviations, deviations.max(axis=1)]),
+         fx.RECORD3_DEVIATIONS, 0.0),
+        ("certificate: dataset distance", cert.dataset_distance, c["dataset_distance"], None),
+        ("certificate_variances", cert.dataset_variances, c["dataset_variances"], 0.01),
+        ("certificate: record distances", cert.record_distances, c["distances"], None),
+        ("certificate: matched records",
+         tuple(e.result.matched_indices[0] for e in cert.per_record), c["matched"], None),
+        ("certificate_record_variances_at_dataset_distance",
+         [e.variances_at_dataset_distance for e in cert.per_record], c["variances_at_d"], 0.01),
+        ("certificate_record_variances_at_record_distance",
+         [e.variances_at_record_distance for e in cert.per_record], c["variances_at_di"], 0.01),
+        ("linkage: match sets", link.match_sets, fx.LINKAGE_MATCHES, None),
+        ("linkage: distances", link.distances, fx.LINKAGE_DISTANCES, None),
+        ("linkage: unmatched targets", link.unmatched_targets, fx.LINKAGE_UNMATCHED, None),
+        ("linkage: multiply matched targets", link.multiply_matched_targets,
+         fx.LINKAGE_MULTIPLY_MATCHED, None),
+    ]
     for name, dist, reference in (
         ("distance_distribution_original", artifacts["dist_original"], fx.DISTANCE_FREQ_ORIGINAL),
         ("distance_distribution_baseline", artifacts["dist_baseline"], fx.DISTANCE_FREQ_BASELINE),
     ):
-        for d, want in reference.items():
-            got = dist.frequency(d)
-            if f"{got:.4f}" != f"{want:.4f}":
-                problems.append(
-                    f"{name}: distance {d} frequency computed {got:.4f} expected {want:.4f}"
-                )
+        rows += [
+            (f"{name}: distance {d} frequency", dist.frequency(d), want, ".4f")
+            for d, want in reference.items()
+        ]
         stray = [d for d in dist.support if d not in reference and dist.frequency(d) >= 0.00005]
-        if stray:
-            problems.append(f"{name}: unexpected mass at distances {stray}")
-
-    return problems
+        rows.append((f"{name}: distances with unexpected mass", stray, [], None))
+    return [msg for row in rows for msg in _mismatches(*row)]
 
 
 def export_artifacts(artifacts: dict, out_dir) -> list[Path]:

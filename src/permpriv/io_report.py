@@ -180,8 +180,8 @@ def emit_histogram(
 class RunConfig:
     """File-loadable defaults for the command-line interface.
 
-    Any field may be supplied in a JSON config file; explicit command-line
-    flags always win over config values.
+    Each field is the dest of a flag; any may be supplied in a JSON config
+    file, and explicit command-line flags always win over config values.
     """
 
     tie_seed: int | None = None
@@ -227,13 +227,3 @@ def _fits(value, hint) -> bool:
     kinds = (int, float) if hint is float else hint
     return isinstance(value, kinds) and isinstance(value, bool) == (hint is bool)
 
-
-def resolve(flag_value, config: RunConfig | None, key: str, default):
-    """Pick flag over config over default; None means unset."""
-    if flag_value is not None:
-        return flag_value
-    if config is not None:
-        cfg_value = getattr(config, key)
-        if cfg_value is not None:
-            return cfg_value
-    return default

@@ -57,15 +57,13 @@ def link_records(original: MicrodataTable, release: Release) -> LinkageResult:
             )
             break
     per_record = tuple(release.results(original.values, range(1, original.n + 1)))
-    hits = Counter()
-    for r in per_record:
-        hits.update(r.matched_indices)
-    unmatched = tuple(t for t in range(1, release.n + 1) if t not in hits)
-    multiply = tuple(sorted(t for t, c in hits.items() if c > 1))
+    hits = np.bincount(
+        np.concatenate([r.matched_indices for r in per_record]), minlength=release.n + 1
+    )
     return LinkageResult(
         per_record=per_record,
-        unmatched_targets=unmatched,
-        multiply_matched_targets=multiply,
+        unmatched_targets=tuple((np.flatnonzero(hits[1:] == 0) + 1).tolist()),
+        multiply_matched_targets=tuple(np.flatnonzero(hits > 1).tolist()),
         tie_seed=release.tie_seed,
     )
 

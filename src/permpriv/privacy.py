@@ -103,6 +103,8 @@ class Release:
         self.values_by_rank = [
             _values_by_rank(table.column(j), profile.vector(j)) for j in range(table.m)
         ]
+        if any(np.any(v[1:] < v[:-1]) for v in self.values_by_rank):
+            raise InvalidValueError("rank profile does not order the table")
         # record (0-based) holding each attribute-0 rank, and the other
         # attributes' ranks in that order
         self._order = np.argsort(profile.vector(0))

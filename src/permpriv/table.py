@@ -19,7 +19,6 @@ from .errors import (
     EmptyInputError,
     InvalidSpecError,
     InvalidValueError,
-    RankOutOfRangeError,
     ShapeMismatchError,
 )
 
@@ -96,20 +95,6 @@ def check_same_attributes(first: MicrodataTable, second: MicrodataTable) -> None
             f"attribute names or order differ between tables: "
             f"{first.attribute_names} vs {second.attribute_names}"
         )
-
-
-def value_at_rank(column, ranks, rank: int) -> float:
-    """Return the value holding the given 1-based rank."""
-    col = np.asarray(column, dtype=float)
-    rks = np.asarray(ranks)
-    if col.shape != rks.shape:
-        raise ShapeMismatchError("column and rank vector differ in length")
-    if not 1 <= int(rank) <= col.size:
-        raise RankOutOfRangeError(f"rank {rank} outside 1..{col.size}")
-    hits = np.nonzero(rks == int(rank))[0]
-    if hits.size != 1:
-        raise InvalidValueError("rank vector is not a permutation of 1..n")
-    return float(col[hits[0]])
 
 
 @dataclass(frozen=True, eq=False)

@@ -370,6 +370,42 @@ def test_flags_override_the_config(workspace, capsys):
     assert (workspace / "from_config2" / "assessment.json").exists()
 
 
+def test_flag_beats_config_beats_default(workspace, capsys):
+    (workspace / "seed7.json").write_text(json.dumps({"tie_seed": 7}))
+    (workspace / "unset.json").write_text(json.dumps({"tie_seed": None}))
+    cases = [
+        (["--tie-seed", "5", "--config", workspace / "seed7.json"], 5),
+        (["--config", workspace / "seed7.json"], 7),
+        (["--tie-seed", "0", "--config", workspace / "seed7.json"], 0),  # zero is a real value
+        (["--config", workspace / "unset.json"], 101),  # null leaves the default
+        ([], 101),
+    ]
+    for extra, seed in cases:
+        code, _, _ = run(
+            capsys, "certify", workspace / "original.csv", workspace / "masked.csv",
+            "--out", workspace, *extra,
+        )
+        assert code == 0
+        assert read_report(workspace / "certificate.json")["seeds"] == {"tie_seed": seed}
+
+
+def test_config_reaches_demo_and_report_flags(workspace, capsys, monkeypatch):
+    monkeypatch.chdir(workspace)
+    code, out, _ = run(capsys, "demo")
+    assert code == 0 and "wrote" not in out  # no --out: the demo exports nothing
+    (workspace / "demo.json").write_text(json.dumps({"out": str(workspace / "demo_out")}))
+    code, out, _ = run(capsys, "demo", "--config", workspace / "demo.json")
+    assert code == 0
+    assert (workspace / "demo_out" / "certificate.json").exists()
+    (workspace / "withhold.json").write_text(json.dumps({"withhold_seeds": True}))
+    code, _, _ = run(
+        capsys, "certify", workspace / "original.csv", workspace / "masked.csv",
+        "--config", workspace / "withhold.json", "--out", workspace,
+    )
+    assert code == 0
+    assert read_report(workspace / "certificate.json")["seeds"] == {"tie_seed": None}
+
+
 def test_config_errors(workspace, capsys):
     (workspace / "bad.json").write_text('{"no_such_key": 1}')
     code, _, err = run(
@@ -388,11 +424,19 @@ def test_config_errors(workspace, capsys):
         "--config", workspace / "missing.json",
     )
     assert code == 3
+    (workspace / "mode.json").write_text('{"baseline_mode": "bogus"}')
+    code, _, err = run(
+        capsys, "assess", workspace / "original.csv", workspace / "masked.csv",
+        "--config", workspace / "mode.json", "--out", workspace,
+    )
+    assert code == 2
+    assert "unknown baseline mode" in err
 
 
 def test_config_values_of_the_wrong_type_exit_2(workspace, capsys):
     cases = [
         ("reverse-map", {"tie_seed": "abc"}),
+        ("certify", {"tie_seed": "7"}),  # checked here, never parsed as a flag string
         ("assess", {"threshold": "x"}),
         ("certify", {"v": 3}),
     ]

@@ -20,7 +20,6 @@ from permpriv.io_report import (
     emit_histogram,
     load_csv,
     read_report,
-    resolve,
     write_csv,
     write_report,
 )
@@ -239,11 +238,3 @@ def test_run_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(InvalidSpecError):
         RunConfig.from_file(path)
 
-
-def test_resolve_precedence():
-    config = RunConfig(tie_seed=7)
-    assert resolve(5, config, "tie_seed", 101) == 5
-    assert resolve(None, config, "tie_seed", 101) == 7
-    assert resolve(None, RunConfig(), "tie_seed", 101) == 101
-    assert resolve(None, None, "tie_seed", 101) == 101
-    assert resolve(0, config, "tie_seed", 101) == 0  # zero is a real value

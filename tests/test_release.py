@@ -17,7 +17,7 @@ from helpers import (
 )
 from permpriv import privacy
 from permpriv.baseline import BaselineSpec, distance_distribution, subject_safety_check
-from permpriv.errors import ShapeMismatchError
+from permpriv.errors import InvalidValueError, ShapeMismatchError
 from permpriv.linkage import link_records
 from permpriv.privacy import (
     Release,
@@ -179,6 +179,18 @@ def test_release_rejects_a_profile_of_another_shape(masked):
     short = MicrodataTable(masked.values[:5], masked.attribute_names, role=Role.ANONYMIZED)
     with pytest.raises(ShapeMismatchError):
         Release(masked, RankProfile.of(short))
+
+
+def test_release_rejects_a_profile_that_does_not_order_the_table():
+    table = MicrodataTable([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]], ("a", "b"))
+    reversed_ranks = RankProfile([[3, 3], [2, 2], [1, 1]], 101)
+    with pytest.raises(InvalidValueError, match="does not order the table"):
+        Release(table, reversed_ranks)
+    # any tie-break of equal values still orders the table
+    tied = MicrodataTable([[5.0], [5.0], [1.0]], ("a",))
+    for ranks in ([[2], [3], [1]], [[3], [2], [1]]):
+        release = Release(tied, RankProfile(ranks, 101))
+        assert release.values_by_rank[0].tolist() == [1.0, 5.0, 5.0]
 
 
 def test_search_memory_is_bounded_in_bytes():

@@ -11,9 +11,9 @@ from permpriv.errors import (
     EmptyInputError,
     InvalidSpecError,
     InvalidValueError,
-    RankOutOfRangeError,
     ShapeMismatchError,
 )
+from permpriv.privacy import Release
 from permpriv.table import (
     DEFAULT_TIE_SEED,
     MicrodataTable,
@@ -21,7 +21,6 @@ from permpriv.table import (
     Role,
     compute_ranks,
     derive_column_seed,
-    value_at_rank,
 )
 
 
@@ -110,31 +109,16 @@ def test_rank_input_validation():
 
 
 def test_value_at_rank_golden(original):
-    col = original.column(0)
-    ranks = compute_ranks(col)
-    assert value_at_rank(col, ranks, 14) == pytest.approx(108.21, abs=0.005)
+    assert Release(original).values_by_rank[0][14 - 1] == pytest.approx(108.21, abs=0.005)
 
 
 def test_value_at_rank_matches_sort_oracle():
     rng = np.random.default_rng(21)
     col = rng.normal(size=17)
-    ranks = compute_ranks(col)
     by_sort = sorted(col.tolist())
+    values = Release(MicrodataTable(col, ("a",))).values_by_rank[0]
     for r in range(1, 18):
-        assert value_at_rank(col, ranks, r) == by_sort[r - 1]
-
-
-def test_value_at_rank_errors():
-    col = [4.0, 2.0, 9.0]
-    ranks = compute_ranks(col)
-    with pytest.raises(RankOutOfRangeError):
-        value_at_rank(col, ranks, 0)
-    with pytest.raises(RankOutOfRangeError):
-        value_at_rank(col, ranks, 4)
-    with pytest.raises(ShapeMismatchError):
-        value_at_rank(col, [1, 2], 1)
-    with pytest.raises(InvalidValueError):
-        value_at_rank(col, [1, 1, 2], 1)
+        assert values[r - 1] == by_sort[r - 1]
 
 
 def test_table_validation():
