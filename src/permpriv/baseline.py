@@ -64,23 +64,13 @@ def generate_baseline(source: MicrodataTable, spec: BaselineSpec) -> MicrodataTa
                 f"exhaustive baseline needs {total} records, cap is "
                 f"{spec.exhaustive_cap}; use sampled mode"
             )
-        grids = np.indices((n,) * m).reshape(m, -1)
-        values = np.column_stack([source.column(j)[grids[j]] for j in range(m)])
-        provenance = {"method": "baseline_exhaustive", "source_role": source.role.value}
+        picks = np.indices((n,) * m).reshape(m, -1)
     else:
-        cols = []
-        for j in range(m):
-            rng = np.random.default_rng(derive_column_seed(spec.seed, j))
-            cols.append(source.column(j)[rng.integers(0, n, size=spec.sample_size)])
-        values = np.column_stack(cols)
-        provenance = {
-            "method": "baseline_sampled",
-            "source_role": source.role.value,
-            "seed": spec.seed,
-        }
-    return MicrodataTable(
-        values, source.attribute_names, role=Role.BASELINE, provenance=provenance
-    )
+        rngs = [np.random.default_rng(derive_column_seed(spec.seed, j)) for j in range(m)]
+        # drawn as each column is gathered, so one index array is alive at a time
+        picks = (rng.integers(0, n, size=spec.sample_size) for rng in rngs)
+    values = np.column_stack([source.column(j)[p] for j, p in enumerate(picks)])
+    return MicrodataTable(values, source.attribute_names, role=Role.BASELINE)
 
 
 @dataclass(frozen=True)
@@ -111,10 +101,6 @@ class DistanceDistribution:
     def support(self) -> tuple[int, ...]:
         return tuple(self.frequencies)
 
-    @property
-    def max_distance(self) -> int:
-        return max(self.frequencies)
-
     def frequency(self, distance: int) -> float:
         return self.frequencies.get(int(distance), 0.0)
 
@@ -140,6 +126,14 @@ def distance_distribution(records: MicrodataTable, release: Release) -> Distance
     """
     tag = "baseline" if records.role is Role.BASELINE else "original"
     return _tabulate(batch_permutation_distances(records, release), tag)
+
+
+def _check_threshold(threshold) -> float:
+    """A plausibility threshold as a float; anything outside [0, 1], NaN too, is refused."""
+    t = float(threshold)
+    if not 0.0 <= t <= 1.0:
+        raise InvalidSpecError(f"threshold must be a probability in [0, 1], got {threshold!r}")
+    return t
 
 
 def plausibility(distance: float, baseline: DistanceDistribution) -> float:
@@ -185,12 +179,13 @@ def subject_safety_check(
     their own record and the published permuted data.  Safe means a random
     record would match at least this close with probability >= threshold.
     """
+    threshold = _check_threshold(threshold)
     dist = permutation_distance(x, release).distance
     base_table = generate_baseline(release.table, spec)
     base = distance_distribution(base_table, release)
     p = plausibility(dist, base)
     return SubjectSafety(
-        distance=dist, plausibility=p, safe=bool(p >= threshold), threshold=float(threshold)
+        distance=dist, plausibility=p, safe=bool(p >= threshold), threshold=threshold
     )
 
 
@@ -230,6 +225,7 @@ def assess_tables(
     from the original columns.  `reverse_map_table` rejects a pair that
     differs in shape or in attribute names or order.
     """
+    threshold = _check_threshold(threshold)
     z = reverse_map_table(original, anonymized, tie_seed)
     release = Release(z, tie_seed=tie_seed)
     dists = batch_permutation_distances(original, release)
@@ -245,6 +241,6 @@ def assess_tables(
         divergence=div,
         median_distance=median_d,
         plausibility_at_median=plaus,
-        threshold=float(threshold),
+        threshold=threshold,
         withstands=bool(plaus >= threshold),
     )

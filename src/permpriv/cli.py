@@ -56,7 +56,7 @@ from .masking import (
 )
 from .privacy import Release, certify_dataset, check_targets, permutation_distance
 from .reverse_map import reverse_map_table
-from .table import DEFAULT_TIE_SEED, MicrodataTable, Role, check_same_attributes
+from .table import DEFAULT_TIE_SEED, MicrodataTable, Role
 
 __all__ = ["main", "build_parser"]
 
@@ -165,11 +165,9 @@ def cmd_certify(args) -> int:
 def cmd_subject(args) -> int:
     subject = _load_single_record(args.record)
     anonymized = load_csv(args.anonymized, role=Role.ANONYMIZED)
-    check_same_attributes(subject, anonymized)
-    record = subject.values[0]
     targets = _targets(args, anonymized.m)
     release = Release(anonymized, tie_seed=args.tie_seed)
-    evidence = permutation_distance(record, release)
+    evidence = permutation_distance(subject, release)
     variances = release.window_variances([evidence.closest_ranks], evidence.distance)[0].tolist()
     print(
         f"distance {evidence.distance}; matched records {evidence.matched_indices}; "
@@ -197,7 +195,7 @@ def cmd_subject(args) -> int:
 
     if args.baseline is not None:
         spec = _baseline_spec(args, args.baseline)
-        safety = subject_safety_check(record, release, spec, threshold=args.threshold)
+        safety = subject_safety_check(subject, release, spec, threshold=args.threshold)
         payload["safety"] = to_payload(safety)
         seeds["baseline_seed"] = spec.seed
         print(
@@ -264,12 +262,12 @@ def cmd_assess(args) -> int:
 
 def cmd_mask(args) -> int:
     original = load_csv(args.original, role=Role.ORIGINAL)
-    masked = gaussian_mask(original, NoiseSpec(sigmas=args.sigmas, seed=args.mask_seed))
+    spec = NoiseSpec(sigmas=args.sigmas, seed=args.mask_seed)
     path = _out_dir(args) / "masked.csv"
-    write_csv(masked, path)
+    write_csv(gaussian_mask(original, spec), path)
     # The summary names the noise levels but never the masking seed; the seed
     # is the one anonymization parameter that stays secret.
-    print(f"wrote {path} (noise sigmas {_fmt_vector(masked.provenance['sigmas'])})")
+    print(f"wrote {path} (noise sigmas {_fmt_vector(spec.sigmas)})")
     return EXIT_OK
 
 
@@ -361,7 +359,7 @@ def build_parser(config: RunConfig | None = None) -> argparse.ArgumentParser:
     )
     baseline.add_argument(
         "--threshold", type=float, metavar="P", default=0.05,
-        help="plausibility below this fails the check (default %(default)s)",
+        help="plausibility below this fails the check; 0 to 1 (default %(default)s)",
     )
 
     p = sub.add_parser(

@@ -120,7 +120,8 @@ def write_report(
     Accepts an analysis dataclass carrying `report_kind`, whose payload is
     `to_payload(obj)`, or a plain mapping when `kind` is given explicitly.
     Seeds marked withheld are reported by name with a null value, so the
-    report still shows what was randomized while revealing nothing.
+    report still shows what was randomized while revealing nothing; a payload
+    field of the same name is nulled too.
     """
     if obj is None:
         raise EmptyReportError("nothing to report")
@@ -141,6 +142,8 @@ def write_report(
         seed_block = {
             str(k): (None if withhold_seeds else int(v)) for k, v in seeds.items()
         }
+        if withhold_seeds:
+            payload.update((k, None) for k in seed_block if k in payload)
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "permpriv", "version": __version__},

@@ -65,20 +65,9 @@ class SynthSpec:
 
 def synth_original(spec: SynthSpec) -> MicrodataTable:
     """Draw a synthetic original table of independent normal columns."""
-    cols = []
-    for j, (mu, sd) in enumerate(zip(spec.means, spec.stds)):
-        rng = np.random.default_rng(derive_column_seed(spec.seed, j))
-        cols.append(rng.normal(mu, sd, size=spec.n))
-    return MicrodataTable.from_columns(
-        cols,
-        spec.names,
-        role=Role.ORIGINAL,
-        provenance={
-            "method": "gaussian_synthesis",
-            "means": list(spec.means),
-            "stds": list(spec.stds),
-        },
-    )
+    rngs = [np.random.default_rng(derive_column_seed(spec.seed, j)) for j in range(len(spec.stds))]
+    cols = [rng.normal(mu, sd, size=spec.n) for rng, mu, sd in zip(rngs, spec.means, spec.stds)]
+    return MicrodataTable(np.column_stack(cols), spec.names, role=Role.ORIGINAL)
 
 
 @dataclass(frozen=True)
@@ -107,9 +96,4 @@ def gaussian_mask(table: MicrodataTable, spec: NoiseSpec) -> MicrodataTable:
     for j, sigma in enumerate(spec.sigmas):
         rng = np.random.default_rng(derive_column_seed(spec.seed, j))
         cols.append(table.column(j) + rng.normal(0.0, sigma, size=table.n))
-    return MicrodataTable.from_columns(
-        cols,
-        table.attribute_names,
-        role=Role.ANONYMIZED,
-        provenance={"method": "additive_gaussian", "sigmas": list(spec.sigmas)},
-    )
+    return MicrodataTable(np.column_stack(cols), table.attribute_names, role=Role.ANONYMIZED)

@@ -26,6 +26,7 @@ from .table import (
     MicrodataTable,
     RankProfile,
     _as_column,
+    check_same_attributes,
     check_same_layout,
 )
 
@@ -53,17 +54,24 @@ def _closest_ranks(values_by_rank: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def check_targets(d_target, v_target, m: int) -> tuple[int, tuple[float, ...]]:
-    """(d, v) targets as checked values: one variance floor per attribute, d >= 0."""
+    """(d, v) targets as checked values: one finite variance floor per attribute, d >= 0."""
     v = tuple(float(t) for t in np.asarray(v_target, dtype=float).ravel())
     if len(v) != m:
         raise ShapeMismatchError(f"{len(v)} variance targets for {m} attributes")
+    if not np.all(np.isfinite(v)):
+        raise InvalidValueError(f"variance targets must be finite, got {v}")
     d = int(d_target)
     if d < 0:
         raise RankOutOfRangeError("d_target must be nonnegative")
     return d, v
 
 
-def _query_matrix(queries, m: int) -> np.ndarray:
+def _query_matrix(queries, release: Release) -> np.ndarray:
+    """(q, m) query records; a table must name the release's attributes in order."""
+    if isinstance(queries, MicrodataTable):
+        check_same_attributes(queries, release.table)
+        return queries.values
+    m = release.m
     q = np.asarray(queries, dtype=float)
     if q.ndim == 1:
         q = q.reshape(1, -1)
@@ -204,7 +212,7 @@ class Release:
         self, queries, record_indices: Iterable[int | None]
     ) -> list[RecordDistanceResult]:
         """Full distance evidence for each query record, numbered as given."""
-        q = _query_matrix(queries, self.m)
+        q = _query_matrix(queries, self)
         centers = self.centers(q)
         distances = self.distances(centers)
         matches = self._match_sets(centers, distances)
@@ -317,7 +325,7 @@ def permutation_distance(
     x, release: Release, *, record_index: int | None = None
 ) -> RecordDistanceResult:
     """Distance evidence for a single record against a release."""
-    q = _query_matrix(x, release.m)
+    q = _query_matrix(x, release)
     if q.shape[0] != 1:
         raise ShapeMismatchError("expected a single record; use batch_permutation_distances")
     return release.results(q, [record_index])[0]
@@ -325,29 +333,20 @@ def permutation_distance(
 
 def batch_permutation_distances(queries, release: Release) -> np.ndarray:
     """Distances only, vectorized over many query records."""
-    q = queries.values if isinstance(queries, MicrodataTable) else queries
-    return release.distances(release.centers(_query_matrix(q, release.m)))
+    return release.distances(release.centers(_query_matrix(queries, release)))
 
 
 def window_variance(anonymized_column, ranks, center_rank: int, d: int) -> float:
     """Population variance of the values whose rank is within d of center_rank.
 
-    The window [center_rank - d, center_rank + d] is clipped to [1, n], so it
-    is never empty and never wraps.
+    One window of `Release.window_variances`, clipped to [1, n]; `ranks` must
+    be a permutation of 1..n that orders the column.
     """
-    col = _as_column(anonymized_column)
-    rks = np.asarray(ranks)
-    if col.shape != rks.shape:
-        raise ShapeMismatchError("column and rank vector differ in length")
-    n = col.size
-    if not 1 <= int(center_rank) <= n:
-        raise RankOutOfRangeError(f"center rank {center_rank} outside 1..{n}")
-    if int(d) < 0:
-        raise RankOutOfRangeError("window radius must be nonnegative")
-    vbr = _values_by_rank(col, rks)
-    lo = max(int(center_rank) - int(d), 1)
-    hi = min(int(center_rank) + int(d), n)
-    return float(vbr[lo - 1 : hi].var())
+    release = Release(
+        MicrodataTable(_as_column(anonymized_column), ("x",)),
+        RankProfile(np.column_stack([ranks]), DEFAULT_TIE_SEED),
+    )
+    return float(release.window_variances([[center_rank]], d)[0, 0])
 
 
 @dataclass(frozen=True)

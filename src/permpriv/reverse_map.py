@@ -54,8 +54,7 @@ def reverse_map_table(
 ) -> MicrodataTable:
     """Reverse-map every attribute of a table; per-column seeds are derived.
 
-    The result carries role ``reverse_mapped`` and provenance recording the
-    method, the tie seed, and the roles of both source tables.
+    The result carries role ``reverse_mapped`` and the original's attribute names.
     """
     check_same_layout(original, anonymized)
     cols = [
@@ -64,14 +63,4 @@ def reverse_map_table(
         )
         for j in range(original.m)
     ]
-    return MicrodataTable.from_columns(
-        cols,
-        original.attribute_names,
-        role=Role.REVERSE_MAPPED,
-        provenance={
-            "method": "reverse_mapping",
-            "tie_seed": int(tie_seed),
-            "original_role": original.role.value,
-            "anonymized_role": anonymized.role.value,
-        },
-    )
+    return MicrodataTable(np.column_stack(cols), original.attribute_names, role=Role.REVERSE_MAPPED)

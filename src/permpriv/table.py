@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -103,13 +102,13 @@ class MicrodataTable:
 
     One container serves original, anonymized, reverse-mapped, and baseline
     data; the role tag says which.  `values` is an immutable float array of
-    shape (n, m); `provenance` optionally records how the table was produced.
+    shape (n, m).  Every table, whatever produced it, is built and checked by
+    this constructor.
     """
 
     values: np.ndarray
     attribute_names: tuple[str, ...]
     role: Role = Role.ORIGINAL
-    provenance: Mapping[str, object] | None = None
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=float)
@@ -132,22 +131,6 @@ class MicrodataTable:
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "attribute_names", names)
         object.__setattr__(self, "role", Role(self.role))
-
-    @classmethod
-    def from_columns(
-        cls,
-        columns: Sequence,
-        attribute_names: Sequence[str],
-        role: Role = Role.ORIGINAL,
-        provenance: Mapping[str, object] | None = None,
-    ) -> "MicrodataTable":
-        cols = [_as_column(c) for c in columns]
-        if len(cols) == 0:
-            raise EmptyInputError("no columns given")
-        lengths = {c.size for c in cols}
-        if len(lengths) != 1:
-            raise ShapeMismatchError(f"column lengths differ: {sorted(lengths)}")
-        return cls(np.column_stack(cols), tuple(attribute_names), role, provenance)
 
     @property
     def n(self) -> int:

@@ -314,6 +314,7 @@ def test_mask_and_synth_round(workspace, capsys):
     assert code == 0
     masked = load_csv(workspace / "gen" / "masked.csv")
     assert masked.n == 12
+    assert "noise sigmas (5.00, 25.00, 100.00)" in out
     assert "555" not in out  # the masking seed never leaks
     assert "555" not in (workspace / "gen" / "masked.csv").read_text()
 
@@ -336,7 +337,17 @@ def test_withheld_seeds_in_reports(workspace, capsys):
         "--out", workspace,
     )
     assert code == 0
-    assert read_report(workspace / "certificate.json")["seeds"] == {"tie_seed": None}
+    report = read_report(workspace / "certificate.json")
+    assert report["seeds"] == {"tie_seed": None}
+    assert report["payload"]["tie_seed"] is None
+    code, _, _ = run(
+        capsys, "link", workspace / "original.csv", workspace / "permuted.csv",
+        "--withhold-seeds", "--tie-seed", "9", "--out", workspace,
+    )
+    assert code == 0
+    report = read_report(workspace / "linkage.json")
+    assert report["seeds"] == {"tie_seed": None}
+    assert report["payload"]["tie_seed"] is None
 
 
 def test_config_file_supplies_defaults(workspace, capsys):
@@ -406,7 +417,7 @@ def test_config_reaches_demo_and_report_flags(workspace, capsys, monkeypatch):
     assert read_report(workspace / "certificate.json")["seeds"] == {"tie_seed": None}
 
 
-def test_config_errors(workspace, capsys):
+def test_config_errors(workspace, capsys, original):
     (workspace / "bad.json").write_text('{"no_such_key": 1}')
     code, _, err = run(
         capsys, "reverse-map", workspace / "original.csv", workspace / "masked.csv",
@@ -431,6 +442,23 @@ def test_config_errors(workspace, capsys):
     )
     assert code == 2
     assert "unknown baseline mode" in err
+    # non-finite targets and thresholds outside [0, 1], from flags and from a
+    # config file (json reads the literal NaN)
+    record = workspace / "record1.csv"
+    write_csv(original.__class__(original.values[:1], original.attribute_names), record)
+    x, y = workspace / "original.csv", workspace / "masked.csv"
+    (workspace / "nan.json").write_text('{"threshold": NaN}')
+    cases = [
+        (["assess", x, y, "--threshold", "nan"], "threshold"),
+        (["assess", x, y, "--threshold", "1.5"], "threshold"),
+        (["certify", x, y, "--v", "nan", "nan", "inf"], "finite"),
+        (["subject", record, y, "--baseline", "sampled", "--config", workspace / "nan.json"],
+         "threshold"),
+    ]
+    for argv, message in cases:
+        code, _, err = run(capsys, *argv, "--out", workspace)
+        assert code == 2, argv
+        assert message in err
 
 
 def test_config_values_of_the_wrong_type_exit_2(workspace, capsys):

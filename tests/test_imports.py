@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in it.
+"""Every name a package module imports is used in it, and no check is an `assert`.
 
-`__init__.py` is exempt: its imports are its public names.
+`__init__.py` is exempt from the import rule: its imports are its public
+names.  `python -O` strips asserts, so a check written as one vanishes.
 """
 
 import ast
@@ -32,3 +33,16 @@ def test_the_walk_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def asserts(source: str) -> list[int]:
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_the_walk_finds_an_assert():
+    assert asserts("def f(x):\n    assert x > 0\n    return x\n") == [2]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_has_no_assert(module):
+    assert asserts((PACKAGE / module).read_text(encoding="utf-8")) == []

@@ -63,13 +63,6 @@ def test_synth_attribute_naming_and_override():
     assert named.attribute_names == ("income",)
 
 
-def test_synth_provenance_has_parameters_but_no_seed():
-    table = synth_original(SynthSpec(n=4, means=MEANS, stds=STDS))
-    assert table.provenance["method"] == "gaussian_synthesis"
-    assert tuple(table.provenance["means"]) == MEANS
-    assert "seed" not in table.provenance
-
-
 def test_synth_spec_validation():
     with pytest.raises(InvalidSpecError):
         SynthSpec(n=0, means=(0.0,), stds=(1.0,))
@@ -114,14 +107,6 @@ def test_tiny_noise_barely_moves_values():
     table = synth_original(SynthSpec(n=100, means=MEANS, stds=STDS))
     masked = gaussian_mask(table, NoiseSpec(sigmas=(1e-9, 1e-9, 1e-9)))
     assert np.abs(masked.values - table.values).max() < 1e-6
-
-
-def test_mask_provenance_has_sigmas_but_no_seed():
-    table = synth_original(SynthSpec(n=4, means=MEANS, stds=STDS))
-    masked = gaussian_mask(table, NoiseSpec(sigmas=(5.0, 25.0, 100.0)))
-    assert masked.provenance["method"] == "additive_gaussian"
-    assert tuple(masked.provenance["sigmas"]) == (5.0, 25.0, 100.0)
-    assert "seed" not in masked.provenance
 
 
 def test_noise_spec_validation():

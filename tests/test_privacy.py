@@ -11,7 +11,7 @@ from helpers import (
     random_table,
 )
 from permpriv import fixtures
-from permpriv.errors import RankOutOfRangeError, ShapeMismatchError
+from permpriv.errors import InvalidValueError, RankOutOfRangeError, ShapeMismatchError
 from permpriv.privacy import (
     Release,
     batch_permutation_distances,
@@ -118,6 +118,12 @@ def test_window_variance_errors():
         window_variance(col, ranks, 2, -1)
     with pytest.raises(ShapeMismatchError):
         window_variance(col, [1, 2], 1, 1)
+    # ranks that do not order the column, are not a permutation, or run past n
+    with pytest.raises(InvalidValueError, match="does not order"):
+        window_variance([1.0, 2.0, 10.0], [3, 2, 1], 1, 1)
+    for bad in ([1, 1, 1], [1, 2, 7]):
+        with pytest.raises(InvalidValueError, match="not a permutation"):
+            window_variance(col, bad, 1, 1)
 
 
 def test_distance_zero_for_a_present_record(permuted):

@@ -81,8 +81,8 @@ def test_replay_is_bit_identical(original, masked):
 
 def test_role_and_provenance(permuted):
     assert permuted.role is Role.REVERSE_MAPPED
-    assert permuted.provenance["method"] == "reverse_mapping"
-    assert permuted.provenance["tie_seed"] == 101
+    # how the table was made, tie seed included, is not carried with it
+    assert not hasattr(permuted, "provenance")
 
 
 def test_shape_and_name_mismatches_rejected(original):
