@@ -16,6 +16,7 @@ from .baseline import (
     DivergenceSummary,
     SubjectSafety,
     assess_tables,
+    baseline_distribution,
     distance_distribution,
     divergence,
     generate_baseline,
@@ -117,6 +118,7 @@ __all__ = [
     "SubjectSafety",
     "SynthSpec",
     "assess_tables",
+    "baseline_distribution",
     "batch_permutation_distances",
     "certify_dataset",
     "compute_ranks",

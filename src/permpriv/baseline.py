@@ -1,24 +1,25 @@
 """Random-record baselines: how plausible is a match distance by pure chance?
 
-A baseline table draws each attribute independently from the corresponding
-column of a source table, so its records carry no cross-attribute structure
-at all.  Comparing the distance distribution of real records with that of
-baseline records tells the protector whether intruder match distances mean
-anything; a match is only worrying when random records almost never get that
-close.
+A baseline record draws each attribute independently from the corresponding
+column of a source table, so baseline records carry no cross-attribute
+structure at all.  Comparing the distance distribution of real records with
+that of baseline records tells the protector whether intruder match distances
+mean anything; a match is only worrying when random records almost never get
+that close.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping
 
 import numpy as np
 
 from .errors import CapExceededError, InvalidSpecError
-from .privacy import Release, batch_permutation_distances, permutation_distance
+from .privacy import Release, RecordDistanceResult, batch_permutation_distances
 from .reverse_map import reverse_map_table
-from .table import DEFAULT_TIE_SEED, MicrodataTable, Role, derive_column_seed
+from .table import DEFAULT_TIE_SEED, MicrodataTable, Role, check_same_layout, derive_column_seed
 
 DEFAULT_BASELINE_SEED = 303
 DEFAULT_SAMPLE_SIZE = 10_000
@@ -29,12 +30,11 @@ _SOURCE_TAGS = ("original", "baseline")
 
 @dataclass(frozen=True)
 class BaselineSpec:
-    """How to build a baseline table.
+    """How to build a chance baseline.
 
-    Exhaustive mode enumerates the full cartesian product of column values
-    (n**m records, first attribute slowest) and refuses to run past
-    `exhaustive_cap`; sampled mode draws `sample_size` records with
-    replacement under `seed`.
+    Exhaustive mode covers the full cartesian product of column values (n**m
+    records, counted, never built) and refuses to run past `exhaustive_cap`;
+    sampled mode draws `sample_size` records with replacement under `seed`.
     """
 
     mode: str = "exhaustive"
@@ -55,20 +55,20 @@ class BaselineSpec:
 
 
 def generate_baseline(source: MicrodataTable, spec: BaselineSpec) -> MicrodataTable:
-    """Build a baseline table of independent per-attribute draws from source."""
+    """Draw a sampled baseline table of independent per-attribute picks from source.
+
+    Exhaustive mode builds no table; `baseline_distribution` computes its
+    distribution directly.
+    """
+    if spec.mode != "sampled":
+        raise InvalidSpecError(
+            "generate_baseline draws sampled baselines only; "
+            "use baseline_distribution for an exhaustive one"
+        )
     n, m = source.n, source.m
-    if spec.mode == "exhaustive":
-        total = n**m
-        if total > spec.exhaustive_cap:
-            raise CapExceededError(
-                f"exhaustive baseline needs {total} records, cap is "
-                f"{spec.exhaustive_cap}; use sampled mode"
-            )
-        picks = np.indices((n,) * m).reshape(m, -1)
-    else:
-        rngs = [np.random.default_rng(derive_column_seed(spec.seed, j)) for j in range(m)]
-        # drawn as each column is gathered, so one index array is alive at a time
-        picks = (rng.integers(0, n, size=spec.sample_size) for rng in rngs)
+    rngs = [np.random.default_rng(derive_column_seed(spec.seed, j)) for j in range(m)]
+    # drawn as each column is gathered, so one index array is alive at a time
+    picks = (rng.integers(0, n, size=spec.sample_size) for rng in rngs)
     values = np.column_stack([source.column(j)[p] for j, p in enumerate(picks)])
     return MicrodataTable(values, source.attribute_names, role=Role.BASELINE)
 
@@ -128,6 +128,56 @@ def distance_distribution(records: MicrodataTable, release: Release) -> Distance
     return _tabulate(batch_permutation_distances(records, release), tag)
 
 
+def baseline_distribution(
+    source: MicrodataTable, release: Release, spec: BaselineSpec
+) -> DistanceDistribution:
+    """Distances of the baseline records drawn from source against the release.
+
+    Sampled mode draws a table with `generate_baseline` and searches it.
+    Exhaustive mode builds no table.  Every record of the n**m cartesian
+    product has closest ranks that form a cell of the release's rank grid,
+    and its distance is the chessboard (L-infinity) distance transform of the
+    release's rank points at that cell (Rosenfeld & Pfaltz 1966).  A cell
+    stands for prod_j w_j[c_j] records, where w_j counts the source values of
+    attribute j whose closest rank is c_j.  The marked points grow by one unit
+    dilation per distance until every cell of nonzero weight is covered, and
+    each step's newly covered weight is the count at that distance.  Counts
+    are exact integers, so the frequencies have the bits a search over the
+    enumerated table gives.
+    """
+    check_same_layout(source, release.table)
+    if spec.mode == "sampled":
+        return distance_distribution(generate_baseline(source, spec), release)
+    n, m = source.n, source.m
+    total = n**m
+    if total > spec.exhaustive_cap:
+        raise CapExceededError(
+            f"exhaustive baseline needs {total} records, cap is "
+            f"{spec.exhaustive_cap}; use sampled mode"
+        )
+    centers = release.centers(source.values) - 1
+    weight = reduce(np.multiply.outer, [np.bincount(c, minlength=n) for c in centers.T])
+    covered = np.zeros((n,) * m, dtype=bool)
+    covered[tuple((release.profile.ranks - 1).T)] = True
+    counts: dict[int, int] = {}
+    seen = 0
+    for d in range(n):  # no cell lies further than n - 1 from a rank point
+        now = int(weight.sum(where=covered))
+        if now > seen:
+            counts[d], seen = now - seen, now
+        if seen == total:
+            break
+        for axis in range(m):
+            grid = np.moveaxis(covered, axis, 0)
+            grid[1:] |= grid[:-1]
+            grid[:-1] |= grid[1:]
+    return DistanceDistribution(
+        frequencies={d: c / total for d, c in counts.items()},
+        sample_size=total,
+        source_tag="baseline",
+    )
+
+
 def _check_threshold(threshold) -> float:
     """A plausibility threshold as a float; anything outside [0, 1], NaN too, is refused."""
     t = float(threshold)
@@ -170,23 +220,22 @@ class SubjectSafety:
 
 
 def subject_safety_check(
-    x, release: Release, spec: BaselineSpec, *, threshold: float = 0.05
+    evidence: RecordDistanceResult, release: Release, spec: BaselineSpec, *,
+    threshold: float = 0.05,
 ) -> SubjectSafety:
     """Is the subject's match distance plausible as a pure-chance match?
 
-    The baseline is drawn from the permuted table itself, which shares every
+    `evidence` is the subject's own search result against the release.  The
+    baseline is drawn from the permuted table itself, which shares every
     column's multiset with the original, so the subject needs nothing beyond
     their own record and the published permuted data.  Safe means a random
     record would match at least this close with probability >= threshold.
     """
     threshold = _check_threshold(threshold)
-    dist = permutation_distance(x, release).distance
-    base_table = generate_baseline(release.table, spec)
-    base = distance_distribution(base_table, release)
-    p = plausibility(dist, base)
-    return SubjectSafety(
-        distance=dist, plausibility=p, safe=bool(p >= threshold), threshold=threshold
-    )
+    base = baseline_distribution(release.table, release, spec)
+    d = evidence.distance
+    p = plausibility(d, base)
+    return SubjectSafety(distance=d, plausibility=p, safe=bool(p >= threshold), threshold=threshold)
 
 
 @dataclass(frozen=True)
@@ -230,8 +279,7 @@ def assess_tables(
     release = Release(z, tie_seed=tie_seed)
     dists = batch_permutation_distances(original, release)
     dist_x = _tabulate(dists, "original")
-    base_table = generate_baseline(original, spec)
-    dist_a = distance_distribution(base_table, release)
+    dist_a = baseline_distribution(original, release, spec)
     div = divergence(dist_x, dist_a)
     median_d = float(np.median(dists))
     plaus = plausibility(median_d, dist_a)

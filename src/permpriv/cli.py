@@ -169,10 +169,10 @@ def cmd_subject(args) -> int:
     release = Release(anonymized, tie_seed=args.tie_seed)
     evidence = permutation_distance(subject, release)
     variances = release.window_variances([evidence.closest_ranks], evidence.distance)[0].tolist()
-    print(
+    lines = [
         f"distance {evidence.distance}; matched records {evidence.matched_indices}; "
         f"window variances {_fmt_vector(variances)}"
-    )
+    ]
     payload: dict = {
         "evidence": to_payload(evidence),
         "variances_at_distance": variances,
@@ -187,7 +187,7 @@ def cmd_subject(args) -> int:
         outcome = release.verify(evidence, d_t, v_t)
         payload["verification"] = to_payload(outcome)
         verdict = "met" if outcome.passed else "NOT met"
-        print(
+        lines.append(
             f"targets (d={d_t}, v={_fmt_vector(v_t)}) {verdict}: distance "
             f"{outcome.result.distance}, variances {_fmt_vector(outcome.window_variances)}"
         )
@@ -195,15 +195,17 @@ def cmd_subject(args) -> int:
 
     if args.baseline is not None:
         spec = _baseline_spec(args, args.baseline)
-        safety = subject_safety_check(subject, release, spec, threshold=args.threshold)
+        safety = subject_safety_check(evidence, release, spec, threshold=args.threshold)
         payload["safety"] = to_payload(safety)
         seeds["baseline_seed"] = spec.seed
-        print(
+        lines.append(
             f"plausibility P(D <= {safety.distance}) = {safety.plausibility:.4f} "
             f"({'safe' if safety.safe else 'UNSAFE'} at threshold {safety.threshold})"
         )
         failed = failed or not safety.safe
 
+    # printed once every check has passed, so a usage error prints nothing
+    print("\n".join(lines))
     path = _out_dir(args) / "subject.json"
     _write_report(payload, path, args, seeds, kind="subject")
     print(f"wrote {path}")

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures
-from .baseline import BaselineSpec, distance_distribution, generate_baseline
+from .baseline import BaselineSpec, baseline_distribution, distance_distribution
 from .decompose import decompose, spearman_rho
 from .io_report import emit_histogram, write_csv, write_report
 from .linkage import link_records, score_linkage
@@ -49,8 +49,9 @@ def regenerate(tie_seed: int = DEFAULT_TIE_SEED) -> dict:
     score = score_linkage(linkage, list(range(1, original.n + 1)))
 
     dist_original = distance_distribution(original, permuted_release)
-    baseline = generate_baseline(original, BaselineSpec(mode="exhaustive"))
-    dist_baseline = distance_distribution(baseline, permuted_release)
+    dist_baseline = baseline_distribution(
+        original, permuted_release, BaselineSpec(mode="exhaustive")
+    )
 
     return {
         "original": original,

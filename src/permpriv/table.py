@@ -111,7 +111,13 @@ class MicrodataTable:
     role: Role = Role.ORIGINAL
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+        try:
+            arr = np.array(self.values, dtype=float)
+        except ValueError as exc:
+            # numpy names rows of unequal length an "inhomogeneous shape"
+            if "inhomogeneous" in str(exc):
+                raise ShapeMismatchError("table rows differ in length") from exc
+            raise InvalidValueError(f"table cells must be numbers: {exc}") from exc
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:

@@ -2,12 +2,14 @@
 
 The oracle functions below are deliberate reimplementations in plain Python
 loops, apart from `brute_search`, the full numpy scan the package replaced
-with its projection search, and `oracle_window_variances`, the per-window
-`ndarray.var` loop the package replaced with a batched kernel.  They share
-no code with the package, so agreement between the two routes is meaningful
-evidence rather than a tautology.
+with its projection search, `oracle_window_variances`, the per-window
+`ndarray.var` loop the package replaced with a batched kernel, and
+`enumerate_baseline`, the n**m table the package's distance transform
+replaced.  They share no code with the package, so agreement between the
+two routes is meaningful evidence rather than a tautology.
 """
 
+import collections
 import dataclasses
 import json
 import typing
@@ -151,6 +153,30 @@ def brute_search(values, rank_matrix, queries, block=64):
         centers.append(c)
         matches.extend(tuple((np.flatnonzero(row == k) + 1).tolist()) for row, k in zip(dev, d))
     return np.concatenate(distances), np.concatenate(centers), matches
+
+
+def enumerate_baseline(source):
+    """The exhaustive baseline table: all n**m combinations of column values.
+
+    Record k takes, on attribute j, the source value at digit j of k written
+    in base n, first attribute slowest.
+    """
+    n, m = source.n, source.m
+    picks = np.indices((n,) * m).reshape(m, -1)
+    values = np.column_stack([source.column(j)[p] for j, p in enumerate(picks)])
+    return MicrodataTable(values, source.attribute_names, role=Role.BASELINE)
+
+
+def oracle_baseline_frequencies(source, release_values, rank_matrix):
+    """Exhaustive baseline frequencies by enumeration and a full scan.
+
+    Every enumerated record is searched with `brute_search`; each count is
+    divided by n**m as exact Python ints, the way the package tabulates.
+    """
+    records = enumerate_baseline(source)
+    distances, _, _ = brute_search(release_values, rank_matrix, records.values, block=512)
+    counts = collections.Counter(distances.tolist())
+    return {d: counts[d] / records.n for d in sorted(counts)}
 
 
 def oracle_window_variance(column, ranks, center, d):

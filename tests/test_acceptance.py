@@ -15,6 +15,7 @@ import test_properties as property_suites
 from permpriv import fixtures
 from permpriv.baseline import (
     BaselineSpec,
+    baseline_distribution,
     distance_distribution,
     divergence,
     generate_baseline,
@@ -137,9 +138,9 @@ def test_criterion_06_linkage_simulation(original, permuted):
 
 def test_criterion_07_baseline_distributions(original, permuted, permuted_ranks):
     with criterion("07 chance baseline: both distance distributions to 4 places"):
-        base = generate_baseline(original, BaselineSpec(mode="exhaustive"))
-        dist_x = distance_distribution(original, Release(permuted, permuted_ranks))
-        dist_a = distance_distribution(base, Release(permuted, permuted_ranks))
+        release = Release(permuted, permuted_ranks)
+        dist_x = distance_distribution(original, release)
+        dist_a = baseline_distribution(original, release, BaselineSpec(mode="exhaustive"))
         for d in range(11):
             assert dist_x.frequency(d) == pytest.approx(
                 fixtures.DISTANCE_FREQ_ORIGINAL[d], abs=0.00005

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import json_round_trip, oracle_total_variation, random_table
+from helpers import enumerate_baseline, json_round_trip, oracle_total_variation, random_table
 from permpriv import fixtures
 from permpriv.baseline import (
     AssessmentReport,
     BaselineSpec,
     DistanceDistribution,
     assess_tables,
+    baseline_distribution,
     distance_distribution,
     divergence,
     generate_baseline,
@@ -17,18 +18,20 @@ from permpriv.baseline import (
     subject_safety_check,
 )
 from permpriv.errors import CapExceededError, InvalidSpecError
-from permpriv.privacy import Release, batch_permutation_distances
+from permpriv.privacy import Release, batch_permutation_distances, permutation_distance
 from permpriv.table import MicrodataTable, Role
 
 
 @pytest.fixture(scope="module")
 def exhaustive_baseline(original):
-    return generate_baseline(original, BaselineSpec(mode="exhaustive"))
+    return enumerate_baseline(original)
 
 
 @pytest.fixture(scope="module")
-def baseline_dist(exhaustive_baseline, permuted, permuted_ranks):
-    return distance_distribution(exhaustive_baseline, Release(permuted, permuted_ranks))
+def baseline_dist(original, permuted, permuted_ranks):
+    return baseline_distribution(
+        original, Release(permuted, permuted_ranks), BaselineSpec(mode="exhaustive")
+    )
 
 
 @pytest.fixture(scope="module")
@@ -56,17 +59,19 @@ def test_exhaustive_baseline_contains_real_records(
 
 def test_exhaustive_two_by_one():
     t = MicrodataTable([[4.0], [9.0]], ("a",))
-    base = generate_baseline(t, BaselineSpec(mode="exhaustive"))
+    base = enumerate_baseline(t)
     assert sorted(base.column(0).tolist()) == [4.0, 9.0]
+    dist = baseline_distribution(t, Release(t), BaselineSpec(mode="exhaustive"))
+    assert (dist.frequencies, dist.sample_size) == ({0: 1.0}, 2)
 
 
-def test_exhaustive_cap_refusal(original):
+def test_exhaustive_cap_refusal(original, permuted):
     # 20 records, 3 attributes: the full product is exactly 20**3 records
     at_cap = BaselineSpec(mode="exhaustive", exhaustive_cap=8000)
-    assert generate_baseline(original, at_cap).n == 8000
-    with pytest.raises(CapExceededError):
-        generate_baseline(
-            original, BaselineSpec(mode="exhaustive", exhaustive_cap=7999)
+    assert baseline_distribution(original, Release(permuted), at_cap).sample_size == 8000
+    with pytest.raises(CapExceededError, match="needs 8000 records, cap is 7999"):
+        baseline_distribution(
+            original, Release(permuted), BaselineSpec(mode="exhaustive", exhaustive_cap=7999)
         )
 
 
@@ -205,8 +210,9 @@ def test_distribution_round_trip(baseline_dist):
 
 def test_subject_safety_for_the_synthetic_probe(permuted, baseline_dist):
     ref = fixtures.SYNTHETIC_PROBE
+    release = Release(permuted)
     safety = subject_safety_check(
-        ref["record"], Release(permuted), BaselineSpec(mode="exhaustive")
+        permutation_distance(ref["record"], release), release, BaselineSpec(mode="exhaustive")
     )
     assert safety.distance == ref["distance"]
     assert safety.plausibility == pytest.approx(
@@ -218,8 +224,10 @@ def test_subject_safety_for_the_synthetic_probe(permuted, baseline_dist):
 
 
 def test_subject_safety_for_a_present_record_is_unsafe(permuted):
+    release = Release(permuted)
     safety = subject_safety_check(
-        permuted.values[0], Release(permuted), BaselineSpec(mode="exhaustive")
+        permutation_distance(permuted.values[0], release), release,
+        BaselineSpec(mode="exhaustive"),
     )
     assert safety.distance == 0
     assert not safety.safe  # an exact match is never plausible by chance here
@@ -228,11 +236,11 @@ def test_subject_safety_for_a_present_record_is_unsafe(permuted):
 
 def test_subject_safety_sampled_close_to_exhaustive(permuted):
     ref = fixtures.SYNTHETIC_PROBE
-    exhaustive = subject_safety_check(
-        ref["record"], Release(permuted), BaselineSpec(mode="exhaustive")
-    )
+    release = Release(permuted)
+    evidence = permutation_distance(ref["record"], release)
+    exhaustive = subject_safety_check(evidence, release, BaselineSpec(mode="exhaustive"))
     sampled = subject_safety_check(
-        ref["record"], Release(permuted), BaselineSpec(mode="sampled", sample_size=10_000)
+        evidence, release, BaselineSpec(mode="sampled", sample_size=10_000)
     )
     p = exhaustive.plausibility
     se = (p * (1 - p) / 10_000) ** 0.5
@@ -280,7 +288,9 @@ def test_sampled_distribution_approaches_exhaustive(original, permuted, baseline
 def test_baseline_columns_are_independent_draws():
     rng = np.random.default_rng(61)
     t = random_table(rng, 6, 2)
-    base = generate_baseline(t, BaselineSpec(mode="exhaustive"))
+    base = enumerate_baseline(t)
     # each column value pairs with every value of the other column
     pairs = {tuple(r) for r in base.values}
     assert len(pairs) == 36
+    dist = baseline_distribution(t, Release(t), BaselineSpec(mode="exhaustive"))
+    assert dist.sample_size == 36

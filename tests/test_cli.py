@@ -8,6 +8,7 @@ import pytest
 from permpriv import fixtures
 from permpriv.cli import main
 from permpriv.io_report import load_csv, read_report, write_csv
+from permpriv.privacy import Release
 from permpriv.reverse_map import reverse_map_table
 from permpriv.table import Role
 
@@ -186,6 +187,52 @@ def test_subject_safety_verdicts(workspace, capsys):
         "--baseline", "exhaustive", "--out", workspace,
     )
     assert unsafe == 4
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_subject_searches_the_record_once(workspace, capsys, original, monkeypatch, mode):
+    write_csv(
+        original.__class__(original.values[2:3], original.attribute_names),
+        workspace / "record3.csv",
+    )
+    calls = []
+    results = Release.results
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return results(self, *args, **kwargs)
+
+    monkeypatch.setattr(Release, "results", counted)
+    code, out, _ = run(
+        capsys, "subject", workspace / "record3.csv", workspace / "masked.csv",
+        "--d", "1", "--v", "1", "1", "1", "--baseline", mode, "--out", workspace,
+    )
+    assert code in (0, 4)
+    assert "plausibility" in out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--baseline", "sampled", "--threshold", "nan"),
+        ("--baseline", "exhaustive", "--exhaustive-cap", "10"),
+    ],
+    ids=["threshold-nan", "cap-10"],
+)
+def test_subject_usage_error_prints_nothing(workspace, capsys, original, flags):
+    write_csv(
+        original.__class__(original.values[2:3], original.attribute_names),
+        workspace / "record3.csv",
+    )
+    code, out, err = run(
+        capsys, "subject", workspace / "record3.csv", workspace / "masked.csv",
+        *flags, "--out", workspace / "untouched",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+    assert not (workspace / "untouched").exists()
 
 
 def test_subject_rejects_multi_row_input(workspace, capsys):

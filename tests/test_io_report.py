@@ -160,11 +160,10 @@ def _fixture_distribution(freqs, size, tag):
 
 
 def test_histogram_covers_the_union_support(tmp_path, original, permuted):
-    from permpriv.baseline import BaselineSpec, distance_distribution, generate_baseline
+    from permpriv.baseline import BaselineSpec, baseline_distribution, distance_distribution
 
-    base = generate_baseline(original, BaselineSpec(mode="exhaustive"))
     dist_x = distance_distribution(original, Release(permuted))
-    dist_a = distance_distribution(base, Release(permuted))
+    dist_a = baseline_distribution(original, Release(permuted), BaselineSpec(mode="exhaustive"))
     path = tmp_path / "hist.csv"
     emit_histogram(dist_x, dist_a, path)
     lines = path.read_text().strip().splitlines()
@@ -185,11 +184,10 @@ def test_histogram_with_reference_zero_bins(tmp_path, original, permuted):
     # padding the computed distributions with the reference tables' zero
     # bins reproduces the published 11-row histogram exactly
     from permpriv import fixtures
-    from permpriv.baseline import BaselineSpec, distance_distribution, generate_baseline
+    from permpriv.baseline import BaselineSpec, baseline_distribution, distance_distribution
 
-    base = generate_baseline(original, BaselineSpec(mode="exhaustive"))
     dist_x = distance_distribution(original, Release(permuted))
-    dist_a = distance_distribution(base, Release(permuted))
+    dist_a = baseline_distribution(original, Release(permuted), BaselineSpec(mode="exhaustive"))
     padded_x = DistanceDistribution(
         {**{d: 0.0 for d in range(11)}, **dist_x.frequencies}, 20, "original"
     )

@@ -1,5 +1,6 @@
 """The Release index and its projection search against the brute-force oracles."""
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -16,7 +17,12 @@ from helpers import (
     random_tied_table,
 )
 from permpriv import privacy
-from permpriv.baseline import BaselineSpec, distance_distribution, subject_safety_check
+from permpriv.baseline import (
+    BaselineSpec,
+    baseline_distribution,
+    distance_distribution,
+    subject_safety_check,
+)
 from permpriv.errors import InvalidValueError, ShapeMismatchError
 from permpriv.linkage import link_records
 from permpriv.privacy import (
@@ -28,7 +34,8 @@ from permpriv.privacy import (
 )
 from permpriv.table import MicrodataTable, RankProfile, Role
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def _queries(rng, table, count):
@@ -156,6 +163,7 @@ def test_entry_points_take_a_release(original, masked, permuted):
     # a bare table is never ranked behind the caller's back: it fails loudly
     x = original.values[4]
     spec = BaselineSpec(mode="sampled", sample_size=5)
+    evidence = permutation_distance(x, Release(permuted))
     calls = [
         lambda: permutation_distance(x, permuted),
         lambda: batch_permutation_distances(original, permuted),
@@ -163,7 +171,8 @@ def test_entry_points_take_a_release(original, masked, permuted):
         lambda: certify_dataset(original, masked),
         lambda: link_records(original, permuted),
         lambda: distance_distribution(original, permuted),
-        lambda: subject_safety_check(x, permuted, spec),
+        lambda: baseline_distribution(original, permuted, spec),
+        lambda: subject_safety_check(evidence, permuted, spec),
     ]
     for call in calls:
         with pytest.raises(AttributeError):
@@ -199,13 +208,13 @@ def test_search_memory_is_bounded_in_bytes():
     script = textwrap.dedent(
         """
         import resource
-        from permpriv.baseline import BaselineSpec, generate_baseline
+        from helpers import enumerate_baseline
         from permpriv.masking import SynthSpec, synth_original
         from permpriv.privacy import Release, batch_permutation_distances
 
         table = synth_original(SynthSpec(n=40, means=[100.0, 1000.0, 5000.0],
                                          stds=[10.0, 50.0, 200.0], seed=5))
-        queries = generate_baseline(table, BaselineSpec(mode="exhaustive"))
+        queries = enumerate_baseline(table)
         release = Release(table)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         distances = batch_permutation_distances(queries, release)
@@ -217,7 +226,7 @@ def test_search_memory_is_bounded_in_bytes():
     done = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=120,
-        env={"PYTHONPATH": str(SRC), "OMP_NUM_THREADS": "1"},
+        env={"PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)]), "OMP_NUM_THREADS": "1"},
     )
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) < 8.0

@@ -132,6 +132,15 @@ def test_table_validation():
         MicrodataTable([[1.0, 2.0]], ("a", "a"))
 
 
+def test_ragged_rows_are_a_shape_mismatch():
+    with pytest.raises(ShapeMismatchError, match="rows differ in length"):
+        MicrodataTable([[1.0, 2.0], [3.0]], ("a", "b"))
+    with pytest.raises(ShapeMismatchError, match="rows differ in length"):
+        MicrodataTable([[1.0], [2.0, 3.0], [4.0]], ("a",))
+    with pytest.raises(InvalidValueError, match="must be numbers"):
+        MicrodataTable([[1.0, "x"]], ("a", "b"))
+
+
 def test_table_values_are_immutable(original):
     with pytest.raises((ValueError, RuntimeError)):
         original.values[0, 0] = 0.0
