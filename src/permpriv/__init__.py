@@ -46,7 +46,6 @@ from .errors import (
     ShapeMismatchError,
 )
 from .io_report import (
-    RunConfig,
     emit_histogram,
     load_csv,
     read_report,
@@ -72,7 +71,7 @@ from .privacy import (
     verify_record,
     window_variance,
 )
-from .reverse_map import reverse_map_column, reverse_map_table
+from .reverse_map import reverse_map_table
 from .table import (
     DEFAULT_TIE_SEED,
     MicrodataTable,
@@ -113,7 +112,6 @@ __all__ = [
     "Release",
     "ResidualDecomposition",
     "Role",
-    "RunConfig",
     "ShapeMismatchError",
     "SubjectSafety",
     "SynthSpec",
@@ -135,7 +133,6 @@ __all__ = [
     "permutation_distance",
     "plausibility",
     "read_report",
-    "reverse_map_column",
     "reverse_map_table",
     "run_demo",
     "score_linkage",

@@ -31,6 +31,7 @@ from .baseline import (
 from .demo import run_demo
 from .errors import (
     EmptyInputError,
+    InvalidSpecError,
     InvalidTruthMappingError,
     ParseError,
     PermprivError,
@@ -38,7 +39,6 @@ from .errors import (
     ShapeMismatchError,
 )
 from .io_report import (
-    RunConfig,
     emit_histogram,
     load_csv,
     to_payload,
@@ -301,8 +301,44 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
-def build_parser(config: RunConfig | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; a config file's non-null values replace the flag defaults."""
+def _read_config(path, parsers) -> dict:
+    """A JSON config file's non-null values, keyed by the dests of the parsers' options.
+
+    Each option's type is read off its action: an option taking no argument
+    is a bool, one taking `+` arguments a list, and a value an int, a float
+    or else a str.  Floats take ints; only bool options take bools.
+    """
+    kinds = {}
+    for p in parsers:
+        for a in p._actions:
+            if a.option_strings and a.dest not in ("help", "config"):
+                kind = bool if a.nargs == 0 else a.type if a.type in (int, float) else str
+                kinds[a.dest] = kind, a.nargs == "+"
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+            raise InvalidSpecError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InvalidSpecError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(data) - set(kinds))
+    if unknown:
+        raise InvalidSpecError(f"{path}: unknown config keys {unknown}")
+    values = {k: v for k, v in data.items() if v is not None}
+    for key, value in values.items():
+        kind, many = kinds[key]
+        if many != isinstance(value, list) or not all(
+            isinstance(v, (int, float) if kind is float else kind)
+            and isinstance(v, bool) == (kind is bool)
+            for v in (value if many else [value])
+        ):
+            spelled = f"list[{kind.__name__}]" if many else kind.__name__
+            raise InvalidSpecError(f"{path}: config key {key!r} must be {spelled} | None")
+    return values
+
+
+def build_parser(config: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; a JSON config file's non-null values replace the flag defaults."""
     parser = argparse.ArgumentParser(
         prog="permpriv",
         description=(
@@ -464,28 +500,17 @@ def build_parser(config: RunConfig | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_demo)
 
     if config is not None:
-        values = {k: v for k, v in vars(config).items() if v is not None}
+        values = _read_config(config, sub.choices.values())
         for p in sub.choices.values():
             p.set_defaults(**values)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.config:
-        try:
-            config = RunConfig.from_file(args.config)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except json.JSONDecodeError as exc:
-            print(f"error: {args.config}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except PermprivError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        args = build_parser(config).parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.config:
+            args = build_parser(args.config).parse_args(argv)
         return args.func(args)
     except (ParseError, RaggedRowError, EmptyInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,7 @@ from .decompose import decompose, spearman_rho
 from .io_report import emit_histogram, write_csv, write_report
 from .linkage import link_records, score_linkage
 from .privacy import Release, certify_dataset, permutation_distance
-from .reverse_map import reverse_map_table
-from .table import DEFAULT_TIE_SEED, MicrodataTable, RankProfile, Role
+from .table import DEFAULT_TIE_SEED, MicrodataTable, Role
 
 __all__ = ["regenerate", "diff_against_reference", "export_artifacts", "run_demo"]
 
@@ -27,12 +26,12 @@ __all__ = ["regenerate", "diff_against_reference", "export_artifacts", "run_demo
 def regenerate(tie_seed: int = DEFAULT_TIE_SEED) -> dict:
     """Run the full pipeline on the embedded tables and collect the results."""
     original, masked = fixtures.running_example()
-    permuted = reverse_map_table(original, masked, tie_seed=tie_seed)
-    masked_ranks = RankProfile.of(masked, tie_seed=tie_seed)
-    masked_release = Release(masked, masked_ranks)
+    decomposition = decompose(original, masked, tie_seed=tie_seed)
+    permuted = decomposition.z
+    masked_release = Release(masked, tie_seed=tie_seed)
+    masked_ranks = masked_release.profile
     permuted_release = Release(permuted, tie_seed=tie_seed)
 
-    decomposition = decompose(original, masked, tie_seed=tie_seed)
     correlations = tuple(
         spearman_rho(original.column(j), permuted.column(j), tie_seed=tie_seed)
         for j in range(original.m)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
-from typing import Mapping, get_args, get_origin, get_type_hints
+from dataclasses import fields, is_dataclass
+from typing import Mapping
 
 from ._version import __version__
 from .baseline import DistanceDistribution
@@ -70,8 +70,7 @@ def write_csv(table: MicrodataTable, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.attribute_names)
-        for i in range(table.n):
-            writer.writerow([repr(float(v)) for v in table.values[i]])
+        writer.writerows([repr(v) for v in row] for row in table.values.tolist())
 
 
 class _FieldNames(dict):
@@ -177,56 +176,4 @@ def emit_histogram(
             writer.writerow(
                 [d, repr(original.frequency(d)), repr(baseline.frequency(d))]
             )
-
-
-@dataclass
-class RunConfig:
-    """File-loadable defaults for the command-line interface.
-
-    Each field is the dest of a flag; any may be supplied in a JSON config
-    file, and explicit command-line flags always win over config values.
-    """
-
-    tie_seed: int | None = None
-    mask_seed: int | None = None
-    synth_seed: int | None = None
-    baseline_seed: int | None = None
-    baseline_mode: str | None = None
-    baseline_size: int | None = None
-    exhaustive_cap: int | None = None
-    d: int | None = None
-    v: list[float] | None = None
-    sigmas: list[float] | None = None
-    synth_n: int | None = None
-    means: list[float] | None = None
-    stds: list[float] | None = None
-    names: list[str] | None = None
-    threshold: float | None = None
-    disclosure: str | None = None
-    withhold_seeds: bool | None = None
-    out: str | None = None
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise InvalidSpecError(f"{path}: config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise InvalidSpecError(f"{path}: unknown config keys {unknown}")
-        hints = get_type_hints(cls)
-        for key, value in data.items():
-            if value is not None and not _fits(value, get_args(hints[key])[0]):
-                raise InvalidSpecError(f"{path}: config key {key!r} must be {hints[key]}")
-        return cls(**data)
-
-
-def _fits(value, hint) -> bool:
-    """Does a parsed JSON value fit a config type?  Floats take ints; ints take no bools."""
-    if get_origin(hint) is list:
-        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
-    kinds = (int, float) if hint is float else hint
-    return isinstance(value, kinds) and isinstance(value, bool) == (hint is bool)
 

@@ -11,40 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidValueError, ShapeMismatchError
-from .table import (
-    DEFAULT_TIE_SEED,
-    MicrodataTable,
-    Role,
-    _as_column,
-    check_same_layout,
-    compute_ranks,
-    derive_column_seed,
-)
-
-
-def reverse_map_column(original, anonymized, tie_seed: int = DEFAULT_TIE_SEED) -> np.ndarray:
-    """Reverse-map one attribute.
-
-    Returns z with z_i equal to the j-th smallest original value, where j is
-    the rank of anonymized_i within the anonymized column.  Ties in the
-    anonymized column are broken under tie_seed.
-    """
-    x = _as_column(original)
-    y = _as_column(anonymized)
-    if x.size != y.size:
-        raise ShapeMismatchError(f"column lengths differ: {x.size} vs {y.size}")
-    y_ranks = compute_ranks(y, tie_seed)
-    x_sorted = np.sort(x, kind="stable")
-    z = x_sorted[y_ranks - 1]
-    # postconditions, cheap enough to keep on every run: z is a rearrangement
-    # of x, and the ranks order both y and z
-    if not np.array_equal(np.sort(z), x_sorted):
-        raise InvalidValueError("reverse mapping did not preserve the original multiset")
-    by_rank = np.argsort(y_ranks)
-    if np.any(np.diff(y[by_rank]) < 0) or np.any(np.diff(z[by_rank]) < 0):
-        raise InvalidValueError("reverse mapping did not preserve the anonymized rank order")
-    return z
+from .privacy import Release
+from .table import DEFAULT_TIE_SEED, MicrodataTable, Role, check_same_layout
 
 
 def reverse_map_table(
@@ -52,15 +20,18 @@ def reverse_map_table(
     anonymized: MicrodataTable,
     tie_seed: int = DEFAULT_TIE_SEED,
 ) -> MicrodataTable:
-    """Reverse-map every attribute of a table; per-column seeds are derived.
+    """Reverse-map every attribute: z_ij is the original value of rank r_ij.
 
-    The result carries role ``reverse_mapped`` and the original's attribute names.
+    r is the anonymized table's rank profile, ranked once through `Release`
+    under per-column seeds derived from tie_seed.  `RankProfile` rejects ranks
+    that are not a permutation and `Release` ranks that do not order the
+    anonymized table, so z keeps each original multiset and, being the sorted
+    original read through r, is ordered like the anonymized table.  The result
+    carries role ``reverse_mapped`` and the original's attribute names.
     """
     check_same_layout(original, anonymized)
-    cols = [
-        reverse_map_column(
-            original.column(j), anonymized.column(j), derive_column_seed(tie_seed, j)
-        )
-        for j in range(original.m)
-    ]
-    return MicrodataTable(np.column_stack(cols), original.attribute_names, role=Role.REVERSE_MAPPED)
+    ranks = Release(anonymized, tie_seed=tie_seed).profile.ranks
+    z = np.empty((original.n, original.m))
+    for j in range(original.m):
+        z[:, j] = np.sort(original.column(j), kind="stable")[ranks[:, j] - 1]
+    return MicrodataTable(z, original.attribute_names, role=Role.REVERSE_MAPPED)

@@ -3,10 +3,12 @@
 The oracle functions below are deliberate reimplementations in plain Python
 loops, apart from `brute_search`, the full numpy scan the package replaced
 with its projection search, `oracle_window_variances`, the per-window
-`ndarray.var` loop the package replaced with a batched kernel, and
+`ndarray.var` loop the package replaced with a batched kernel,
 `enumerate_baseline`, the n**m table the package's distance transform
-replaced.  They share no code with the package, so agreement between the
-two routes is meaningful evidence rather than a tautology.
+replaced, and `oracle_reverse_map`, the per-column reverse map the package
+replaced with one ranking through `Release`.  They share no code with the
+package, so agreement between the two routes is meaningful evidence rather
+than a tautology.
 """
 
 import collections
@@ -224,6 +226,25 @@ def oracle_tied_ranks(column, tie_seed):
     ranks = np.empty(col.size, dtype=np.int64)
     ranks[order] = np.arange(1, col.size + 1)
     return ranks
+
+
+def oracle_reverse_map(original, anonymized, tie_seed):
+    """One reverse-mapped column: each anonymized rank's original value.
+
+    The per-column routine `reverse_map_table` replaced, with its two
+    postconditions, ranked by `oracle_tied_ranks` under tie_seed as given.
+    """
+    x = np.asarray(original, dtype=float)
+    y = np.asarray(anonymized, dtype=float)
+    y_ranks = oracle_tied_ranks(y, tie_seed)
+    x_sorted = np.sort(x, kind="stable")
+    z = x_sorted[y_ranks - 1]
+    if not np.array_equal(np.sort(z), x_sorted):
+        raise AssertionError("reverse mapping did not preserve the original multiset")
+    by_rank = np.argsort(y_ranks)
+    if np.any(np.diff(y[by_rank]) < 0) or np.any(np.diff(z[by_rank]) < 0):
+        raise AssertionError("reverse mapping did not preserve the anonymized rank order")
+    return z
 
 
 def oracle_spearman(a, b):

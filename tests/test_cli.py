@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from permpriv import fixtures
-from permpriv.cli import main
+from permpriv.cli import build_parser, main
 from permpriv.io_report import load_csv, read_report, write_csv
 from permpriv.privacy import Release
 from permpriv.reverse_map import reverse_map_table
@@ -482,6 +482,13 @@ def test_config_errors(workspace, capsys, original):
         "--config", workspace / "missing.json",
     )
     assert code == 3
+    (workspace / "latin1.json").write_bytes(b'{"disclosure": "caf\xe9"}')  # not UTF-8
+    code, _, err = run(
+        capsys, "reverse-map", workspace / "original.csv", workspace / "masked.csv",
+        "--config", workspace / "latin1.json",
+    )
+    assert code == 2
+    assert "utf-8" in err
     (workspace / "mode.json").write_text('{"baseline_mode": "bogus"}')
     code, _, err = run(
         capsys, "assess", workspace / "original.csv", workspace / "masked.csv",
@@ -523,6 +530,52 @@ def test_config_values_of_the_wrong_type_exit_2(workspace, capsys):
         )
         assert code == 2
         assert f"config key {next(iter(config))!r}" in err
+
+
+def test_run_config_round_trip(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"tie_seed": 7, "out": "results", "v": [1.0, 2.0], "d": None}))
+    args = build_parser(str(path)).parse_args(["subject", "record.csv", "y.csv"])
+    assert args.tie_seed == 7
+    assert args.out == "results"
+    assert args.v == [1.0, 2.0]
+    assert args.d is None
+    assert args.threshold == 0.05  # a key the file leaves out keeps the flag default
+
+
+def test_run_config_rejects_unknown_keys(workspace, capsys):
+    # keys are option dests: a positional argument is not one
+    cases = [('{"tie_sed": 7}', "tie_sed"), ('{"anonymized": "y.csv"}', "anonymized"),
+             ("[1, 2]", "JSON object")]
+    for text, message in cases:
+        (workspace / "config.json").write_text(text)
+        code, _, err = run(
+            capsys, "certify", workspace / "original.csv", workspace / "masked.csv",
+            "--config", workspace / "config.json", "--out", workspace,
+        )
+        assert code == 2
+        assert message in err
+
+
+def test_config_sets_the_subject_baseline_and_the_link_truth(workspace, capsys):
+    probe = fixtures.SYNTHETIC_PROBE["record"]
+    (workspace / "probe.csv").write_text("a1,a2,a3\n" + ",".join(repr(v) for v in probe) + "\n")
+    (workspace / "baseline.json").write_text(json.dumps({"baseline": "exhaustive"}))
+    code, out, _ = run(
+        capsys, "subject", workspace / "probe.csv", workspace / "permuted.csv",
+        "--config", workspace / "baseline.json", "--out", workspace,
+    )
+    assert code == 0
+    assert "plausib" in out
+    assert read_report(workspace / "subject.json")["payload"]["safety"]["safe"] is True
+    (workspace / "truth.json").write_text(json.dumps({"truth": "identity"}))
+    code, _, _ = run(
+        capsys, "link", workspace / "original.csv", workspace / "permuted.csv",
+        "--config", workspace / "truth.json", "--out", workspace,
+    )
+    assert code == 0
+    score = read_report(workspace / "linkage.json")["payload"]["score"]
+    assert (score["correct"], score["multiple"], score["misidentified"]) == (6, 4, 10)
 
 
 def test_io_errors_exit_3(workspace, capsys):

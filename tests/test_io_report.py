@@ -1,4 +1,4 @@
-"""CSV handling, JSON report envelopes, and CLI config files."""
+"""CSV handling and JSON report envelopes."""
 
 import json
 
@@ -16,7 +16,6 @@ from permpriv.errors import (
     RaggedRowError,
 )
 from permpriv.io_report import (
-    RunConfig,
     emit_histogram,
     load_csv,
     read_report,
@@ -24,16 +23,20 @@ from permpriv.io_report import (
     write_report,
 )
 from permpriv.privacy import PrivacyCertificate, Release
-from permpriv.table import Role
+from permpriv.table import MicrodataTable, Role
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(71)
-    table = random_table(rng, 25, 4)
+    random = random_table(rng, 25, 4).values
+    # signed zero, the smallest subnormal, a large integer and an inexact sum
+    edges = np.array([[-0.0, 5e-324, 1e16, 0.1 + 0.2]])
+    table = MicrodataTable(np.vstack([random, edges]), ("a1", "a2", "a3", "a4"))
     path = tmp_path / "t.csv"
     write_csv(table, path)
+    assert path.read_text().splitlines()[-1] == "-0.0,5e-324,1e+16,0.30000000000000004"
     again = load_csv(path)
-    assert np.array_equal(again.values, table.values)
+    assert again.values.tobytes() == table.values.tobytes()
     assert again.attribute_names == table.attribute_names
 
 
@@ -215,24 +218,4 @@ def test_histogram_of_identical_distributions(tmp_path):
     emit_histogram(dist, other, path)
     rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
     assert all(r[1] == r[2] for r in rows)
-
-
-def test_run_config_round_trip(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"tie_seed": 7, "out": "results", "v": [1.0, 2.0]}))
-    config = RunConfig.from_file(path)
-    assert config.tie_seed == 7
-    assert config.out == "results"
-    assert config.v == [1.0, 2.0]
-    assert config.threshold is None
-
-
-def test_run_config_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text('{"tie_sed": 7}')
-    with pytest.raises(InvalidSpecError, match="tie_sed"):
-        RunConfig.from_file(path)
-    path.write_text("[1, 2]")
-    with pytest.raises(InvalidSpecError):
-        RunConfig.from_file(path)
 

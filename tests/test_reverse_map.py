@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from helpers import random_pair, random_table
+from helpers import oracle_reverse_map, random_pair, random_table, random_tied_table
 from permpriv import fixtures
 from permpriv.errors import ShapeMismatchError
-from permpriv.reverse_map import reverse_map_column, reverse_map_table
-from permpriv.table import MicrodataTable, RankProfile, Role
+from permpriv.reverse_map import reverse_map_table
+from permpriv.table import MicrodataTable, RankProfile, Role, derive_column_seed
 
 
 def test_permuted_table_matches_reference(permuted):
@@ -18,7 +18,9 @@ def test_permuted_table_matches_reference(permuted):
 def test_first_record_first_attribute(original, masked):
     # masked value 108.18 holds rank 14, so the permuted cell is the
     # original value of rank 14
-    z = reverse_map_column(original.column(0), masked.column(0))
+    name = original.attribute_names[:1]
+    y = MicrodataTable(masked.column(0), name, role=Role.ANONYMIZED)
+    z = reverse_map_table(MicrodataTable(original.column(0), name), y).column(0)
     assert masked.values[0, 0] == pytest.approx(108.18, abs=0.005)
     assert z[0] == pytest.approx(108.21, abs=0.005)
 
@@ -53,10 +55,29 @@ def test_marginal_statistics_survive(original, permuted):
 
 
 def test_exhaustive_position_check_small_case():
-    x = [10.0, 20.0, 30.0, 40.0]
-    y = [5.0, 1.0, 9.0, 2.0]  # ranks 3, 1, 4, 2
-    z = reverse_map_column(x, y)
-    assert z.tolist() == [30.0, 10.0, 40.0, 20.0]
+    x = MicrodataTable([10.0, 20.0, 30.0, 40.0], ("a",))
+    y = MicrodataTable([5.0, 1.0, 9.0, 2.0], ("a",), role=Role.ANONYMIZED)  # ranks 3, 1, 4, 2
+    z = reverse_map_table(x, y)
+    assert z.column(0).tolist() == [30.0, 10.0, 40.0, 20.0]
+
+
+@pytest.mark.parametrize("tie_seed", [101, 7])
+def test_matches_the_per_column_oracle_bit_for_bit(tie_seed):
+    rng = np.random.default_rng(59)
+    shapes = [(1, 1), (1, 3), (12, 1)] + [
+        (int(rng.integers(1, 60)), int(rng.integers(1, 5))) for _ in range(40)
+    ]
+    for n, m in shapes:
+        x = random_tied_table(rng, n, m)
+        # negate about half the cells so zeros come in both signs
+        signs = np.where(rng.random((n, m)) < 0.5, -1.0, 1.0)
+        x = MicrodataTable(signs * x.values, x.attribute_names)
+        y = random_tied_table(rng, n, m, role=Role.ANONYMIZED)
+        expected = np.column_stack([
+            oracle_reverse_map(x.column(j), y.column(j), derive_column_seed(tie_seed, j))
+            for j in range(m)
+        ])
+        assert reverse_map_table(x, y, tie_seed).values.tobytes() == expected.tobytes()
 
 
 def test_random_tables_keep_multiset_and_ranks():
@@ -98,5 +119,3 @@ def test_shape_and_name_mismatches_rejected(original):
     )
     with pytest.raises(ShapeMismatchError):
         reverse_map_table(original, renamed)
-    with pytest.raises(ShapeMismatchError):
-        reverse_map_column([1.0, 2.0], [1.0, 2.0, 3.0])
