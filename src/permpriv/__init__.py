@@ -35,6 +35,7 @@ from .errors import (
     CapExceededError,
     EmptyInputError,
     EmptyReportError,
+    EncodingError,
     InsufficientDataError,
     InvalidSpecError,
     InvalidTruthMappingError,
@@ -91,6 +92,7 @@ __all__ = [
     "DivergenceSummary",
     "EmptyInputError",
     "EmptyReportError",
+    "EncodingError",
     "InsufficientDataError",
     "InvalidSpecError",
     "InvalidTruthMappingError",

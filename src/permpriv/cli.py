@@ -31,6 +31,7 @@ from .baseline import (
 from .demo import run_demo
 from .errors import (
     EmptyInputError,
+    EncodingError,
     InvalidSpecError,
     InvalidTruthMappingError,
     ParseError,
@@ -512,7 +513,7 @@ def main(argv=None) -> int:
         if args.config:
             args = build_parser(args.config).parse_args(argv)
         return args.func(args)
-    except (ParseError, RaggedRowError, EmptyInputError, OSError) as exc:
+    except (ParseError, RaggedRowError, EmptyInputError, EncodingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except PermprivError as exc:

@@ -60,5 +60,9 @@ class RaggedRowError(PermprivError):
         self.got = int(got)
 
 
+class EncodingError(PermprivError):
+    """An input file is not UTF-8 text."""
+
+
 class EmptyReportError(PermprivError):
     """Refusing to serialize a report with no analysis content."""

@@ -12,16 +12,21 @@ exactly the fields the analysis carries, in declaration order.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import re
 from dataclasses import fields, is_dataclass
 from typing import Mapping
+
+import numpy as np
 
 from ._version import __version__
 from .baseline import DistanceDistribution
 from .errors import (
     EmptyInputError,
     EmptyReportError,
+    EncodingError,
     InvalidSpecError,
     ParseError,
     RaggedRowError,
@@ -34,35 +39,93 @@ SCHEMA_VERSION = 1
 def load_csv(path, role: Role = Role.ORIGINAL) -> MicrodataTable:
     """Read a numeric CSV with a header row into a table.
 
+    The file must be UTF-8.  Header names are stripped of surrounding
+    whitespace.  A data cell is accepted when `float()` accepts it after CSV
+    unquoting and the value is finite; blank lines and rows of blank cells are
+    skipped, and every other row must have one cell per header name.
+
+    A body made only of digits, signs, periods, exponent marks, commas and
+    line ends is read by numpy's C reader, whose values are bit-identical to
+    `float()`'s.  Every other body, and every plain one that reader refuses
+    or reads with a non-finite value or a width other than the header's,
+    goes through the row-by-row parser, which alone defines the accepted
+    syntax and raises every cell, row and empty-file error.
+
     Cell errors carry positions: rows count data rows from 1 (the header is
     row 0 in spirit and excluded), columns count from 1.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():  # ASCII is UTF-8; other bytes are decoded once to check
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInputError(f"{path}: file is empty") from None
-        names = [h.strip() for h in header]
-        rows: list[list[float]] = []
-        for r, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue  # ignore blank lines
-            if len(row) != len(names):
-                raise RaggedRowError(r, len(names), len(row))
-            parsed = []
-            for c, cell in enumerate(row, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(r, c, cell) from None
-                if not math.isfinite(value):
-                    raise ParseError(r, c, cell)
-                parsed.append(value)
-            rows.append(parsed)
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(
+                f"{path}: file is not UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
+    # lines are split as `open(newline="")` splits them, without a text copy
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyInputError(f"{path}: file is empty") from None
+    names = [h.strip() for h in header]
+    body = 0
+    for _ in range(reader.line_num):
+        body = _LINE.match(data, body).end()
+    values = _read_plain(data, body, len(names))
+    if values is None:
+        values = _parse_rows(path, reader, len(names))
+    return MicrodataTable(values, tuple(names), role=role)
+
+
+# one line and its end, split where `open(newline="")` splits: \r\n, \r or \n
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+# at least one cell byte, and nothing but cell bytes and line ends
+_PLAIN_BODY = re.compile(rb"[\r\n]*[0-9+\-.eE,][0-9+\-.eE,\r\n]*")
+
+
+def _read_plain(data: bytes, start: int, width: int):
+    """The body from byte `start` as read by numpy's C reader, or None.
+
+    None unless the body holds only plain numeric bytes and the reader gives
+    at least one row of `width` finite values.  `loadtxt` reads the bytes in
+    place, so neither a decoded nor a sliced copy of the file is made.
+    """
+    if not _PLAIN_BODY.fullmatch(data, start):
+        return None
+    body = io.BytesIO(data)  # shares the bytes object's buffer until written
+    body.seek(start)
+    try:
+        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    if len(values) < 1 or values.shape[1] != width or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _parse_rows(path, reader, width: int) -> list[list[float]]:
+    """Parse the rest of `reader` one cell at a time with `float()`."""
+    rows: list[list[float]] = []
+    for r, row in enumerate(reader, start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue  # ignore blank lines
+        if len(row) != width:
+            raise RaggedRowError(r, width, len(row))
+        parsed = []
+        for c, cell in enumerate(row, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(r, c, cell) from None
+            if not math.isfinite(value):
+                raise ParseError(r, c, cell)
+            parsed.append(value)
+        rows.append(parsed)
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
-    return MicrodataTable(rows, tuple(names), role=role)
+    return rows
 
 
 def write_csv(table: MicrodataTable, path) -> None:

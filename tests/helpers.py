@@ -5,19 +5,24 @@ loops, apart from `brute_search`, the full numpy scan the package replaced
 with its projection search, `oracle_window_variances`, the per-window
 `ndarray.var` loop the package replaced with a batched kernel,
 `enumerate_baseline`, the n**m table the package's distance transform
-replaced, and `oracle_reverse_map`, the per-column reverse map the package
-replaced with one ranking through `Release`.  They share no code with the
-package, so agreement between the two routes is meaningful evidence rather
-than a tautology.
+replaced, `oracle_reverse_map`, the per-column reverse map the package
+replaced with one ranking through `Release`, and `oracle_load_csv`, the
+cell-by-cell CSV reader the package keeps only for bodies numpy's reader
+does not take.  They share no code with the package, so agreement between
+the two routes is meaningful evidence rather than a tautology.
 """
 
 import collections
+import csv
 import dataclasses
 import json
+import math
+import re
 import typing
 
 import numpy as np
 
+from permpriv.errors import EmptyInputError, ParseError, RaggedRowError
 from permpriv.io_report import to_payload
 from permpriv.table import MicrodataTable, Role
 
@@ -247,6 +252,40 @@ def oracle_reverse_map(original, anonymized, tie_seed):
     return z
 
 
+def oracle_load_csv(path, role: Role = Role.ORIGINAL) -> MicrodataTable:
+    """Read a numeric CSV with a header row into a table.
+
+    Cell errors carry positions: rows count data rows from 1 (the header is
+    row 0 in spirit and excluded), columns count from 1.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyInputError(f"{path}: file is empty") from None
+        names = [h.strip() for h in header]
+        rows: list[list[float]] = []
+        for r, row in enumerate(reader, start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue  # ignore blank lines
+            if len(row) != len(names):
+                raise RaggedRowError(r, len(names), len(row))
+            parsed = []
+            for c, cell in enumerate(row, start=1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(r, c, cell) from None
+                if not math.isfinite(value):
+                    raise ParseError(r, c, cell)
+                parsed.append(value)
+            rows.append(parsed)
+    if not rows:
+        raise EmptyInputError(f"{path}: no data rows")
+    return MicrodataTable(rows, tuple(names), role=role)
+
+
 def oracle_spearman(a, b):
     """Pearson correlation of tie-free ranks; no difference formula."""
     ra = np.array(oracle_ranks(a), dtype=float)
@@ -257,6 +296,22 @@ def oracle_spearman(a, b):
 def oracle_total_variation(freq_a, freq_b):
     support = set(freq_a) | set(freq_b)
     return 0.5 * sum(abs(freq_a.get(d, 0.0) - freq_b.get(d, 0.0)) for d in support)
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def peak_rss_mib():
+    """This process's peak resident set size so far, in MiB.
+
+    Read from VmHWM, which belongs to the process's own address space.
+    `ru_maxrss` would not do for a subprocess: Linux carries it over from the
+    parent across fork and exec, so a child of the test runner starts at the
+    runner's peak and its growth reads 0 whatever it allocates.
+    """
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\s+(\d+) kB", fh.read())[1]) / 1024
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The exhaustive chance baseline as a distance transform, against enumeration."""
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -25,7 +26,8 @@ from permpriv.privacy import Release
 from permpriv.reverse_map import reverse_map_table
 from permpriv.table import MicrodataTable, Role
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 EXHAUSTIVE = BaselineSpec(mode="exhaustive")
 
 
@@ -120,7 +122,7 @@ def test_exhaustive_memory_growth_at_a_million_records():
     # RSS by about 94 MiB
     script = textwrap.dedent(
         """
-        import resource
+        from helpers import peak_rss_mib
         from permpriv.baseline import BaselineSpec, baseline_distribution
         from permpriv.masking import SynthSpec, synth_original
         from permpriv.privacy import Release
@@ -128,17 +130,17 @@ def test_exhaustive_memory_growth_at_a_million_records():
         table = synth_original(SynthSpec(n=100, means=[100.0, 1000.0, 5000.0],
                                          stds=[10.0, 50.0, 200.0], seed=5))
         release = Release(table)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        before = peak_rss_mib()
         dist = baseline_distribution(table, release, BaselineSpec(mode="exhaustive"))
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        after = peak_rss_mib()
         assert dist.sample_size == 10**6
-        print((after - before) / 1024)
+        print(after - before)
         """
     )
     done = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=120,
-        env={"PYTHONPATH": str(SRC), "OMP_NUM_THREADS": "1"},
+        env={"PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)]), "OMP_NUM_THREADS": "1"},
     )
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) < 32.0

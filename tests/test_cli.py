@@ -598,6 +598,15 @@ def test_io_errors_exit_3(workspace, capsys):
     assert code == 3
 
 
+def test_csv_that_is_not_utf8_exits_3(workspace, capsys):
+    path = workspace / "latin1.csv"
+    path.write_bytes(b"a\n\xff1\n")
+    code, out, err = run(capsys, "reverse-map", path, path, "--out", workspace)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {path}: file is not UTF-8 (invalid start byte at byte 2)\n"
+
+
 def test_shape_mismatch_exits_2(workspace, capsys):
     (workspace / "short.csv").write_text("a1,a2,a3\n1,2,3\n")
     code, _, err = run(

@@ -207,8 +207,7 @@ def test_search_memory_is_bounded_in_bytes():
     # without blocks grows the peak RSS by tens of MiB here
     script = textwrap.dedent(
         """
-        import resource
-        from helpers import enumerate_baseline
+        from helpers import enumerate_baseline, peak_rss_mib
         from permpriv.masking import SynthSpec, synth_original
         from permpriv.privacy import Release, batch_permutation_distances
 
@@ -216,11 +215,11 @@ def test_search_memory_is_bounded_in_bytes():
                                          stds=[10.0, 50.0, 200.0], seed=5))
         queries = enumerate_baseline(table)
         release = Release(table)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        before = peak_rss_mib()
         distances = batch_permutation_distances(queries, release)
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        after = peak_rss_mib()
         assert distances.shape == (64000,)
-        print((after - before) / 1024)
+        print(after - before)
         """
     )
     done = subprocess.run(

@@ -4,6 +4,7 @@ Reports carry these variances as floats, so the kernel must give exactly the
 bits of the loop it replaced, compared through an int64 view, not `approx`.
 """
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -19,7 +20,8 @@ from permpriv.errors import RankOutOfRangeError, ShapeMismatchError
 from permpriv.privacy import Release, certify_dataset
 from permpriv.table import MicrodataTable, Role
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def _same_bits(got, want):
@@ -173,7 +175,7 @@ def test_kernel_memory_is_bounded_in_bytes():
     # in one block per attribute, they would take about 160 MB
     script = textwrap.dedent(
         """
-        import resource
+        from helpers import peak_rss_mib
         import numpy as np
         from permpriv.privacy import Release
         from permpriv.table import MicrodataTable, Role
@@ -182,17 +184,17 @@ def test_kernel_memory_is_bounded_in_bytes():
         table = MicrodataTable(rng.normal(size=(20000, 2)), ("a1", "a2"), role=Role.ANONYMIZED)
         release = Release(table)
         centers = rng.integers(1, 20001, size=(2000, 2))
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        before = peak_rss_mib()
         variances = release.window_variances(centers, 5000)
-        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        after = peak_rss_mib()
         assert variances.shape == (2000, 2)
-        print((after - before) / 1024)
+        print(after - before)
         """
     )
     done = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=120,
-        env={"PYTHONPATH": str(SRC), "OMP_NUM_THREADS": "1"},
+        env={"PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)]), "OMP_NUM_THREADS": "1"},
     )
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) < 8.0
