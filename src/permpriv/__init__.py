@@ -40,6 +40,7 @@ from .errors import (
     InvalidSpecError,
     InvalidTruthMappingError,
     InvalidValueError,
+    MalformedCsvError,
     ParseError,
     PermprivError,
     RaggedRowError,
@@ -99,6 +100,7 @@ __all__ = [
     "InvalidValueError",
     "LinkageResult",
     "LinkageScore",
+    "MalformedCsvError",
     "MicrodataTable",
     "NoiseSpec",
     "NoiseSummary",

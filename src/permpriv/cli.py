@@ -34,6 +34,7 @@ from .errors import (
     EncodingError,
     InvalidSpecError,
     InvalidTruthMappingError,
+    MalformedCsvError,
     ParseError,
     PermprivError,
     RaggedRowError,
@@ -513,7 +514,9 @@ def main(argv=None) -> int:
         if args.config:
             args = build_parser(args.config).parse_args(argv)
         return args.func(args)
-    except (ParseError, RaggedRowError, EmptyInputError, EncodingError, OSError) as exc:
+    except (
+        ParseError, RaggedRowError, MalformedCsvError, EmptyInputError, EncodingError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except PermprivError as exc:

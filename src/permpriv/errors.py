@@ -60,6 +60,19 @@ class RaggedRowError(PermprivError):
         self.got = int(got)
 
 
+class MalformedCsvError(PermprivError):
+    """A CSV file the csv module cannot split into rows.
+
+    The one such input is a field over `csv.field_size_limit()` characters.
+    Carries the 1-based data row, or 0 for the header row.
+    """
+
+    def __init__(self, path, row: int, reason):
+        where = "header row" if row == 0 else f"row {row}"
+        super().__init__(f"{path}: {where}: {reason}")
+        self.row = int(row)
+
+
 class EncodingError(PermprivError):
     """An input file is not UTF-8 text."""
 

@@ -28,6 +28,7 @@ from .errors import (
     EmptyReportError,
     EncodingError,
     InvalidSpecError,
+    MalformedCsvError,
     ParseError,
     RaggedRowError,
 )
@@ -46,10 +47,11 @@ def load_csv(path, role: Role = Role.ORIGINAL) -> MicrodataTable:
 
     A body made only of digits, signs, periods, exponent marks, commas and
     line ends is read by numpy's C reader, whose values are bit-identical to
-    `float()`'s.  Every other body, and every plain one that reader refuses
-    or reads with a non-finite value or a width other than the header's,
-    goes through the row-by-row parser, which alone defines the accepted
-    syntax and raises every cell, row and empty-file error.
+    `float()`'s.  Every other body, and every plain one that holds a cell
+    over the csv module's field limit or that reader refuses or reads with a
+    non-finite value or a width other than the header's, goes through the
+    row-by-row parser, which alone defines the accepted syntax and raises
+    every cell, row and empty-file error.
 
     Cell errors carry positions: rows count data rows from 1 (the header is
     row 0 in spirit and excluded), columns count from 1.
@@ -69,6 +71,8 @@ def load_csv(path, role: Role = Role.ORIGINAL) -> MicrodataTable:
         header = next(reader)
     except StopIteration:
         raise EmptyInputError(f"{path}: file is empty") from None
+    except csv.Error as exc:
+        raise MalformedCsvError(path, 0, exc) from None
     names = [h.strip() for h in header]
     body = 0
     for _ in range(reader.line_num):
@@ -83,6 +87,7 @@ def load_csv(path, role: Role = Role.ORIGINAL) -> MicrodataTable:
 _LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 # at least one cell byte, and nothing but cell bytes and line ends
 _PLAIN_BODY = re.compile(rb"[\r\n]*[0-9+\-.eE,][0-9+\-.eE,\r\n]*")
+_SEPARATOR = re.compile(rb"[,\r\n]")
 
 
 def _read_plain(data: bytes, start: int, width: int):
@@ -92,7 +97,7 @@ def _read_plain(data: bytes, start: int, width: int):
     at least one row of `width` finite values.  `loadtxt` reads the bytes in
     place, so neither a decoded nor a sliced copy of the file is made.
     """
-    if not _PLAIN_BODY.fullmatch(data, start):
+    if not _PLAIN_BODY.fullmatch(data, start) or not _cells_fit(data, start):
         return None
     body = io.BytesIO(data)  # shares the bytes object's buffer until written
     body.seek(start)
@@ -105,35 +110,78 @@ def _read_plain(data: bytes, start: int, width: int):
     return values
 
 
+def _cells_fit(data: bytes, start: int) -> bool:
+    """Whether no cell of the plain body from byte `start` is over the field limit.
+
+    A longer cell covers one of the checkpoints limit + 1 bytes apart, and
+    the cell around a checkpoint is measured within limit + 1 bytes either
+    side, so the check reads a few bytes per checkpoint, not the body.
+    """
+    limit = csv.field_size_limit()
+    for p in range(start, len(data), limit + 1):
+        lo = max(start, p - limit - 1)
+        before = max(data.rfind(sep, lo, p) for sep in b",\r\n")
+        after = _SEPARATOR.search(data, p, p + limit + 1)
+        first = before + 1 if before >= 0 else lo
+        end = after.start() if after else min(p + limit + 1, len(data))
+        if end - first > limit:
+            return False
+    return True
+
+
 def _parse_rows(path, reader, width: int) -> list[list[float]]:
     """Parse the rest of `reader` one cell at a time with `float()`."""
     rows: list[list[float]] = []
-    for r, row in enumerate(reader, start=1):
-        if not row or all(not cell.strip() for cell in row):
-            continue  # ignore blank lines
-        if len(row) != width:
-            raise RaggedRowError(r, width, len(row))
-        parsed = []
-        for c, cell in enumerate(row, start=1):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(r, c, cell) from None
-            if not math.isfinite(value):
-                raise ParseError(r, c, cell)
-            parsed.append(value)
-        rows.append(parsed)
+    r = 0
+    try:
+        for r, row in enumerate(reader, start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue  # ignore blank lines
+            if len(row) != width:
+                raise RaggedRowError(r, width, len(row))
+            parsed = []
+            for c, cell in enumerate(row, start=1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(r, c, cell) from None
+                if not math.isfinite(value):
+                    raise ParseError(r, c, cell)
+                parsed.append(value)
+            rows.append(parsed)
+    except csv.Error as exc:  # raised by the reader while splitting row r + 1
+        raise MalformedCsvError(path, r + 1, exc) from None
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
     return rows
 
 
+# Bytes of cells, at 8 per cell, one block of a written table may hold.  A
+# block's strings and text take about 40 times that, so writing a table grows
+# peak memory by about 5 MiB whatever its number of rows.
+_WRITE_BLOCK_BYTES = 1 << 17
+
+
 def write_csv(table: MicrodataTable, path) -> None:
-    """Write a table; cells use shortest-round-trip float formatting."""
+    """Write a table; cells use shortest-round-trip float formatting.
+
+    The body goes out in row blocks of at most _WRITE_BLOCK_BYTES of cells.
+    A block calls `repr` once per distinct bit pattern, so 0.0 and -0.0 keep
+    their own strings, and gathers the strings through the inverse index.  No
+    `repr` of a finite float holds a comma, quote or line end, so the body
+    needs no quoting and matches `csv.writer` byte for byte; only the header,
+    whose names may need quoting, goes through `csv.writer`.
+    """
+    step = max(1, _WRITE_BLOCK_BYTES // (8 * table.m))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.attribute_names)
-        writer.writerows([repr(v) for v in row] for row in table.values.tolist())
+        csv.writer(fh).writerow(table.attribute_names)
+        for lo in range(0, table.n, step):
+            block = table.values[lo : lo + step]
+            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            columns = text[inverse.reshape(block.shape).T].tolist()
+            fh.write("\r\n".join(map(",".join, zip(*columns))))
+            fh.write("\r\n")
 
 
 class _FieldNames(dict):

@@ -16,6 +16,7 @@ evidence; no access to the rest of the original data is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,7 +88,8 @@ class Release:
 
     Holds the table, its rank profile, each attribute's values in rank order,
     and the search index: every attribute's ranks listed in the order of the
-    attribute-0 ranks.  Index row r holds attribute-0 rank r + 1, so it
+    attribute-0 ranks, built on the first search, so a release that is only
+    ranked builds none.  Index row r holds attribute-0 rank r + 1, so it
     deviates from a center c by exactly |r + 1 - c[0]| on attribute 0.  A
     search scans outward from row c[0] - 1 and stops once that gap alone
     reaches the best deviation found (Friedman, Baskett & Shustek 1975).  Its
@@ -113,10 +115,16 @@ class Release:
         ]
         if any(np.any(v[1:] < v[:-1]) for v in self.values_by_rank):
             raise InvalidValueError("rank profile does not order the table")
-        # record (0-based) holding each attribute-0 rank, and the other
-        # attributes' ranks in that order
-        self._order = np.argsort(profile.vector(0))
-        self._index = [profile.vector(j)[self._order] for j in range(1, table.m)]
+
+    @cached_property
+    def _order(self) -> np.ndarray:
+        """The record (0-based) holding each attribute-0 rank."""
+        return np.argsort(self.profile.vector(0))
+
+    @cached_property
+    def _index(self) -> list[np.ndarray]:
+        """The other attributes' ranks in the order of `_order`."""
+        return [self.profile.vector(j)[self._order] for j in range(1, self.m)]
 
     @property
     def n(self) -> int:

@@ -6,10 +6,12 @@ with its projection search, `oracle_window_variances`, the per-window
 `ndarray.var` loop the package replaced with a batched kernel,
 `enumerate_baseline`, the n**m table the package's distance transform
 replaced, `oracle_reverse_map`, the per-column reverse map the package
-replaced with one ranking through `Release`, and `oracle_load_csv`, the
+replaced with one ranking through `Release`, `oracle_load_csv`, the
 cell-by-cell CSV reader the package keeps only for bodies numpy's reader
-does not take.  They share no code with the package, so agreement between
-the two routes is meaningful evidence rather than a tautology.
+does not take, and `oracle_write_csv`, the per-cell `csv.writer` the
+package replaced with one `repr` per distinct value.  They share no code
+with the package, so agreement between the two routes is meaningful
+evidence rather than a tautology.
 """
 
 import collections
@@ -284,6 +286,14 @@ def oracle_load_csv(path, role: Role = Role.ORIGINAL) -> MicrodataTable:
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
     return MicrodataTable(rows, tuple(names), role=role)
+
+
+def oracle_write_csv(table, path) -> None:
+    """Write a table through `csv.writer`, one `repr` per cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.attribute_names)
+        writer.writerows([repr(v) for v in row] for row in table.values.tolist())
 
 
 def oracle_spearman(a, b):

@@ -607,6 +607,18 @@ def test_csv_that_is_not_utf8_exits_3(workspace, capsys):
     assert err == f"error: {path}: file is not UTF-8 (invalid start byte at byte 2)\n"
 
 
+@pytest.mark.parametrize("cell", ['"' + "1" * 200_000 + '"', "0." + "0" * 200_000 + "1"])
+def test_cells_over_the_field_limit_exit_3(workspace, capsys, cell):
+    # quoted, the row parser's csv module refuses the cell; unquoted, numpy's
+    # reader would take it, and is not asked to, so both forms fail alike
+    path = workspace / "long.csv"
+    path.write_text(f"a\n{cell}\n")
+    code, out, err = run(capsys, "reverse-map", path, path, "--out", workspace)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {path}: row 1: field larger than field limit (131072)\n"
+
+
 def test_shape_mismatch_exits_2(workspace, capsys):
     (workspace / "short.csv").write_text("a1,a2,a3\n1,2,3\n")
     code, _, err = run(

@@ -1,5 +1,6 @@
 """CSV handling and JSON report envelopes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -10,7 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import from_payload, oracle_load_csv, random_table
+from helpers import (
+    from_payload,
+    oracle_load_csv,
+    oracle_write_csv,
+    random_table,
+    random_tied_table,
+)
 from permpriv import __version__, io_report
 from permpriv.baseline import DistanceDistribution
 from permpriv.errors import (
@@ -18,6 +25,7 @@ from permpriv.errors import (
     EmptyReportError,
     EncodingError,
     InvalidSpecError,
+    MalformedCsvError,
     ParseError,
     PermprivError,
     RaggedRowError,
@@ -239,6 +247,136 @@ def test_loading_a_large_plain_file_keeps_memory_bounded(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) < 16.0
+
+
+def test_cells_over_the_field_limit_are_refused_on_both_paths(tmp_path, monkeypatch):
+    # under small limits, random plain bodies load exactly when every cell
+    # fits, whichever reader takes them, and a failure names its data row
+    fast = []
+    read_plain = io_report._read_plain
+
+    def counting(*args):
+        values = read_plain(*args)
+        fast.append(values is not None)
+        return values
+
+    monkeypatch.setattr(io_report, "_read_plain", counting)
+    rng = np.random.default_rng(17)
+    default = csv.field_size_limit()
+    try:
+        for case in range(300):
+            limit = int(rng.integers(1, 9))
+            csv.field_size_limit(limit)
+            rows = [  # cells of up to one byte over the limit, or a few under
+                ["".join(rng.choice(list("0123456789"), size=max(1, limit + rng.integers(-3, 2))))
+                 for _ in range(2)]
+                for _ in range(rng.integers(1, 5))
+            ]
+            text = "a,b\n" + "".join(",".join(row) + str(rng.choice(_ENDS[:2])) for row in rows)
+            path = tmp_path / f"case{case}.csv"
+            path.write_text(text)
+            long = [r for r, row in enumerate(rows, start=1) if max(map(len, row)) > limit]
+            if long:
+                with pytest.raises(MalformedCsvError) as err:
+                    load_csv(path)
+                assert err.value.row == long[0]
+                assert str(err.value).startswith(f"{path}: row {long[0]}: field larger")
+            else:
+                assert load_csv(path).values.tolist() == [[float(c) for c in row] for row in rows]
+    finally:
+        csv.field_size_limit(default)
+    assert 50 < sum(fast) < len(fast) - 50
+
+
+def test_a_header_over_the_field_limit_is_an_error(tmp_path):
+    path = tmp_path / "head.csv"
+    path.write_text('"' + "a" * 200_000 + '"\n1\n')
+    with pytest.raises(MalformedCsvError) as err:
+        load_csv(path)
+    assert err.value.row == 0
+    assert str(err.value) == f"{path}: header row: field larger than field limit (131072)"
+
+
+def _edge_table():
+    # both zeros in one column, the smallest subnormal, a large integer and
+    # an inexact sum, each shared across rows and columns
+    values = np.array(
+        [[0.0, -0.0, 5e-324, 1e16],
+         [-0.0, 0.1 + 0.2, 0.0, -5e-324],
+         [1e16, 0.0, -0.0, 0.1 + 0.2],
+         [0.3, 0.0, 5e-324, -0.0]]
+    )
+    return MicrodataTable(values, ("a1", "a,2", 'a"3', "a\n4"))
+
+
+def _tables(rng):
+    yield _edge_table()
+    yield MicrodataTable(np.asfortranarray(rng.normal(size=(300, 3))), ("f1", "f2", "f3"))
+    for case in range(60):
+        n = int(rng.choice([1, 1, 2, 3, 7, 40, 333]))
+        m = int(rng.choice([1, 1, 2, 3, 4]))
+        kind = case % 3
+        if kind == 0:
+            yield random_table(rng, n, m, scale=float(10.0 ** rng.integers(-5, 20)))
+        elif kind == 1:  # few values, shared across columns, signed zeros among them
+            pool = np.array([0.0, -0.0, 1.5, -2.0, 1e-300, 7.0])[: int(rng.integers(1, 7))]
+            names = tuple(f"b{j}" for j in range(m))
+            yield MicrodataTable(rng.choice(pool, size=(n, m)), names)
+        else:
+            yield random_tied_table(rng, n, m, levels=int(rng.integers(1, 5)))
+
+
+@pytest.mark.parametrize("budget", [None, 1, 8 * 3 * 5])
+def test_written_bytes_match_the_csv_writer_oracle(tmp_path, monkeypatch, budget):
+    # blocks of the default size, of one row (a budget below one row), and
+    # of a few rows
+    if budget is not None:
+        monkeypatch.setattr(io_report, "_WRITE_BLOCK_BYTES", budget)
+    rng = np.random.default_rng(2024)
+    for i, table in enumerate(_tables(rng)):
+        ours, oracle = tmp_path / f"ours{i}.csv", tmp_path / f"oracle{i}.csv"
+        write_csv(table, ours)
+        oracle_write_csv(table, oracle)
+        assert ours.read_bytes() == oracle.read_bytes(), table
+
+
+def test_a_large_table_is_written_like_the_oracle(tmp_path):
+    # many blocks at the default budget, with ties across block boundaries
+    rng = np.random.default_rng(8)
+    values = np.round(rng.normal(0.0, 30.0, size=(50_000, 3))) * 0.5
+    table = MicrodataTable(values, ("a", "b", "c"))
+    write_csv(table, tmp_path / "ours.csv")
+    oracle_write_csv(table, tmp_path / "oracle.csv")
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_writing_a_large_table_keeps_memory_bounded(tmp_path):
+    # 200 000 x 4 distinct values; one `repr` per cell through `csv.writer`
+    # grows the peak RSS by about 44 MiB here, the block writer by about 5
+    script = textwrap.dedent(
+        f"""
+        import numpy as np
+        from helpers import peak_rss_mib
+        from permpriv.io_report import write_csv
+        from permpriv.table import MicrodataTable
+
+        rng = np.random.default_rng(4)
+        table = MicrodataTable(rng.normal(0.0, 100.0, size=(200_000, 4)), ("a", "b", "c", "d"))
+        write_csv(MicrodataTable(table.values[:3], table.attribute_names), {str(tmp_path / "warm.csv")!r})
+        before = peak_rss_mib()
+        write_csv(table, {str(tmp_path / "big.csv")!r})
+        after = peak_rss_mib()
+        print(after - before)
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)]), "OMP_NUM_THREADS": "1"},
+    )
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 16.0
+    assert (tmp_path / "big.csv").read_bytes().count(b"\n") == 200_001
 
 
 def test_report_envelope(tmp_path, certificate):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import oracle_reverse_map, random_pair, random_table, random_tied_table
-from permpriv import fixtures
+from permpriv import fixtures, reverse_map
+from permpriv.decompose import decompose
 from permpriv.errors import ShapeMismatchError
+from permpriv.privacy import Release, permutation_distance
 from permpriv.reverse_map import reverse_map_table
 from permpriv.table import MicrodataTable, RankProfile, Role, derive_column_seed
 
@@ -119,3 +121,21 @@ def test_shape_and_name_mismatches_rejected(original):
     )
     with pytest.raises(ShapeMismatchError):
         reverse_map_table(original, renamed)
+
+
+def test_reverse_mapping_builds_no_search_index(monkeypatch, original, masked):
+    built = []
+
+    class Recorded(Release):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(reverse_map, "Release", Recorded)
+    reverse_map_table(original, masked)
+    decompose(original, masked)
+    assert len(built) == 2
+    assert all("_order" not in r.__dict__ and "_index" not in r.__dict__ for r in built)
+    # the first search builds the index, once
+    permutation_distance(original.values[0], built[0])
+    assert {"_order", "_index"} <= built[0].__dict__.keys()
