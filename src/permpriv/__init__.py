@@ -62,9 +62,9 @@ from .masking import (
     synth_original,
 )
 from .privacy import (
+    Evidence,
     PrivacyCertificate,
     RecordDistanceResult,
-    RecordPrivacy,
     RecordVerification,
     Release,
     batch_permutation_distances,
@@ -94,6 +94,7 @@ __all__ = [
     "EmptyInputError",
     "EmptyReportError",
     "EncodingError",
+    "Evidence",
     "InsufficientDataError",
     "InvalidSpecError",
     "InvalidTruthMappingError",
@@ -111,7 +112,6 @@ __all__ = [
     "RankOutOfRangeError",
     "RankProfile",
     "RecordDistanceResult",
-    "RecordPrivacy",
     "RecordVerification",
     "Release",
     "ResidualDecomposition",

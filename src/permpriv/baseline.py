@@ -275,7 +275,7 @@ def assess_tables(
     differs in shape or in attribute names or order.
     """
     threshold = _check_threshold(threshold)
-    z = reverse_map_table(original, anonymized, tie_seed)
+    z = reverse_map_table(original, Release(anonymized, tie_seed=tie_seed))
     release = Release(z, tie_seed=tie_seed)
     dists = batch_permutation_distances(original, release)
     dist_x = _tabulate(dists, "original")

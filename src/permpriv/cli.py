@@ -127,7 +127,7 @@ def _read_truth(value: str, n: int) -> list[int]:
 def cmd_reverse_map(args) -> int:
     original = load_csv(args.original, role=Role.ORIGINAL)
     anonymized = load_csv(args.anonymized, role=Role.ANONYMIZED)
-    permuted = reverse_map_table(original, anonymized, tie_seed=args.tie_seed)
+    permuted = reverse_map_table(original, Release(anonymized, tie_seed=args.tie_seed))
     path = _out_dir(args) / "reverse_mapped.csv"
     write_csv(permuted, path)
     print(f"wrote {path} ({permuted.n} records, {permuted.m} attributes)")
@@ -152,8 +152,8 @@ def cmd_certify(args) -> int:
     # Joint per-record check at the requested targets, on the certificate's
     # own evidence.
     d_t, v_t = targets
-    centers = [entry.result.closest_ranks for entry in certificate.per_record]
-    passed, _ = release.verdicts(centers, certificate.record_distances, d_t, v_t)
+    evidence = certificate.per_record
+    passed, _ = release.verdicts(evidence.closest_ranks, evidence.distances, d_t, v_t)
     failures = (np.flatnonzero(~passed) + 1).tolist()
     if failures:
         shown = ", ".join(str(i) for i in failures[:10])
@@ -219,9 +219,9 @@ def cmd_link(args) -> int:
     permuted = load_csv(args.permuted, role=Role.REVERSE_MAPPED)
     result = link_records(original, Release(permuted, tie_seed=args.tie_seed))
     payload = to_payload(result)
+    multiple = np.count_nonzero(np.diff(result.per_record.offsets) > 1)
     summary = (
-        f"{original.n} records linked; "
-        f"{sum(1 for r in result.per_record if len(r.matched_indices) > 1)} with multiple matches; "
+        f"{original.n} records linked; {multiple} with multiple matches; "
         f"unmatched targets {result.unmatched_targets}"
     )
     if args.truth is not None:

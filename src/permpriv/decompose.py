@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ShapeMismatchError
+from .privacy import Release
 from .reverse_map import reverse_map_table
 from .table import DEFAULT_TIE_SEED, MicrodataTable, _as_column, compute_ranks, derive_column_seed
 
@@ -31,15 +32,11 @@ class ResidualDecomposition:
         return self.z.attribute_names
 
 
-def decompose(
-    original: MicrodataTable,
-    anonymized: MicrodataTable,
-    tie_seed: int = DEFAULT_TIE_SEED,
-) -> ResidualDecomposition:
-    """Decompose anonymized = reverse-mapped(original) + residual noise."""
-    z = reverse_map_table(original, anonymized, tie_seed)
-    residual = anonymized.values - z.values
-    direct = anonymized.values - original.values
+def decompose(original: MicrodataTable, anonymized: Release) -> ResidualDecomposition:
+    """Decompose the anonymized release = reverse-mapped(original) + residual noise."""
+    z = reverse_map_table(original, anonymized)
+    residual = anonymized.table.values - z.values
+    direct = anonymized.table.values - original.values
     residual.setflags(write=False)
     direct.setflags(write=False)
     return ResidualDecomposition(z=z, residual_noise=residual, direct_noise=direct)

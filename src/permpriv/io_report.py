@@ -32,6 +32,7 @@ from .errors import (
     ParseError,
     RaggedRowError,
 )
+from .privacy import Evidence, RecordDistanceResult
 from .table import MicrodataTable, Role
 
 SCHEMA_VERSION = 1
@@ -184,36 +185,49 @@ def write_csv(table: MicrodataTable, path) -> None:
             fh.write("\r\n")
 
 
-class _FieldNames(dict):
-    """Each type's dataclass field names in declaration order; None for other types."""
-
-    def __missing__(self, cls: type) -> tuple[str, ...] | None:
-        names = self[cls] = tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
-        return names
-
-
-_FIELD_NAMES = _FieldNames()
-
-
 def to_payload(obj) -> dict:
     """Nested dicts of an analysis dataclass, fields in declaration order.
 
-    Fields holding a dataclass, or a non-empty tuple of them, are converted in
-    turn; every other value goes to `json` as it is, which writes tuples as
-    arrays and integer keys as their decimal strings.  Unlike
-    `dataclasses.asdict`, it never copies or visits a scalar, so it stays a
-    small part of writing a large certificate.
+    A field holding a dataclass is converted in turn; every other value goes
+    to `json` as it is, which writes tuples as arrays and integer keys as
+    their decimal strings.  An `Evidence` becomes one `RecordDistanceResult`
+    payload per record, nested under `result` beside the record's row of
+    each array field (the certificate's variances) when there are any.
     """
+    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    columns = {k: v.tolist() for k, v in values.items() if isinstance(v, np.ndarray)}
     payload = {}
-    for name in _FIELD_NAMES[type(obj)]:
-        value = getattr(obj, name)
-        if type(value) is tuple:
-            if value and _FIELD_NAMES[type(value[0])] is not None:
-                value = [to_payload(v) for v in value]
-        elif _FIELD_NAMES[type(value)] is not None:
-            value = to_payload(value)
-        payload[name] = value
+    for name, value in values.items():
+        if isinstance(value, Evidence):
+            payload[name] = _evidence_rows(value, columns)
+        elif is_dataclass(value):
+            payload[name] = to_payload(value)
+        elif name not in columns:
+            payload[name] = value
     return payload
+
+
+def _evidence_rows(evidence: Evidence, columns: dict[str, list]) -> list[dict]:
+    """Per-record payloads of an Evidence, each beside its row of every column."""
+    names = [f.name for f in fields(RecordDistanceResult)]
+    bounds, matches = evidence.offsets.tolist(), evidence.matches.tolist()
+    rows = [
+        dict(zip(names, record))
+        for record in zip(
+            range(1, len(evidence) + 1),
+            evidence.closest_values.tolist(),
+            evidence.closest_ranks.tolist(),
+            [matches[a:b] for a, b in zip(bounds, bounds[1:])],
+            evidence.matched_deviations.tolist(),
+            evidence.distances.tolist(),
+        )
+    ]
+    if columns:
+        rows = [
+            {"result": row, **dict(zip(columns, values))}
+            for row, values in zip(rows, zip(*columns.values()))
+        ]
+    return rows
 
 
 def write_report(
@@ -237,7 +251,7 @@ def write_report(
         raise EmptyReportError("nothing to report")
     if kind is None:
         kind = getattr(obj, "report_kind", None)
-    if _FIELD_NAMES[type(obj)] is not None:
+    if is_dataclass(obj):
         payload = to_payload(obj)
     elif isinstance(obj, Mapping):
         payload = dict(obj)

@@ -10,14 +10,13 @@ minimum, all of them are listed, because the intruder cannot tell them apart.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidTruthMappingError
-from .privacy import RecordDistanceResult, Release
+from .privacy import Evidence, Release
 from .table import MicrodataTable, check_same_layout
 
 
@@ -25,20 +24,12 @@ from .table import MicrodataTable, check_same_layout
 class LinkageResult:
     """Per-record match sets plus aggregate coverage of the permuted table."""
 
-    per_record: tuple[RecordDistanceResult, ...]
+    per_record: Evidence
     unmatched_targets: tuple[int, ...]  # permuted records in no match set
     multiply_matched_targets: tuple[int, ...]  # permuted records in >1 match set
     tie_seed: int
 
     report_kind = "linkage"
-
-    @property
-    def distances(self) -> tuple[int, ...]:
-        return tuple(r.distance for r in self.per_record)
-
-    @property
-    def match_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(r.matched_indices for r in self.per_record)
 
 
 def link_records(original: MicrodataTable, release: Release) -> LinkageResult:
@@ -56,12 +47,10 @@ def link_records(original: MicrodataTable, release: Release) -> LinkageResult:
                 stacklevel=2,
             )
             break
-    per_record = tuple(release.results(original.values, range(1, original.n + 1)))
-    hits = np.bincount(
-        np.concatenate([r.matched_indices for r in per_record]), minlength=release.n + 1
-    )
+    evidence = release.search(original.values)
+    hits = np.bincount(evidence.matches, minlength=release.n + 1)
     return LinkageResult(
-        per_record=per_record,
+        per_record=evidence,
         unmatched_targets=tuple((np.flatnonzero(hits[1:] == 0) + 1).tolist()),
         multiply_matched_targets=tuple(np.flatnonzero(hits > 1).tolist()),
         tie_seed=release.tie_seed,
@@ -94,24 +83,19 @@ def score_linkage(result: LinkageResult, truth: Sequence[int]) -> LinkageScore:
     its match set is a singleton holding the true target; any tie counts as
     multiple, and a wrong singleton counts as misidentified.
     """
-    n = len(result.per_record)
+    evidence = result.per_record
+    n = len(evidence)
     mapping = [int(t) for t in truth]
     if len(mapping) != n or sorted(mapping) != list(range(1, n + 1)):
         raise InvalidTruthMappingError(
             f"truth must be a bijection of 1..{n}, got {len(mapping)} entries"
         )
-    classes = []
-    for r, true_target in zip(result.per_record, mapping):
-        if len(r.matched_indices) > 1:
-            classes.append("multiple")
-        elif r.matched_indices[0] == true_target:
-            classes.append("correct")
-        else:
-            classes.append("misidentified")
-    tally = Counter(classes)
+    multiple = np.diff(evidence.offsets) > 1
+    correct = ~multiple & (evidence.matches[evidence.offsets[:-1]] == mapping)
+    classes = np.where(multiple, "multiple", np.where(correct, "correct", "misidentified"))
     return LinkageScore(
-        correct=tally.get("correct", 0),
-        multiple=tally.get("multiple", 0),
-        misidentified=tally.get("misidentified", 0),
-        classes=tuple(classes),
+        correct=int(correct.sum()),
+        multiple=int(multiple.sum()),
+        misidentified=int(n - correct.sum() - multiple.sum()),
+        classes=tuple(classes.tolist()),
     )

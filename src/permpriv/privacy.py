@@ -15,9 +15,9 @@ evidence; no access to the rest of the original data is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,16 +86,17 @@ def _query_matrix(queries, release: Release) -> np.ndarray:
 class Release:
     """One released table, ranked once and indexed for permutation distances.
 
-    Holds the table, its rank profile, each attribute's values in rank order,
-    and the search index: every attribute's ranks listed in the order of the
-    attribute-0 ranks, built on the first search, so a release that is only
-    ranked builds none.  Index row r holds attribute-0 rank r + 1, so it
-    deviates from a center c by exactly |r + 1 - c[0]| on attribute 0.  A
-    search scans outward from row c[0] - 1 and stops once that gap alone
-    reaches the best deviation found (Friedman, Baskett & Shustek 1975).  Its
-    cost is O(q * d * m) for q queries at distance about d, against O(q * n * m)
-    for a full scan.  Every distance entry point takes one, and this is the
-    only place a table is ranked and indexed for a search.
+    Holds the table and its rank profile, checked column by column to order
+    the table.  Each attribute's values in rank order and the search index,
+    every attribute's ranks in the order of the attribute-0 ranks, are built
+    on first use, so a release that is only ranked keeps neither.  Index row
+    r holds attribute-0 rank r + 1, so it deviates from a center c by exactly
+    |r + 1 - c[0]| on attribute 0.  A search scans outward from row c[0] - 1
+    and stops once that gap alone reaches the best deviation found
+    (Friedman, Baskett & Shustek 1975).  Its cost is O(q * d * m) for q
+    queries at distance about d, against O(q * n * m) for a full scan.  Every
+    distance entry point takes one, and this is the only place a table is
+    ranked and indexed for a search.
     """
 
     def __init__(
@@ -110,11 +111,14 @@ class Release:
             raise ShapeMismatchError("rank profile does not match the table shape")
         self.table = table
         self.profile = profile
-        self.values_by_rank = [
-            _values_by_rank(table.column(j), profile.vector(j)) for j in range(table.m)
-        ]
-        if any(np.any(v[1:] < v[:-1]) for v in self.values_by_rank):
+        ordered = map(_values_by_rank, table.values.T, profile.ranks.T)
+        if any(np.any(v[1:] < v[:-1]) for v in ordered):
             raise InvalidValueError("rank profile does not order the table")
+
+    @cached_property
+    def values_by_rank(self) -> list[np.ndarray]:
+        """Each attribute's values in rank order."""
+        return list(map(_values_by_rank, self.table.values.T, self.profile.ranks.T))
 
     @cached_property
     def _order(self) -> np.ndarray:
@@ -187,21 +191,22 @@ class Release:
             lo, hi = hi, 2 * hi
         return best
 
-    def _match_sets(self, centers: np.ndarray, distances: np.ndarray) -> list[np.ndarray]:
-        """Ascending 1-based record numbers at each query's distance.
+    def _match_sets(self, centers: np.ndarray, distances: np.ndarray):
+        """Match sets in CSR form: offsets (q + 1,) and ascending 1-based records.
 
         A record at distance d lies within d of the center on attribute 0, so
         index rows [c[0] - 1 - d, c[0] - 1 + d] hold every match.  Windows are
         scanned in blocks of at most _BLOCK_BYTES (or one window).
         """
-        n, m = self.n, self.m
+        n, m, q = self.n, self.m, distances.size
         first = np.maximum(centers[:, 0] - 1 - distances, 0)
         size = np.minimum(centers[:, 0] - 1 + distances, n - 1) - first + 1
         ends = np.cumsum(size)
         cap = max(1, _BLOCK_BYTES // (m * 8))
-        out: list[np.ndarray] = []
+        parts = [np.empty(0, dtype=np.int64)]
+        offsets = np.zeros(q + 1, dtype=np.int64)
         a = 0
-        while a < size.size:
+        while a < q:
             base = ends[a] - size[a]
             b = max(a + 1, int(np.searchsorted(ends, base + cap, side="right")))
             sz = size[a:b]
@@ -210,39 +215,25 @@ class Release:
             dev = self._max_deviation(rows, [centers[query, j] for j in range(m)])
             hit = dev == distances[query]
             records, query = self._order[rows[hit]] + 1, query[hit]
-            records = records[np.lexsort((records, query))]
-            bounds = np.cumsum(np.bincount(query - a, minlength=b - a)).tolist()
-            out.extend(records[i:j] for i, j in zip([0] + bounds[:-1], bounds))
+            parts.append(records[np.lexsort((records, query))])
+            offsets[a + 1 : b + 1] = np.bincount(query - a, minlength=b - a)
             a = b
-        return out
+        return np.cumsum(offsets, out=offsets), np.concatenate(parts)
 
-    def results(
-        self, queries, record_indices: Iterable[int | None]
-    ) -> list[RecordDistanceResult]:
-        """Full distance evidence for each query record, numbered as given."""
-        q = _query_matrix(queries, self)
-        centers = self.centers(q)
+    def search(self, queries) -> Evidence:
+        """Full distance evidence for every query record, row i numbered i + 1."""
+        centers = self.centers(_query_matrix(queries, self))
         distances = self.distances(centers)
-        matches = self._match_sets(centers, distances)
-        firsts = np.array([s[0] for s in matches], dtype=np.int64) - 1
-        values = np.column_stack(
-            [self.values_by_rank[j][centers[:, j] - 1] for j in range(self.m)]
-        ).tolist()
-        deviations = np.abs(self.profile.ranks[firsts] - centers).tolist()
-        return [
-            RecordDistanceResult(
-                record_index=index,
-                closest_values=tuple(v),
-                closest_ranks=tuple(c),
-                matched_indices=tuple(s.tolist()),
-                matched_deviations=tuple(dv),
-                distance=d,
-            )
-            for index, v, c, s, dv, d in zip(
-                record_indices, values, centers.tolist(), matches, deviations,
-                distances.tolist(),
-            )
-        ]
+        offsets, matches = self._match_sets(centers, distances)
+        values = [v[c - 1] for v, c in zip(self.values_by_rank, centers.T)]
+        return Evidence(
+            closest_values=np.column_stack(values),
+            closest_ranks=centers,
+            distances=distances,
+            offsets=offsets,
+            matches=matches,
+            matched_deviations=np.abs(self.profile.ranks[matches[offsets[:-1]] - 1] - centers),
+        )
 
     def window_variances(self, centers, d) -> np.ndarray:
         """(q, m) variance of the values ranked within d of each center.
@@ -316,7 +307,7 @@ class RecordDistanceResult:
     Record numbers (`record_index`, `matched_indices`) are 1-based, matching
     the rank convention.  `matched_indices` lists every anonymized record at
     the minimum deviation; `matched_deviations` are the per-attribute rank
-    deviations of the first of them.
+    deviations of the first of them.  It is the one-record view of `Evidence`.
     """
 
     record_index: int | None
@@ -329,6 +320,41 @@ class RecordDistanceResult:
     report_kind = "record_distance"
 
 
+@dataclass(frozen=True, eq=False)
+class Evidence:
+    """Distance evidence for q query records, one read-only array per column.
+
+    Row i holds query i's columns of `RecordDistanceResult`, and `evidence[i]`
+    is that result, numbered i + 1.  Its match set, 1-based, ascending and
+    never empty, is `matches[offsets[i]:offsets[i + 1]]` (CSR form).
+    """
+
+    closest_values: np.ndarray
+    closest_ranks: np.ndarray
+    distances: np.ndarray
+    offsets: np.ndarray
+    matches: np.ndarray
+    matched_deviations: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.distances.size
+
+    def __getitem__(self, i: int) -> RecordDistanceResult:
+        i = range(len(self))[i]
+        return RecordDistanceResult(
+            record_index=i + 1,
+            closest_values=tuple(self.closest_values[i].tolist()),
+            closest_ranks=tuple(self.closest_ranks[i].tolist()),
+            matched_indices=tuple(self.matches[self.offsets[i] : self.offsets[i + 1]].tolist()),
+            matched_deviations=tuple(self.matched_deviations[i].tolist()),
+            distance=int(self.distances[i]),
+        )
+
+
 def permutation_distance(
     x, release: Release, *, record_index: int | None = None
 ) -> RecordDistanceResult:
@@ -336,7 +362,7 @@ def permutation_distance(
     q = _query_matrix(x, release)
     if q.shape[0] != 1:
         raise ShapeMismatchError("expected a single record; use batch_permutation_distances")
-    return release.results(q, [record_index])[0]
+    return replace(release.search(q)[0], record_index=record_index)
 
 
 def batch_permutation_distances(queries, release: Release) -> np.ndarray:
@@ -387,35 +413,26 @@ def verify_record(x, release: Release, d_target: int, v_target) -> RecordVerific
 
 
 @dataclass(frozen=True)
-class RecordPrivacy:
-    """Per-record certificate entry: distance evidence plus both variance views."""
-
-    result: RecordDistanceResult
-    variances_at_dataset_distance: tuple[float, ...]
-    variances_at_record_distance: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class PrivacyCertificate:
     """Dataset-level privacy evidence: the protector's published guarantee.
 
+    `per_record` holds every original record's evidence, beside its window
+    variances at the dataset distance and at its own distance.
     `dataset_distance` is the minimum record distance; `dataset_variances`
     take, per attribute, the minimum window variance at that radius over all
     records.  The certificate discloses method parameters via `disclosure`
     but never any masking seed.
     """
 
-    per_record: tuple[RecordPrivacy, ...]
+    per_record: Evidence
+    variances_at_dataset_distance: np.ndarray
+    variances_at_record_distance: np.ndarray
     dataset_distance: int
     dataset_variances: tuple[float, ...]
     disclosure: str | None
     tie_seed: int
 
     report_kind = "privacy_certificate"
-
-    @property
-    def record_distances(self) -> tuple[int, ...]:
-        return tuple(entry.result.distance for entry in self.per_record)
 
 
 def certify_dataset(
@@ -426,25 +443,18 @@ def certify_dataset(
     The release's tie seed is the one recorded.
     """
     check_same_layout(original, release.table)
-    results = release.results(original.values, range(1, original.n + 1))
-    centers = np.array([r.closest_ranks for r in results])
-    distances = np.array([r.distance for r in results])
-    dataset_distance = int(distances.min())
-    at_d = release.window_variances(centers, dataset_distance)
-    at_di = release.window_variances(centers, distances)
-    per_record = [
-        RecordPrivacy(
-            result=r,
-            variances_at_dataset_distance=tuple(v_d),
-            variances_at_record_distance=tuple(v_di),
-        )
-        for r, v_d, v_di in zip(results, at_d.tolist(), at_di.tolist())
-    ]
-    dataset_variances = tuple(at_d.min(axis=0).tolist())
+    evidence = release.search(original.values)
+    dataset_distance = int(evidence.distances.min())
+    at_d = release.window_variances(evidence.closest_ranks, dataset_distance)
+    at_di = release.window_variances(evidence.closest_ranks, evidence.distances)
+    at_d.setflags(write=False)
+    at_di.setflags(write=False)
     return PrivacyCertificate(
-        per_record=tuple(per_record),
+        per_record=evidence,
+        variances_at_dataset_distance=at_d,
+        variances_at_record_distance=at_di,
         dataset_distance=dataset_distance,
-        dataset_variances=dataset_variances,
+        dataset_variances=tuple(at_d.min(axis=0).tolist()),
         disclosure=disclosure,
         tie_seed=release.tie_seed,
     )

@@ -12,25 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 from .privacy import Release
-from .table import DEFAULT_TIE_SEED, MicrodataTable, Role, check_same_layout
+from .table import MicrodataTable, Role, check_same_layout
 
 
-def reverse_map_table(
-    original: MicrodataTable,
-    anonymized: MicrodataTable,
-    tie_seed: int = DEFAULT_TIE_SEED,
-) -> MicrodataTable:
+def reverse_map_table(original: MicrodataTable, anonymized: Release) -> MicrodataTable:
     """Reverse-map every attribute: z_ij is the original value of rank r_ij.
 
-    r is the anonymized table's rank profile, ranked once through `Release`
-    under per-column seeds derived from tie_seed.  `RankProfile` rejects ranks
-    that are not a permutation and `Release` ranks that do not order the
-    anonymized table, so z keeps each original multiset and, being the sorted
-    original read through r, is ordered like the anonymized table.  The result
-    carries role ``reverse_mapped`` and the original's attribute names.
+    r is the anonymized release's rank profile, which `RankProfile` and
+    `Release` have checked to be a permutation that orders the anonymized
+    table; so z keeps each original multiset and is ordered like it.  The
+    result carries role ``reverse_mapped`` and the original's attribute names.
     """
-    check_same_layout(original, anonymized)
-    ranks = Release(anonymized, tie_seed=tie_seed).profile.ranks
+    check_same_layout(original, anonymized.table)
+    ranks = anonymized.profile.ranks
     z = np.empty((original.n, original.m))
     for j in range(original.m):
         z[:, j] = np.sort(original.column(j), kind="stable")[ranks[:, j] - 1]

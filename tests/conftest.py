@@ -34,7 +34,7 @@ def masked(example):
 
 @pytest.fixture(scope="session")
 def permuted(original, masked):
-    return reverse_map_table(original, masked)
+    return reverse_map_table(original, Release(masked))
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,7 @@ import numpy as np
 
 from permpriv.errors import EmptyInputError, ParseError, RaggedRowError
 from permpriv.io_report import to_payload
+from permpriv.privacy import Evidence
 from permpriv.table import MicrodataTable, Role
 
 
@@ -65,6 +66,11 @@ def random_tied_table(rng, n, m, role=Role.ORIGINAL, levels=4):
     values = rng.integers(0, levels, size=(n, m)).astype(float)
     names = tuple(f"a{j + 1}" for j in range(m))
     return MicrodataTable(values, names, role=role)
+
+
+def match_sets(evidence):
+    """Each record's match set as a tuple, read through its one-record view."""
+    return tuple(r.matched_indices for r in evidence)
 
 
 def shuffle_rows(rng, table, role=Role.ANONYMIZED):
@@ -333,11 +339,34 @@ def from_payload(cls, data):
 
     The inverse of `io_report.to_payload` after a trip through `json`: arrays
     become tuples again and nested payloads their dataclasses, guided by the
-    field annotations.  Fields computed in `__post_init__` are skipped.
+    field annotations.  Per-record rows become an `Evidence` again, and with
+    it the array fields they carry beside the evidence.  Fields computed in
+    `__post_init__` are skipped.
     """
     hints = typing.get_type_hints(cls)
-    return cls(
-        **{f.name: _decode(hints[f.name], data[f.name]) for f in dataclasses.fields(cls) if f.init}
+    names = [f.name for f in dataclasses.fields(cls) if f.init]
+    columns = [name for name in names if hints[name] is np.ndarray]
+    values = {}
+    for name in names:
+        if hints[name] is Evidence:
+            rows = data[name]
+            values[name] = _evidence([r["result"] for r in rows] if columns else rows)
+            values.update((c, np.array([r[c] for r in rows], dtype=float)) for c in columns)
+        elif name not in columns:
+            values[name] = _decode(hints[name], data[name])
+    return cls(**values)
+
+
+def _evidence(rows):
+    """An Evidence from the payloads of its records."""
+    sets = [r["matched_indices"] for r in rows]
+    return Evidence(
+        closest_values=np.array([r["closest_values"] for r in rows], dtype=float),
+        closest_ranks=np.array([r["closest_ranks"] for r in rows], dtype=np.int64),
+        distances=np.array([r["distance"] for r in rows], dtype=np.int64),
+        offsets=np.cumsum([0] + [len(s) for s in sets], dtype=np.int64),
+        matches=np.array([i for s in sets for i in s], dtype=np.int64),
+        matched_deviations=np.array([r["matched_deviations"] for r in rows], dtype=np.int64),
     )
 
 

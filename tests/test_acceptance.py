@@ -12,6 +12,7 @@ import pytest
 
 import conftest
 import test_properties as property_suites
+from helpers import match_sets
 from permpriv import fixtures
 from permpriv.baseline import (
     BaselineSpec,
@@ -45,7 +46,7 @@ def test_criterion_01_reverse_mapping_reproduces_the_worked_table(
         for i, row in enumerate(fixtures.REVERSE_MAPPED):
             for j, cell in enumerate(row):
                 assert f"{permuted.values[i, j]:.2f}" == f"{cell:.2f}"
-        again = reverse_map_table(original, masked)
+        again = reverse_map_table(original, Release(masked))
         assert np.array_equal(again.values, permuted.values)
 
 
@@ -58,7 +59,7 @@ def test_criterion_02_rank_correlations(original, permuted):
 
 def test_criterion_03_noise_decomposition(original, masked):
     with criterion("03 noise split: residual and direct tables, exact rebuild"):
-        dec = decompose(original, masked)
+        dec = decompose(original, Release(masked))
         assert dec.residual_noise == pytest.approx(
             np.array(fixtures.RESIDUAL_NOISE), abs=0.005
         )
@@ -99,27 +100,22 @@ def test_criterion_05_dataset_certificate(certificate):
         assert certificate.dataset_variances == pytest.approx(
             ref["dataset_variances"], abs=0.01
         )
-        assert certificate.record_distances == ref["distances"]
-        for entry, matched, at_d, at_di in zip(
-            certificate.per_record,
-            ref["matched"],
-            ref["variances_at_d"],
-            ref["variances_at_di"],
-        ):
-            assert entry.result.matched_indices[0] == matched
-            assert entry.variances_at_dataset_distance == pytest.approx(
-                at_d, abs=0.01
-            )
-            assert entry.variances_at_record_distance == pytest.approx(
-                at_di, abs=0.01
-            )
+        assert certificate.per_record.distances.tolist() == list(ref["distances"])
+        for result, matched in zip(certificate.per_record, ref["matched"]):
+            assert result.matched_indices[0] == matched
+        assert certificate.variances_at_dataset_distance == pytest.approx(
+            np.array(ref["variances_at_d"]), abs=0.01
+        )
+        assert certificate.variances_at_record_distance == pytest.approx(
+            np.array(ref["variances_at_di"]), abs=0.01
+        )
 
 
 def test_criterion_06_linkage_simulation(original, permuted):
     with criterion("06 intruder linkage: match sets, coverage, identity score"):
         linkage = link_records(original, Release(permuted))
-        assert linkage.match_sets == fixtures.LINKAGE_MATCHES
-        assert linkage.distances == fixtures.LINKAGE_DISTANCES
+        assert match_sets(linkage.per_record) == fixtures.LINKAGE_MATCHES
+        assert linkage.per_record.distances.tolist() == list(fixtures.LINKAGE_DISTANCES)
         assert linkage.unmatched_targets == fixtures.LINKAGE_UNMATCHED
         assert (
             linkage.multiply_matched_targets == fixtures.LINKAGE_MULTIPLY_MATCHED
@@ -131,7 +127,7 @@ def test_criterion_06_linkage_simulation(original, permuted):
             19: (13, 19),
         }
         for record, expected in ties.items():
-            assert linkage.match_sets[record - 1] == expected
+            assert linkage.per_record[record - 1].matched_indices == expected
         score = score_linkage(linkage, range(1, 21))
         assert (score.correct, score.multiple, score.misidentified) == (6, 4, 10)
 
@@ -169,7 +165,7 @@ def test_criterion_08_thousand_record_experiment():
 
             # near-zero noise: real records sit far closer than chance
             tiny = gaussian_mask(x, NoiseSpec(sigmas=(0.05, 0.25, 1.0), seed=mask_seed))
-            z = reverse_map_table(x, tiny)
+            z = reverse_map_table(x, Release(tiny))
             dist_x = distance_distribution(x, Release(z))
             dist_a = distance_distribution(base, Release(z))
             assert dist_x.cumulative(5) >= 0.85
@@ -177,7 +173,7 @@ def test_criterion_08_thousand_record_experiment():
 
             # heavy noise: the real distance profile approaches chance
             heavy = gaussian_mask(x, NoiseSpec(sigmas=(5.0, 25.0, 100.0), seed=mask_seed))
-            z = reverse_map_table(x, heavy)
+            z = reverse_map_table(x, Release(heavy))
             dist_x = distance_distribution(x, Release(z))
             dist_a = distance_distribution(base, Release(z))
             assert divergence(dist_x, dist_a).total_variation <= 0.15

@@ -62,11 +62,11 @@ def _cases():
         elif case % 3 == 2:
             x = random_tied_table(rng, n, m, levels=int(rng.integers(1, 4)))
             y = random_tied_table(rng, n, m, role=Role.ANONYMIZED, levels=3)
-        z = reverse_map_table(x, y, tie_seed=int(rng.integers(0, 1000)))
+        z = reverse_map_table(x, Release(y, tie_seed=int(rng.integers(0, 1000))))
         yield x, Release(z, tie_seed=int(rng.integers(0, 1000)))
     for n, m in ((1, 1), (1, 3), (2, 1), (17, 1), (5, 4), (6, 4)):
         x, y = random_pair(rng, n, m, sigma=30.0)
-        yield x, Release(reverse_map_table(x, y))
+        yield x, Release(reverse_map_table(x, Release(y)))
     x = random_tied_table(rng, 6, 4, levels=2)
     yield x, Release(x, tie_seed=9)
 

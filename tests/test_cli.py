@@ -196,13 +196,13 @@ def test_subject_searches_the_record_once(workspace, capsys, original, monkeypat
         workspace / "record3.csv",
     )
     calls = []
-    results = Release.results
+    search = Release.search
 
     def counted(self, *args, **kwargs):
         calls.append(1)
-        return results(self, *args, **kwargs)
+        return search(self, *args, **kwargs)
 
-    monkeypatch.setattr(Release, "results", counted)
+    monkeypatch.setattr(Release, "search", counted)
     code, out, _ = run(
         capsys, "subject", workspace / "record3.csv", workspace / "masked.csv",
         "--d", "1", "--v", "1", "1", "1", "--baseline", mode, "--out", workspace,

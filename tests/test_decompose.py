@@ -7,11 +7,12 @@ from helpers import oracle_spearman, random_pair
 from permpriv import fixtures
 from permpriv.decompose import decompose, noise_magnitude_summary, spearman_rho
 from permpriv.errors import InsufficientDataError, ShapeMismatchError
+from permpriv.privacy import Release
 
 
 @pytest.fixture(scope="module")
 def decomposition(original, masked):
-    return decompose(original, masked)
+    return decompose(original, Release(masked))
 
 
 def test_residual_noise_matches_reference(decomposition):
@@ -49,7 +50,7 @@ def test_direct_noise_is_the_plain_difference(decomposition, original, masked):
 
 
 def test_decomposing_a_table_against_itself_gives_zero_noise(original):
-    dec = decompose(original, original)
+    dec = decompose(original, Release(original))
     assert not dec.residual_noise.any()
     assert not dec.direct_noise.any()
 
@@ -99,7 +100,7 @@ def test_noise_summary_golden(decomposition):
 def test_noise_summary_matches_recomputation():
     rng = np.random.default_rng(17)
     x, y = random_pair(rng, 30, 3, sigma=4.0)
-    dec = decompose(x, y)
+    dec = decompose(x, Release(y))
     summary = noise_magnitude_summary(dec)
     for j in range(3):
         res = np.abs(dec.residual_noise[:, j])
@@ -118,5 +119,5 @@ def test_residual_noise_is_rank_neutral():
     rng = np.random.default_rng(19)
     for _ in range(10):
         x, y = random_pair(rng, 15, 2, sigma=3.0)
-        dec = decompose(x, y)
+        dec = decompose(x, Release(y))
         assert RankProfile.of(dec.z) == RankProfile.of(y)

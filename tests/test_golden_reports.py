@@ -8,15 +8,19 @@ report digest changes legitimately only when a report gains or loses a field
 on purpose, or the package version changes, and a table digest never does.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
+import numpy as np
 import pytest
 
+from helpers import random_tied_table
 from permpriv import fixtures, io_report
 from permpriv.cli import main
 from permpriv.io_report import write_csv
-from permpriv.table import MicrodataTable
+from permpriv.table import MicrodataTable, Role
 
 GOLDEN = {
     "certify/certificate.json": "717054b9bdb3f356ff79c3c4d7531f45c693c7a1700ae80e7c26fbdcc50f68b9",
@@ -106,3 +110,65 @@ def test_table_bytes_at_1000_records(tmp_path, monkeypatch):
     ) == 0
     for name, digest in LARGE_TABLES.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# A tie-heavy pair: 300 records, m = 4, every original cell one of three
+# levels and every released cell that level moved by -1, 0 or +1.  Many
+# records tie at their distance with several released records, so these
+# reports pin multi-record match sets.  A command's printed summary, with
+# the output directory spelled ROOT, is pinned where it reads the evidence:
+# the failing records of certify's targets and link's multi-match count.
+TIED = {
+    "certify/certificate.json": "79707a1aa7a44b508c4584157f4c615996da72f7eeb633ba8ecb907786f0cbd2",
+    "certify-targets/certificate.json": "79707a1aa7a44b508c4584157f4c615996da72f7eeb633ba8ecb907786f0cbd2",
+    "certify-targets/stdout.txt": "71d54d8be652ce7eed8ad3f68e6f47315b5841b23ec68d8bbb359ead7550e231",
+    "link/linkage.json": "d0c141b6f2a6690fe4bac8dc0303150da4608cf386b3cddb26d0d4b0af01dbab",
+    "link/stdout.txt": "a5bd706401919724de012dc87ea7498710dd9822ab6fe77233e31373ae3bb732",
+    "subject/subject.json": "5129c6f17118cd625ae5538d7fc22141cc894eb330b4d5f70780f666e56a1899",
+}
+# a record whose match set in the release holds more than one record
+TIED_SUBJECT = 4
+
+
+@pytest.fixture(scope="module")
+def tied_artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tied")
+    rng = np.random.default_rng(5)
+    x = random_tied_table(rng, 300, 4, levels=3)
+    noise = rng.integers(-1, 2, size=x.values.shape)
+    y = MicrodataTable(x.values + noise, x.attribute_names, role=Role.ANONYMIZED)
+    write_csv(x, root / "original.csv")
+    write_csv(y, root / "masked.csv")
+    row = x.values[TIED_SUBJECT : TIED_SUBJECT + 1]
+    write_csv(MicrodataTable(row, x.attribute_names), root / "record.csv")
+    targets = ["--d", "20", "--v", "0.1", "0.1", "0.1", "0.1"]  # 11 records fail
+    runs = [
+        ("certify", ["certify", "original.csv", "masked.csv"], 0),
+        ("certify-targets", ["certify", "original.csv", "masked.csv", *targets], 4),
+        ("reverse-map", ["reverse-map", "original.csv", "masked.csv"], 0),
+        ("link", ["link", "original.csv", "reverse-map/reverse_mapped.csv",
+                  "--truth", "identity"], 0),
+        ("subject", ["subject", "record.csv", "masked.csv", *targets,
+                     "--baseline", "sampled", "--baseline-size", "500"], 0),
+    ]
+    for out, argv, code in runs:
+        argv = [str(root / a) if a.endswith(".csv") else a for a in argv]
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert main([*argv, "--out", str(root / out)]) == code, out
+        (root / out / "stdout.txt").write_text(printed.getvalue().replace(str(root), "ROOT"))
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(TIED))
+def test_tie_heavy_report_bytes_match_the_recorded_digests(tied_artifacts, name):
+    digest = hashlib.sha256((tied_artifacts / name).read_bytes()).hexdigest()
+    assert digest == TIED[name]
+
+
+def test_tie_heavy_reports_hold_multi_record_match_sets(tied_artifacts):
+    linkage = json.loads((tied_artifacts / "link/linkage.json").read_text())["payload"]
+    sizes = [len(r["matched_indices"]) for r in linkage["per_record"]]
+    assert sum(s > 1 for s in sizes) >= 20
+    subject = json.loads((tied_artifacts / "subject/subject.json").read_text())["payload"]
+    assert len(subject["evidence"]["matched_indices"]) > 1

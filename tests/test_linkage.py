@@ -5,9 +5,10 @@ import collections
 import numpy as np
 import pytest
 
-from helpers import json_round_trip, oracle_distance, random_table, shuffle_rows
+from helpers import json_round_trip, match_sets, oracle_distance, random_table, shuffle_rows
 from permpriv import fixtures
 from permpriv.errors import InvalidTruthMappingError, ShapeMismatchError
+from permpriv.io_report import to_payload
 from permpriv.linkage import link_records, score_linkage
 from permpriv.privacy import Release, batch_permutation_distances
 from permpriv.table import RankProfile, Role
@@ -19,11 +20,11 @@ def linkage(original, permuted):
 
 
 def test_match_sets_match_reference(linkage):
-    assert linkage.match_sets == fixtures.LINKAGE_MATCHES
+    assert match_sets(linkage.per_record) == fixtures.LINKAGE_MATCHES
 
 
 def test_distances_match_reference(linkage):
-    assert linkage.distances == fixtures.LINKAGE_DISTANCES
+    assert linkage.per_record.distances.tolist() == list(fixtures.LINKAGE_DISTANCES)
 
 
 def test_unmatched_targets(linkage):
@@ -42,7 +43,7 @@ def test_record5_links_to_itself_alone(linkage):
 
 def test_coverage_tallies_against_a_row_scan(linkage):
     hits = collections.Counter()
-    for matches in linkage.match_sets:
+    for matches in match_sets(linkage.per_record):
         hits.update(matches)
     assert linkage.unmatched_targets == tuple(
         t for t in range(1, 21) if t not in hits
@@ -53,7 +54,7 @@ def test_coverage_tallies_against_a_row_scan(linkage):
 
 
 def test_linkage_distances_equal_direct_distances(linkage, original, permuted):
-    assert list(linkage.distances) == batch_permutation_distances(
+    assert linkage.per_record.distances.tolist() == batch_permutation_distances(
         original, Release(permuted)
     ).tolist()
 
@@ -68,7 +69,7 @@ def test_identity_truth_score(linkage):
 
 def test_identity_truth_score_against_a_hand_tally(linkage):
     correct = multiple = wrong = 0
-    for i, matches in enumerate(linkage.match_sets, start=1):
+    for i, matches in enumerate(match_sets(linkage.per_record), start=1):
         if len(matches) > 1:
             multiple += 1
         elif matches[0] == i:
@@ -109,7 +110,7 @@ def test_truth_validation(linkage):
 def test_self_linkage_is_perfect(original):
     result = link_records(original, Release(original))
     assert all(r.distance == 0 for r in result.per_record)
-    assert result.match_sets == tuple((i,) for i in range(1, 21))
+    assert match_sets(result.per_record) == tuple((i,) for i in range(1, 21))
     score = score_linkage(result, range(1, 21))
     assert score.correct == 20
 
@@ -132,8 +133,8 @@ def test_row_shuffle_only_relabels_matches(original, permuted):
     shuffled, relabel = shuffle_rows(rng, permuted, role=Role.REVERSE_MAPPED)
     base = link_records(original, Release(permuted))
     moved = link_records(original, Release(shuffled))
-    assert moved.distances == base.distances
-    for b, m in zip(base.match_sets, moved.match_sets):
+    assert moved.per_record.distances.tolist() == base.per_record.distances.tolist()
+    for b, m in zip(match_sets(base.per_record), match_sets(moved.per_record)):
         assert tuple(sorted(relabel[t - 1] for t in b)) == m
     score = score_linkage(moved, relabel)
     assert (score.correct, score.multiple, score.misidentified) == (6, 4, 10)
@@ -154,13 +155,13 @@ def test_linkage_against_brute_force_oracle():
 
 
 def test_linkage_round_trip(linkage):
-    assert json_round_trip(linkage) == linkage
+    assert to_payload(json_round_trip(linkage)) == to_payload(linkage)
     score = score_linkage(linkage, range(1, len(linkage.per_record) + 1))
     assert json_round_trip(score) == score
 
 
 def test_linkage_distances_aggregate_to_the_reference_histogram(linkage):
-    counts = collections.Counter(linkage.distances)
+    counts = collections.Counter(linkage.per_record.distances.tolist())
     freq = {d: c / 20 for d, c in counts.items()}
     ref = {
         d: f for d, f in fixtures.DISTANCE_FREQ_ORIGINAL.items() if f > 0

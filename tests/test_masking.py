@@ -132,7 +132,7 @@ def test_noise_streams_are_independent_per_attribute():
 def test_pipeline_runs_end_to_end(n):
     original = synth_original(SynthSpec(n=n, means=MEANS, stds=STDS))
     masked = gaussian_mask(original, NoiseSpec(sigmas=(5.0, 25.0, 100.0)))
-    dec = decompose(original, masked)
+    dec = decompose(original, Release(masked))
     cert = certify_dataset(original, Release(masked))
     assert dec.z.n == n
     assert 0 <= cert.dataset_distance <= n - 1

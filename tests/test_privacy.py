@@ -12,6 +12,7 @@ from helpers import (
 )
 from permpriv import fixtures
 from permpriv.errors import InvalidValueError, RankOutOfRangeError, ShapeMismatchError
+from permpriv.io_report import to_payload
 from permpriv.privacy import (
     Release,
     batch_permutation_distances,
@@ -249,46 +250,44 @@ def test_certificate_golden_summary(certificate):
     assert certificate.dataset_variances == pytest.approx(
         ref["dataset_variances"], abs=0.005
     )
-    assert certificate.record_distances == ref["distances"]
-    for entry, matched in zip(certificate.per_record, ref["matched"]):
-        assert entry.result.matched_indices[0] == matched
+    assert certificate.per_record.distances.tolist() == list(ref["distances"])
+    for result, matched in zip(certificate.per_record, ref["matched"]):
+        assert result.matched_indices[0] == matched
 
 
 def test_certificate_golden_variance_tables(certificate):
     ref = fixtures.CERTIFICATE
-    for entry, at_d, at_di in zip(
-        certificate.per_record, ref["variances_at_d"], ref["variances_at_di"]
-    ):
-        assert entry.variances_at_dataset_distance == pytest.approx(at_d, abs=0.005)
-        assert entry.variances_at_record_distance == pytest.approx(at_di, abs=0.005)
+    assert certificate.variances_at_dataset_distance == pytest.approx(
+        np.array(ref["variances_at_d"]), abs=0.005
+    )
+    assert certificate.variances_at_record_distance == pytest.approx(
+        np.array(ref["variances_at_di"]), abs=0.005
+    )
 
 
 def test_certificate_is_internally_consistent(certificate):
-    distances = certificate.record_distances
+    distances = certificate.per_record.distances.tolist()
     assert certificate.dataset_distance == min(distances)
+    at_d = certificate.variances_at_dataset_distance
+    at_di = certificate.variances_at_record_distance
     for j in range(3):
-        column = [
-            e.variances_at_dataset_distance[j] for e in certificate.per_record
-        ]
-        assert certificate.dataset_variances[j] == pytest.approx(min(column))
+        assert certificate.dataset_variances[j] == pytest.approx(at_d[:, j].min())
     # where a record's own distance equals the dataset floor, both variance
     # views coincide
-    for e in certificate.per_record:
-        if e.result.distance == certificate.dataset_distance:
-            assert e.variances_at_record_distance == pytest.approx(
-                e.variances_at_dataset_distance
-            )
+    for i, d in enumerate(distances):
+        if d == certificate.dataset_distance:
+            assert at_di[i] == pytest.approx(at_d[i])
 
 
 def test_certificate_against_oracles(certificate, masked, masked_ranks, original):
     values = masked.values.tolist()
     ranks = masked_ranks.ranks.tolist()
-    for i, entry in enumerate(certificate.per_record):
+    for i, result in enumerate(certificate.per_record):
         d, matches, centers = oracle_distance(original.values[i], values, ranks)
-        assert entry.result.distance == d
-        assert entry.result.matched_indices == matches
+        assert result.distance == d
+        assert result.matched_indices == matches
         for j in range(3):
-            assert entry.variances_at_record_distance[j] == pytest.approx(
+            assert certificate.variances_at_record_distance[i, j] == pytest.approx(
                 oracle_window_variance(
                     masked.column(j), masked_ranks.vector(j), centers[j], d
                 )
@@ -298,7 +297,7 @@ def test_certificate_against_oracles(certificate, masked, masked_ranks, original
 def test_certifying_an_unchanged_table_gives_floor_zero(original):
     cert = certify_dataset(original, Release(original))
     assert cert.dataset_distance == 0
-    assert all(d == 0 for d in cert.record_distances)
+    assert not cert.per_record.distances.any()
     assert cert.dataset_variances == pytest.approx((0.0, 0.0, 0.0))
 
 
@@ -321,7 +320,7 @@ def test_certificate_verification_interplay(original, masked, certificate):
 
 
 def test_certificate_round_trip(certificate):
-    assert json_round_trip(certificate) == certificate
+    assert to_payload(json_round_trip(certificate)) == to_payload(certificate)
 
 
 def test_matched_indices_are_exactly_the_minimizers():
@@ -345,7 +344,7 @@ def test_matched_indices_are_exactly_the_minimizers():
 def test_distances_bounded_by_table_size():
     rng = np.random.default_rng(53)
     x, y = random_pair(rng, 12, 2, sigma=500.0)
-    z = reverse_map_table(x, y)
+    z = reverse_map_table(x, Release(y))
     dists = batch_permutation_distances(x, Release(z))
     assert dists.min() >= 0
     assert dists.max() <= 11

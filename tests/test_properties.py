@@ -34,7 +34,7 @@ def test_reverse_mapping_preserves_column_multisets():
             values = y.values.copy()
             values[1] = values[0]  # tied anonymized rows
             y = MicrodataTable(values, y.attribute_names, role=Role.ANONYMIZED)
-        z = reverse_map_table(x, y, tie_seed=int(rng.integers(0, 10_000)))
+        z = reverse_map_table(x, Release(y, tie_seed=int(rng.integers(0, 10_000))))
         for j in range(m):
             assert sorted(z.column(j).tolist()) == sorted(x.column(j).tolist())
 
@@ -46,7 +46,7 @@ def test_residual_noise_never_changes_ranks():
         m = int(rng.integers(1, 4))
         seed = int(rng.integers(0, 10_000))
         x, y = random_pair(rng, n, m, sigma=float(rng.uniform(0.05, 20)))
-        z = reverse_map_table(x, y, tie_seed=seed)
+        z = reverse_map_table(x, Release(y, tie_seed=seed))
         assert RankProfile.of(z, seed) == RankProfile.of(y, seed)
         # adding the residual back reproduces the anonymized table to the ulp
         residual = y.values - z.values
@@ -76,7 +76,7 @@ def test_plausibility_is_a_distribution_function():
         n = int(rng.integers(3, 15))
         m = int(rng.integers(1, 3))
         x, y = random_pair(rng, n, m, sigma=float(rng.uniform(0.1, 10)))
-        z = reverse_map_table(x, y)
+        z = reverse_map_table(x, Release(y))
         base_table = generate_baseline(
             x,
             BaselineSpec(
@@ -141,7 +141,7 @@ def test_every_distance_route_agrees():
         n = int(rng.integers(3, 13))
         m = int(rng.integers(1, 4))
         x, y = random_pair(rng, n, m, sigma=float(rng.uniform(0.1, 30)))
-        z = reverse_map_table(x, y)
+        z = reverse_map_table(x, Release(y))
         release = Release(z)
         linked = link_records(x, release)
         batch = batch_permutation_distances(x, release)

@@ -50,14 +50,31 @@ def _queries(rng, table, count):
     return np.vstack(picks)
 
 
+def _check_csr(evidence, match_sets):
+    """The match sets' CSR invariants, and each set equal to the expected one."""
+    offsets, matches = evidence.offsets, evidence.matches
+    assert offsets.shape == (len(match_sets) + 1,)
+    assert offsets[0] == 0 and offsets[-1] == matches.size
+    assert np.all(np.diff(offsets) > 0)  # nondecreasing, and no set is empty
+    for i, expected in enumerate(match_sets):
+        row = matches[offsets[i] : offsets[i + 1]]
+        assert np.all(np.diff(row) > 0)
+        assert tuple(row.tolist()) == expected
+
+
 def _check_against_oracle(table, queries, tie_seed=101):
     release = Release(table, tie_seed=tie_seed)
     values = table.values.tolist()
     ranks = release.profile.ranks.tolist()
-    results = release.results(queries, range(len(queries)))
-    assert release.distances(release.centers(queries)).tolist() == [r.distance for r in results]
-    for x, got in zip(queries, results):
-        d, matches, centers = oracle_distance(x.tolist(), values, ranks)
+    evidence = release.search(queries)
+    assert len(evidence) == len(queries)
+    assert not any(column.flags.writeable for column in vars(evidence).values())
+    assert release.distances(release.centers(queries)).tolist() == evidence.distances.tolist()
+    oracle = [oracle_distance(x.tolist(), values, ranks) for x in queries]
+    _check_csr(evidence, [matches for _, matches, _ in oracle])
+    for i, (x, (d, matches, centers)) in enumerate(zip(queries, oracle)):
+        got = evidence[i]
+        assert got == permutation_distance(x, release, record_index=i + 1)
         assert got.distance == d
         assert got.closest_ranks == centers
         assert got.matched_indices == matches
@@ -106,10 +123,10 @@ def test_search_matches_the_brute_scan_at_two_thousand_records(tied):
     )
     release = Release(table)
     distances, centers, matches = brute_search(table.values, release.profile.ranks, queries)
-    results = release.results(queries, range(len(queries)))
-    assert [r.distance for r in results] == distances.tolist()
-    assert [r.closest_ranks for r in results] == [tuple(c) for c in centers.tolist()]
-    assert [r.matched_indices for r in results] == matches
+    evidence = release.search(queries)
+    assert evidence.distances.tolist() == distances.tolist()
+    assert evidence.closest_ranks.tolist() == centers.tolist()
+    _check_csr(evidence, matches)
 
 
 def test_search_reaches_the_last_row_at_a_ring_edge():
@@ -148,8 +165,7 @@ def test_queries_just_over_one_block():
     release = Release(table)
     distances, centers, matches = brute_search(table.values, release.profile.ranks, queries)
     assert release.distances(release.centers(queries)).tolist() == distances.tolist()
-    results = release.results(queries, range(count))
-    assert [r.matched_indices for r in results] == matches
+    _check_csr(release.search(queries), matches)
 
 
 def test_one_query_per_block(monkeypatch):

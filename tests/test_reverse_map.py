@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import oracle_reverse_map, random_pair, random_table, random_tied_table
-from permpriv import fixtures, reverse_map
+from permpriv import fixtures
 from permpriv.decompose import decompose
+from permpriv.demo import regenerate
 from permpriv.errors import ShapeMismatchError
 from permpriv.privacy import Release, permutation_distance
 from permpriv.reverse_map import reverse_map_table
@@ -22,18 +23,18 @@ def test_first_record_first_attribute(original, masked):
     # original value of rank 14
     name = original.attribute_names[:1]
     y = MicrodataTable(masked.column(0), name, role=Role.ANONYMIZED)
-    z = reverse_map_table(MicrodataTable(original.column(0), name), y).column(0)
+    z = reverse_map_table(MicrodataTable(original.column(0), name), Release(y)).column(0)
     assert masked.values[0, 0] == pytest.approx(108.18, abs=0.005)
     assert z[0] == pytest.approx(108.21, abs=0.005)
 
 
 def test_identity_when_nothing_was_masked(original):
-    z = reverse_map_table(original, original)
+    z = reverse_map_table(original, Release(original))
     assert np.array_equal(z.values, original.values)
 
 
 def test_reverse_mapping_is_idempotent(original, permuted):
-    again = reverse_map_table(original, permuted)
+    again = reverse_map_table(original, Release(permuted))
     assert np.array_equal(again.values, permuted.values)
 
 
@@ -59,7 +60,7 @@ def test_marginal_statistics_survive(original, permuted):
 def test_exhaustive_position_check_small_case():
     x = MicrodataTable([10.0, 20.0, 30.0, 40.0], ("a",))
     y = MicrodataTable([5.0, 1.0, 9.0, 2.0], ("a",), role=Role.ANONYMIZED)  # ranks 3, 1, 4, 2
-    z = reverse_map_table(x, y)
+    z = reverse_map_table(x, Release(y))
     assert z.column(0).tolist() == [30.0, 10.0, 40.0, 20.0]
 
 
@@ -79,7 +80,8 @@ def test_matches_the_per_column_oracle_bit_for_bit(tie_seed):
             oracle_reverse_map(x.column(j), y.column(j), derive_column_seed(tie_seed, j))
             for j in range(m)
         ])
-        assert reverse_map_table(x, y, tie_seed).values.tobytes() == expected.tobytes()
+        z = reverse_map_table(x, Release(y, tie_seed=tie_seed))
+        assert z.values.tobytes() == expected.tobytes()
 
 
 def test_random_tables_keep_multiset_and_ranks():
@@ -88,7 +90,7 @@ def test_random_tables_keep_multiset_and_ranks():
         n = int(rng.integers(2, 25))
         m = int(rng.integers(1, 4))
         x, y = random_pair(rng, n, m, sigma=float(rng.uniform(0.1, 50)))
-        z = reverse_map_table(x, y)
+        z = reverse_map_table(x, Release(y))
         for j in range(m):
             assert np.array_equal(np.sort(z.column(j)), np.sort(x.column(j)))
             assert np.array_equal(
@@ -97,8 +99,8 @@ def test_random_tables_keep_multiset_and_ranks():
 
 
 def test_replay_is_bit_identical(original, masked):
-    a = reverse_map_table(original, masked, tie_seed=77)
-    b = reverse_map_table(original, masked, tie_seed=77)
+    a = reverse_map_table(original, Release(masked, tie_seed=77))
+    b = reverse_map_table(original, Release(masked, tie_seed=77))
     assert np.array_equal(a.values, b.values)
 
 
@@ -112,30 +114,35 @@ def test_shape_and_name_mismatches_rejected(original):
     rng = np.random.default_rng(1)
     short = random_table(rng, original.n - 1, original.m, role=Role.ANONYMIZED)
     with pytest.raises(ShapeMismatchError):
-        reverse_map_table(original, short)
+        reverse_map_table(original, Release(short))
     narrow = random_table(rng, original.n, original.m - 1, role=Role.ANONYMIZED)
     with pytest.raises(ShapeMismatchError):
-        reverse_map_table(original, narrow)
+        reverse_map_table(original, Release(narrow))
     renamed = MicrodataTable(
         original.values, ("p", "q", "r"), role=Role.ANONYMIZED
     )
     with pytest.raises(ShapeMismatchError):
-        reverse_map_table(original, renamed)
+        reverse_map_table(original, Release(renamed))
 
 
-def test_reverse_mapping_builds_no_search_index(monkeypatch, original, masked):
-    built = []
-
-    class Recorded(Release):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(reverse_map, "Release", Recorded)
-    reverse_map_table(original, masked)
-    decompose(original, masked)
-    assert len(built) == 2
-    assert all("_order" not in r.__dict__ and "_index" not in r.__dict__ for r in built)
+def test_reverse_mapping_builds_no_search_index(original, masked):
+    release = Release(masked)
+    reverse_map_table(original, release)
+    decompose(original, release)
+    assert "_order" not in release.__dict__ and "_index" not in release.__dict__
     # the first search builds the index, once
-    permutation_distance(original.values[0], built[0])
-    assert {"_order", "_index"} <= built[0].__dict__.keys()
+    permutation_distance(original.values[0], release)
+    assert {"_order", "_index"} <= release.__dict__.keys()
+
+
+def test_the_demo_ranks_each_table_once(monkeypatch):
+    ranked = []
+    rank = RankProfile.of.__func__
+
+    def recorded(cls, table, *args):
+        ranked.append(table.role)
+        return rank(cls, table, *args)
+
+    monkeypatch.setattr(RankProfile, "of", classmethod(recorded))
+    regenerate()
+    assert ranked == [Role.ANONYMIZED, Role.REVERSE_MAPPED]

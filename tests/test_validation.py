@@ -29,7 +29,7 @@ def swapped(original):
 
 
 ENTRY_POINTS = {
-    "reverse_map_table": lambda x, y: reverse_map_table(x, y),
+    "reverse_map_table": lambda x, y: reverse_map_table(x, Release(y)),
     "certify_dataset": lambda x, y: certify_dataset(x, Release(y)),
     # a release ranked from a profile of its own, with a non-default tie seed
     "certify_dataset(Release)": lambda x, y: certify_dataset(
@@ -85,6 +85,7 @@ def test_reverse_map_postconditions_survive_optimized_mode():
         import numpy as np
         import permpriv.table as tb
         from permpriv.errors import InvalidValueError
+        from permpriv.privacy import Release
         from permpriv.reverse_map import reverse_map_table
 
         assert False, "asserts must be off under -O"
@@ -92,7 +93,7 @@ def test_reverse_map_postconditions_survive_optimized_mode():
         x = tb.MicrodataTable([1.0, 2.0, 3.0], ("a",))
         y = tb.MicrodataTable([10.0, 20.0, 30.0], ("a",), role=tb.Role.ANONYMIZED)
         try:
-            reverse_map_table(x, y)
+            reverse_map_table(x, Release(y))
         except InvalidValueError as exc:
             print(exc)
         """

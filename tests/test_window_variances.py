@@ -106,13 +106,12 @@ def test_certificate_variances_match_the_loop():
         release = Release(table)
         certificate = certify_dataset(original, release)
         vbr = release.values_by_rank
-        centers = [entry.result.closest_ranks for entry in certificate.per_record]
+        centers = [result.closest_ranks for result in certificate.per_record]
         at_d = oracle_window_variances(vbr, centers, certificate.dataset_distance)
-        at_di = oracle_window_variances(vbr, centers, certificate.record_distances)
-        got_d = np.array([e.variances_at_dataset_distance for e in certificate.per_record])
-        got_di = np.array([e.variances_at_record_distance for e in certificate.per_record])
-        assert _same_bits(got_d, at_d)
-        assert _same_bits(got_di, at_di)
+        distances = [result.distance for result in certificate.per_record]
+        at_di = oracle_window_variances(vbr, centers, distances)
+        assert _same_bits(certificate.variances_at_dataset_distance, at_d)
+        assert _same_bits(certificate.variances_at_record_distance, at_di)
         assert certificate.dataset_variances == tuple(at_d.min(axis=0).tolist())
 
 
