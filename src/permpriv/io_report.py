@@ -15,8 +15,9 @@ import csv
 import io
 import json
 import math
+import os
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Mapping
 
 import numpy as np
@@ -157,9 +158,10 @@ def _parse_rows(path, reader, width: int) -> list[list[float]]:
     return rows
 
 
-# Bytes of cells, at 8 per cell, one block of a written table may hold.  A
-# block's strings and text take about 40 times that, so writing a table grows
-# peak memory by about 5 MiB whatever its number of rows.
+# Bytes of cells, at 8 per cell, one block of a written table or of a
+# report's per-record rows may hold.  A block's strings and text take about
+# 40 times that, so writing either grows peak memory by 5-7 MiB whatever its
+# number of rows.
 _WRITE_BLOCK_BYTES = 1 << 17
 
 
@@ -185,49 +187,35 @@ def write_csv(table: MicrodataTable, path) -> None:
             fh.write("\r\n")
 
 
+@dataclass(frozen=True, eq=False)
+class _PerRecord:
+    """An `Evidence` in a report payload, with the (q, k) arrays written in its rows."""
+
+    evidence: Evidence
+    columns: dict[str, np.ndarray]
+
+
 def to_payload(obj) -> dict:
     """Nested dicts of an analysis dataclass, fields in declaration order.
 
-    A field holding a dataclass is converted in turn; every other value goes
-    to `json` as it is, which writes tuples as arrays and integer keys as
-    their decimal strings.  An `Evidence` becomes one `RecordDistanceResult`
-    payload per record, nested under `result` beside the record's row of
-    each array field (the certificate's variances) when there are any.
+    A field holding a dataclass is converted in turn, and an `Evidence` stays
+    columnar: `write_report` writes one `RecordDistanceResult` row per record,
+    nested under `result` beside the record's row of each array field (the
+    certificate's variances) when there are any.  Every other value goes to
+    the writer as it is, which writes tuples as arrays and integer keys as
+    their decimal strings.
     """
     values = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    columns = {k: v.tolist() for k, v in values.items() if isinstance(v, np.ndarray)}
+    columns = {k: v for k, v in values.items() if isinstance(v, np.ndarray)}
     payload = {}
     for name, value in values.items():
         if isinstance(value, Evidence):
-            payload[name] = _evidence_rows(value, columns)
+            payload[name] = _PerRecord(value, columns)
         elif is_dataclass(value):
             payload[name] = to_payload(value)
         elif name not in columns:
             payload[name] = value
     return payload
-
-
-def _evidence_rows(evidence: Evidence, columns: dict[str, list]) -> list[dict]:
-    """Per-record payloads of an Evidence, each beside its row of every column."""
-    names = [f.name for f in fields(RecordDistanceResult)]
-    bounds, matches = evidence.offsets.tolist(), evidence.matches.tolist()
-    rows = [
-        dict(zip(names, record))
-        for record in zip(
-            range(1, len(evidence) + 1),
-            evidence.closest_values.tolist(),
-            evidence.closest_ranks.tolist(),
-            [matches[a:b] for a, b in zip(bounds, bounds[1:])],
-            evidence.matched_deviations.tolist(),
-            evidence.distances.tolist(),
-        )
-    ]
-    if columns:
-        rows = [
-            {"result": row, **dict(zip(columns, values))}
-            for row, values in zip(rows, zip(*columns.values()))
-        ]
-    return rows
 
 
 def write_report(
@@ -245,7 +233,10 @@ def write_report(
     `to_payload(obj)`, or a plain mapping when `kind` is given explicitly.
     Seeds marked withheld are reported by name with a null value, so the
     report still shows what was randomized while revealing nothing; a payload
-    field of the same name is nulled too.
+    field of the same name is nulled too.  The bytes are those of
+    `json.dump(report, fh, indent=2)` and a final newline, but per-record
+    evidence is written by `_write_rows` in row blocks, so memory does not
+    grow with it.
     """
     if obj is None:
         raise EmptyReportError("nothing to report")
@@ -276,9 +267,81 @@ def write_report(
         "disclosure": disclosure,
         "payload": payload,
     }
+    # json lays out the envelope and spells every key and scalar; each
+    # Evidence leaves a random marker, which no other string equals, where
+    # its rows go, as deep as the marker's line is indented
+    marker, deferred = f"rows {os.urandom(16).hex()}", []
+
+    def defer(value):
+        if not isinstance(value, _PerRecord):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        deferred.append(value)
+        return marker
+
+    parts = json.dumps(report, indent=2, default=defer).split(json.dumps(marker))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
+        for before, rows in zip(parts, deferred):
+            fh.write(before)
+            line = before[before.rfind("\n") + 1 :]
+            _write_rows(fh, rows, (len(line) - len(line.lstrip(" "))) // 2)
+        fh.write(parts[-1])
         fh.write("\n")
+
+
+def _write_rows(fh, rows: _PerRecord, level: int) -> None:
+    """Write per-record evidence, `level` containers deep, as `json` would.
+
+    Each row fills one `%` template, which `json.dumps(indent=2)` lays out
+    once from the `RecordDistanceResult` fields and the side columns.  Rows
+    go out in blocks of at most _WRITE_BLOCK_BYTES of cells (8 per cell,
+    match sets included), one `write` per block; a block's numbers are
+    spelled one column at a time and its match sets joined from the CSR
+    slices.
+    """
+    evidence, q = rows.evidence, len(rows.evidence)
+    if q == 0:
+        fh.write("[]")
+        return
+    m = evidence.closest_values.shape[1]
+    names = [f.name for f in fields(RecordDistanceResult)]
+    record = dict(zip(names, ["%s", ["%s"] * m, ["%s"] * m, ["%s"], ["%s"] * m, "%s"]))
+    if rows.columns:
+        sides = {k: ["%s"] * v.shape[1] for k, v in rows.columns.items()}
+        record = {"result": record, **sides}
+    pad = "\n" + "  " * (level + 1)
+    template = json.dumps(record, indent=2).replace('"%s"', "%s").replace("\n", pad)
+    between_matches = ",\n" + "  " * (level + 3 + bool(rows.columns))
+    offsets = evidence.offsets
+    width = 2 + 3 * m + sum(v.shape[1] for v in rows.columns.values())
+    ends = width * np.arange(1, q + 1) + offsets[1:]  # cells up to each row's end
+    cap = max(1, _WRITE_BLOCK_BYTES // 8)
+    a = 0
+    while a < q:
+        b = max(a + 1, int(np.searchsorted(ends, width * a + offsets[a] + cap, side="right")))
+        bounds = (offsets[a : b + 1] - offsets[a]).tolist()
+        matches = _spell(evidence.matches[offsets[a] : offsets[b]])
+        cells = [
+            list(map(str, range(a + 1, b + 1))),
+            *map(_spell, evidence.closest_values[a:b].T),
+            *map(_spell, evidence.closest_ranks[a:b].T),
+            [between_matches.join(matches[x:y]) for x, y in zip(bounds, bounds[1:])],
+            *map(_spell, evidence.matched_deviations[a:b].T),
+            _spell(evidence.distances[a:b]),
+            *(_spell(c) for v in rows.columns.values() for c in v[a:b].T),
+        ]
+        body = ("," + pad).join(map(template.__mod__, zip(*cells)))
+        fh.write(("[" if a == 0 else ",") + pad + body)
+        a = b
+    fh.write("\n" + "  " * level + "]")
+
+
+def _spell(column: np.ndarray) -> list[str]:
+    """Each number of a 1-D column as `json.dumps` spells it."""
+    text = list(map(repr, column.tolist()))
+    if column.dtype.kind == "f":
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            text[i] = json.dumps(column[i].item())
+    return text
 
 
 def read_report(path) -> dict:

@@ -20,9 +20,13 @@ from .privacy import Evidence, Release
 from .table import MicrodataTable, check_same_layout
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkageResult:
-    """Per-record match sets plus aggregate coverage of the permuted table."""
+    """Per-record match sets plus aggregate coverage of the permuted table.
+
+    Like its `Evidence`, a result compares by identity; two results are the
+    same when their reports' bytes are.
+    """
 
     per_record: Evidence
     unmatched_targets: tuple[int, ...]  # permuted records in no match set

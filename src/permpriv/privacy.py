@@ -38,9 +38,14 @@ _BLOCK_BYTES = 1 << 19
 
 
 def _values_by_rank(column: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Ascending array v where v[r-1] is the value holding rank r."""
+    """Ascending array v where v[r-1] is the value holding rank r.
+
+    Raises InvalidValueError when the ranks do not order the column.
+    """
     out = np.empty(column.size, dtype=float)
     out[np.asarray(ranks) - 1] = column
+    if np.any(out[1:] < out[:-1]):
+        raise InvalidValueError("rank profile does not order the table")
     return out
 
 
@@ -86,11 +91,12 @@ def _query_matrix(queries, release: Release) -> np.ndarray:
 class Release:
     """One released table, ranked once and indexed for permutation distances.
 
-    Holds the table and its rank profile, checked column by column to order
-    the table.  Each attribute's values in rank order and the search index,
-    every attribute's ranks in the order of the attribute-0 ranks, are built
-    on first use, so a release that is only ranked keeps neither.  Index row
-    r holds attribute-0 rank r + 1, so it deviates from a center c by exactly
+    Holds the table and its rank profile.  Each attribute's values in rank
+    order, which check that the profile orders the table, and the search
+    index, every attribute's ranks in the order of the attribute-0 ranks,
+    are built on first use, so a release that is only ranked keeps neither;
+    a profile the caller supplies is checked at once.  Index row r holds
+    attribute-0 rank r + 1, so it deviates from a center c by exactly
     |r + 1 - c[0]| on attribute 0.  A search scans outward from row c[0] - 1
     and stops once that gap alone reaches the best deviation found
     (Friedman, Baskett & Shustek 1975).  Its cost is O(q * d * m) for q
@@ -111,14 +117,23 @@ class Release:
             raise ShapeMismatchError("rank profile does not match the table shape")
         self.table = table
         self.profile = profile
-        ordered = map(_values_by_rank, table.values.T, profile.ranks.T)
-        if any(np.any(v[1:] < v[:-1]) for v in ordered):
-            raise InvalidValueError("rank profile does not order the table")
+        if ranks is not None:
+            self.values_by_rank  # built, and so checked, at once
 
     @cached_property
     def values_by_rank(self) -> list[np.ndarray]:
-        """Each attribute's values in rank order."""
+        """Each attribute's values in rank order, checked to be ascending."""
         return list(map(_values_by_rank, self.table.values.T, self.profile.ranks.T))
+
+    def check_order(self) -> None:
+        """Raise InvalidValueError unless the rank profile orders the table.
+
+        Unless `values_by_rank` is built, each column is built, checked and
+        dropped in turn, so a release that is only ranked keeps none.
+        """
+        if "values_by_rank" not in self.__dict__:
+            for column, ranks in zip(self.table.values.T, self.profile.ranks.T):
+                _values_by_rank(column, ranks)
 
     @cached_property
     def _order(self) -> np.ndarray:
@@ -412,7 +427,7 @@ def verify_record(x, release: Release, d_target: int, v_target) -> RecordVerific
     return release.verify(permutation_distance(x, release), d_target, v_target)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrivacyCertificate:
     """Dataset-level privacy evidence: the protector's published guarantee.
 
@@ -421,7 +436,8 @@ class PrivacyCertificate:
     `dataset_distance` is the minimum record distance; `dataset_variances`
     take, per attribute, the minimum window variance at that radius over all
     records.  The certificate discloses method parameters via `disclosure`
-    but never any masking seed.
+    but never any masking seed.  Like its `Evidence`, a certificate compares
+    by identity; two certificates are the same when their reports' bytes are.
     """
 
     per_record: Evidence

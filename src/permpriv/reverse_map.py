@@ -18,12 +18,13 @@ from .table import MicrodataTable, Role, check_same_layout
 def reverse_map_table(original: MicrodataTable, anonymized: Release) -> MicrodataTable:
     """Reverse-map every attribute: z_ij is the original value of rank r_ij.
 
-    r is the anonymized release's rank profile, which `RankProfile` and
-    `Release` have checked to be a permutation that orders the anonymized
+    r is the anonymized release's rank profile, which `RankProfile` checks
+    to be a permutation and `Release.check_order` to order the anonymized
     table; so z keeps each original multiset and is ordered like it.  The
     result carries role ``reverse_mapped`` and the original's attribute names.
     """
     check_same_layout(original, anonymized.table)
+    anonymized.check_order()
     ranks = anonymized.profile.ranks
     z = np.empty((original.n, original.m))
     for j in range(original.m):

@@ -8,10 +8,12 @@ with its projection search, `oracle_window_variances`, the per-window
 replaced, `oracle_reverse_map`, the per-column reverse map the package
 replaced with one ranking through `Release`, `oracle_load_csv`, the
 cell-by-cell CSV reader the package keeps only for bodies numpy's reader
-does not take, and `oracle_write_csv`, the per-cell `csv.writer` the
-package replaced with one `repr` per distinct value.  They share no code
-with the package, so agreement between the two routes is meaningful
-evidence rather than a tautology.
+does not take, `oracle_write_csv`, the per-cell `csv.writer` the
+package replaced with one `repr` per distinct value, and
+`oracle_write_report`, the per-record dicts through `json.dump(indent=2)`
+the package replaced with a row-block writer.  They share no code with the
+package, so agreement between the two routes is meaningful evidence rather
+than a tautology.
 """
 
 import collections
@@ -19,14 +21,17 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import tempfile
 import typing
 
 import numpy as np
 
+from permpriv import __version__
 from permpriv.errors import EmptyInputError, ParseError, RaggedRowError
-from permpriv.io_report import to_payload
-from permpriv.privacy import Evidence
+from permpriv.io_report import SCHEMA_VERSION, read_report, write_report
+from permpriv.privacy import Evidence, RecordDistanceResult
 from permpriv.table import MicrodataTable, Role
 
 
@@ -40,9 +45,9 @@ def random_table(rng, n, m, role=Role.ORIGINAL, scale=100.0):
     return MicrodataTable(values, names, role=role)
 
 
-def random_pair(rng, n, m, sigma=1.0):
+def random_pair(rng, n, m, sigma=1.0, scale=100.0):
     """An original table plus a noisy anonymized sibling."""
-    x = random_table(rng, n, m)
+    x = random_table(rng, n, m, scale=scale)
     y = MicrodataTable(
         x.values + rng.normal(0.0, sigma, size=(n, m)),
         x.attribute_names,
@@ -337,7 +342,7 @@ def peak_rss_mib():
 def from_payload(cls, data):
     """Rebuild an analysis dataclass from its report payload as JSON gives it back.
 
-    The inverse of `io_report.to_payload` after a trip through `json`: arrays
+    The inverse of `write_report` followed by `read_report`: arrays
     become tuples again and nested payloads their dataclasses, guided by the
     field annotations.  Per-record rows become an `Evidence` again, and with
     it the array fields they carry beside the evidence.  Fields computed in
@@ -379,5 +384,93 @@ def _decode(hint, value):
 
 
 def json_round_trip(obj):
-    """`obj` serialized as a report payload, through JSON text, and rebuilt."""
-    return from_payload(type(obj), json.loads(json.dumps(to_payload(obj))))
+    """`obj` written by `write_report`, read back by `read_report` and rebuilt."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        write_report(obj, path, kind="round_trip")
+        return from_payload(type(obj), read_report(path)["payload"])
+
+
+def report_bytes(obj, **kwargs):
+    """The bytes `write_report` writes for `obj`; analyses compare by these."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        write_report(obj, path, **kwargs)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+# ---------------------------------------------------------------------------
+# report writer oracle
+
+
+def oracle_payload(obj):
+    """An analysis dataclass as nested dicts, each record of an Evidence a dict.
+
+    A field holding a dataclass is converted in turn.  Each record's payload
+    is nested under `result` beside the record's row of each array field
+    (the certificate's variances) when there are any.
+    """
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    columns = {k: v.tolist() for k, v in values.items() if isinstance(v, np.ndarray)}
+    payload = {}
+    for name, value in values.items():
+        if isinstance(value, Evidence):
+            payload[name] = _evidence_rows(value, columns)
+        elif dataclasses.is_dataclass(value):
+            payload[name] = oracle_payload(value)
+        elif name not in columns:
+            payload[name] = value
+    return payload
+
+
+def _evidence_rows(evidence, columns):
+    """Per-record payloads of an Evidence, each beside its row of every column."""
+    names = [f.name for f in dataclasses.fields(RecordDistanceResult)]
+    bounds, matches = evidence.offsets.tolist(), evidence.matches.tolist()
+    rows = [
+        dict(zip(names, record))
+        for record in zip(
+            range(1, len(evidence) + 1),
+            evidence.closest_values.tolist(),
+            evidence.closest_ranks.tolist(),
+            [matches[a:b] for a, b in zip(bounds, bounds[1:])],
+            evidence.matched_deviations.tolist(),
+            evidence.distances.tolist(),
+        )
+    ]
+    if columns:
+        rows = [
+            {"result": row, **dict(zip(columns, values))}
+            for row, values in zip(rows, zip(*columns.values()))
+        ]
+    return rows
+
+
+def oracle_write_report(obj, path, *, kind=None, seeds=None, disclosure=None,
+                        withhold_seeds=False):
+    """A report as `json.dump(indent=2)` writes the whole document.
+
+    `obj` is an analysis dataclass or a mapping of `oracle_payload` values.
+    """
+    if dataclasses.is_dataclass(obj):
+        kind = kind or obj.report_kind
+        payload = oracle_payload(obj)
+    else:
+        payload = dict(obj)
+    seed_block = None
+    if seeds is not None:
+        seed_block = {str(k): None if withhold_seeds else int(v) for k, v in seeds.items()}
+        if withhold_seeds:
+            payload.update((k, None) for k in seed_block if k in payload)
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": {"name": "permpriv", "version": __version__},
+        "kind": kind,
+        "seeds": seed_block,
+        "disclosure": disclosure,
+        "payload": payload,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")

@@ -1,6 +1,7 @@
 """CSV handling and JSON report envelopes."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,12 +15,21 @@ import pytest
 from helpers import (
     from_payload,
     oracle_load_csv,
+    oracle_payload,
     oracle_write_csv,
+    oracle_write_report,
+    random_pair,
     random_table,
     random_tied_table,
+    report_bytes,
 )
 from permpriv import __version__, io_report
-from permpriv.baseline import DistanceDistribution
+from permpriv.baseline import (
+    BaselineSpec,
+    DistanceDistribution,
+    assess_tables,
+    subject_safety_check,
+)
 from permpriv.errors import (
     EmptyInputError,
     EmptyReportError,
@@ -38,7 +48,14 @@ from permpriv.io_report import (
     write_csv,
     write_report,
 )
-from permpriv.privacy import PrivacyCertificate, Release
+from permpriv.linkage import LinkageResult, link_records, score_linkage
+from permpriv.privacy import (
+    PrivacyCertificate,
+    Release,
+    certify_dataset,
+    permutation_distance,
+)
+from permpriv.reverse_map import reverse_map_table
 from permpriv.table import MicrodataTable, Role
 
 TESTS = Path(__file__).resolve().parent
@@ -402,7 +419,165 @@ def test_report_round_trip(tmp_path, certificate):
     write_report(certificate, path)
     report = read_report(path)
     rebuilt = from_payload(PrivacyCertificate, report["payload"])
-    assert to_payload(rebuilt) == to_payload(certificate)
+    assert report_bytes(rebuilt) == path.read_bytes()
+
+
+def _analyses(rng):
+    """(label, analysis, its oracle payload, write_report keywords) to write both ways.
+
+    A dataclass is its own oracle payload; a mapping payload is built from
+    `to_payload` for the package and from `oracle_payload` for the oracle.
+    """
+    tied = random_tied_table(rng, 80, 4, levels=3)
+    tied_y = MicrodataTable(
+        tied.values + rng.integers(-1, 2, size=tied.values.shape),
+        tied.attribute_names, role=Role.ANONYMIZED,
+    )
+    certificate = certify_dataset(tied, Release(tied_y))
+    yield "tied certificate", certificate, certificate, {"seeds": {"tie_seed": 3}}
+    linkage = link_records(tied, Release(reverse_map_table(tied, Release(tied_y))))
+    yield "tied linkage", linkage, linkage, {}
+    score = score_linkage(linkage, range(1, tied.n + 1))
+    yield (
+        "tied linkage with score",
+        {**to_payload(linkage), "score": to_payload(score)},
+        {**oracle_payload(linkage), "score": oracle_payload(score)},
+        {"kind": "linkage"},
+    )
+    for label, (n, m) in {"n = 1": (1, 3), "m = 1": (30, 1), "m = 8": (40, 8)}.items():
+        x, y = random_pair(rng, n, m, sigma=10.0)
+        certificate = certify_dataset(x, Release(y))
+        yield label, certificate, certificate, {}
+    empty = LinkageResult(Release(tied_y).search(np.empty((0, 4))), (), (), 101)
+    yield "no records", empty, empty, {}
+    # windows of values near 1e200 have variances that overflow to inf
+    x, y = random_pair(rng, 30, 3, sigma=3e200, scale=1e200)
+    with np.errstate(over="ignore"):
+        certificate = certify_dataset(x, Release(y))
+    assert np.isinf(certificate.variances_at_record_distance).any()
+    assert np.isinf(certificate.dataset_variances).any()
+    yield "infinite variances", certificate, certificate, {}
+    edges = np.array([[-0.0, 5e-324, 1e16], [1e16, -0.0, 5e-324], [5e-324, 1e16, -0.0],
+                      [1.5, 2.5, 3.5]])
+    y = MicrodataTable(edges, ("a1", "a2", "a3"), role=Role.ANONYMIZED)
+    certificate = certify_dataset(MicrodataTable(edges, ("a1", "a2", "a3")), Release(y))
+    closest = certificate.per_record.closest_values.ravel().tolist()
+    assert {"-0.0", "5e-324", "1e+16"} <= set(map(repr, closest))
+    disclosure = 'noise σ = "5"; ünïcode\tand a\nsecond line \\ /'
+    keywords = {"disclosure": disclosure, "seeds": {"tie_seed": 9, "baseline_seed": 2}}
+    yield "edge values and disclosure", certificate, certificate, keywords
+    yield "withheld seeds", certificate, certificate, {**keywords, "withhold_seeds": True}
+    x, y = random_pair(rng, 50, 3, sigma=10.0)
+    release = Release(y)
+    evidence = permutation_distance(x.values[7], release)
+    safety = subject_safety_check(evidence, release, BaselineSpec(mode="sampled", sample_size=300))
+    verification = release.verify(evidence, 1, (0.5, 0.5, 0.5))
+    subject = {
+        "evidence": evidence, "variances_at_distance": [1.25, 0.0, 3e-300],
+        "verification": verification, "safety": safety,
+    }
+    yield (
+        "subject",
+        {k: to_payload(v) if k in ("evidence", "verification", "safety") else v
+         for k, v in subject.items()},
+        {k: oracle_payload(v) if k in ("evidence", "verification", "safety") else v
+         for k, v in subject.items()},
+        {"kind": "subject", "seeds": {"tie_seed": 1, "baseline_seed": 4}},
+    )
+    assessment = assess_tables(x, y, BaselineSpec(mode="sampled", sample_size=500))
+    yield "assessment", assessment, assessment, {"seeds": {"tie_seed": 1}}
+
+
+# a certificate row of m = 3 holds 17 numbers and a match set of one or more
+@pytest.mark.parametrize("budget", [None, 1, 8 * 3 * 18])
+def test_report_bytes_match_the_json_dump_oracle(tmp_path, monkeypatch, budget):
+    # blocks of the default size, of one row (a budget below one row), and
+    # of about three rows
+    if budget is not None:
+        monkeypatch.setattr(io_report, "_WRITE_BLOCK_BYTES", budget)
+    rng = np.random.default_rng(31)
+    for i, (label, analysis, oracle, keywords) in enumerate(_analyses(rng)):
+        ours, expected = tmp_path / f"ours{i}.json", tmp_path / f"oracle{i}.json"
+        write_report(analysis, ours, **keywords)
+        oracle_write_report(oracle, expected, **keywords)
+        assert ours.read_bytes() == expected.read_bytes(), label
+
+
+def test_a_large_certificate_is_written_like_the_oracle(tmp_path):
+    # many blocks at the default budget, with multi-record match sets across
+    # block boundaries
+    rng = np.random.default_rng(6)
+    x = random_tied_table(rng, 3000, 3, levels=10)
+    y = MicrodataTable(
+        x.values + rng.integers(-2, 3, size=x.values.shape), x.attribute_names,
+        role=Role.ANONYMIZED,
+    )
+    certificate = certify_dataset(x, Release(y))
+    assert (np.diff(certificate.per_record.offsets) > 1).sum() > 20
+    write_report(certificate, tmp_path / "ours.json")
+    oracle_write_report(certificate, tmp_path / "oracle.json")
+    assert (tmp_path / "ours.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+
+
+def test_writing_a_large_certificate_keeps_memory_bounded(tmp_path):
+    # 100 000 records; the per-record dicts through `json.dump(indent=2)`
+    # grow the peak RSS by about 170 MiB here, the row-block writer by a few
+    script = textwrap.dedent(
+        f"""
+        import numpy as np
+        from helpers import peak_rss_mib
+        from permpriv.io_report import write_report
+        from permpriv.privacy import Evidence, PrivacyCertificate
+
+        def certificate(q, m=3):
+            rng = np.random.default_rng(q)
+            sizes = rng.integers(1, 4, size=q)
+            return PrivacyCertificate(
+                per_record=Evidence(
+                    closest_values=rng.normal(0.0, 100.0, size=(q, m)),
+                    closest_ranks=rng.integers(1, q + 1, size=(q, m)),
+                    distances=rng.integers(0, 300, size=q),
+                    offsets=np.concatenate([[0], np.cumsum(sizes)]),
+                    matches=rng.integers(1, q + 1, size=int(sizes.sum())),
+                    matched_deviations=rng.integers(0, 300, size=(q, m)),
+                ),
+                variances_at_dataset_distance=rng.random((q, m)),
+                variances_at_record_distance=rng.random((q, m)) * 1e4,
+                dataset_distance=0,
+                dataset_variances=(0.0,) * m,
+                disclosure=None,
+                tie_seed=1,
+            )
+
+        write_report(certificate(5), {str(tmp_path / "warm.json")!r})
+        big = certificate(100_000)
+        before = peak_rss_mib()
+        write_report(big, {str(tmp_path / "big.json")!r})
+        after = peak_rss_mib()
+        print(after - before)
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)]), "OMP_NUM_THREADS": "1"},
+    )
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 16.0
+    assert json.loads((tmp_path / "big.json").read_text())["payload"]["per_record"][-1][
+        "result"]["record_index"] == 100_000
+
+
+def test_analyses_compare_by_identity(original, masked, permuted):
+    # one Evidence beside equal but distinct arrays: a field-wise `==` would
+    # ask an ndarray for its truth value and raise
+    first = certify_dataset(original, Release(masked))
+    arrays = ("variances_at_dataset_distance", "variances_at_record_distance")
+    second = dataclasses.replace(first, **{a: getattr(first, a).copy() for a in arrays})
+    assert first == first and first != second
+    assert report_bytes(first) == report_bytes(second)
+    linkage = link_records(original, Release(permuted))
+    assert linkage == linkage and linkage != dataclasses.replace(linkage)
 
 
 def test_withheld_seeds_keep_names_but_lose_values(tmp_path, certificate):
@@ -430,6 +605,8 @@ def test_mapping_payloads_need_an_explicit_kind(tmp_path):
         write_report(None, tmp_path / "nope.json")
     with pytest.raises(EmptyReportError):
         write_report(object(), tmp_path / "nope.json")
+    with pytest.raises(TypeError, match="Object of type ndarray is not JSON serializable"):
+        write_report({"answer": np.arange(2)}, tmp_path / "nope.json", kind="subject")
 
 
 def test_read_report_rejects_other_json(tmp_path):

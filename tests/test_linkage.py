@@ -5,10 +5,16 @@ import collections
 import numpy as np
 import pytest
 
-from helpers import json_round_trip, match_sets, oracle_distance, random_table, shuffle_rows
+from helpers import (
+    json_round_trip,
+    match_sets,
+    oracle_distance,
+    random_table,
+    report_bytes,
+    shuffle_rows,
+)
 from permpriv import fixtures
 from permpriv.errors import InvalidTruthMappingError, ShapeMismatchError
-from permpriv.io_report import to_payload
 from permpriv.linkage import link_records, score_linkage
 from permpriv.privacy import Release, batch_permutation_distances
 from permpriv.table import RankProfile, Role
@@ -155,7 +161,7 @@ def test_linkage_against_brute_force_oracle():
 
 
 def test_linkage_round_trip(linkage):
-    assert to_payload(json_round_trip(linkage)) == to_payload(linkage)
+    assert report_bytes(json_round_trip(linkage)) == report_bytes(linkage)
     score = score_linkage(linkage, range(1, len(linkage.per_record) + 1))
     assert json_round_trip(score) == score
 

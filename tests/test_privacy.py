@@ -9,10 +9,10 @@ from helpers import (
     oracle_window_variance,
     random_pair,
     random_table,
+    report_bytes,
 )
 from permpriv import fixtures
 from permpriv.errors import InvalidValueError, RankOutOfRangeError, ShapeMismatchError
-from permpriv.io_report import to_payload
 from permpriv.privacy import (
     Release,
     batch_permutation_distances,
@@ -320,7 +320,7 @@ def test_certificate_verification_interplay(original, masked, certificate):
 
 
 def test_certificate_round_trip(certificate):
-    assert to_payload(json_round_trip(certificate)) == to_payload(certificate)
+    assert report_bytes(json_round_trip(certificate)) == report_bytes(certificate)
 
 
 def test_matched_indices_are_exactly_the_minimizers():

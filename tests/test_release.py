@@ -218,6 +218,23 @@ def test_release_rejects_a_profile_that_does_not_order_the_table():
         assert release.values_by_rank[0].tolist() == [1.0, 5.0, 5.0]
 
 
+def test_a_searched_release_puts_each_column_in_rank_order_once(monkeypatch):
+    # the columns that check the rank order are the ones the search reads
+    calls = []
+    scatter = privacy._values_by_rank
+
+    def counting(column, ranks):
+        calls.append(column.size)
+        return scatter(column, ranks)
+
+    monkeypatch.setattr(privacy, "_values_by_rank", counting)
+    rng = np.random.default_rng(12)
+    release = Release(random_table(rng, 50, 3, role=Role.ANONYMIZED))
+    release.search(random_table(rng, 7, 3).values)
+    release.search(random_table(rng, 2, 3).values)
+    assert calls == [50, 50, 50]
+
+
 def test_search_memory_is_bounded_in_bytes():
     # 64 000 exhaustive baseline records against a 40-row release; a search
     # without blocks grows the peak RSS by tens of MiB here
