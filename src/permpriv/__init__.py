@@ -23,13 +23,7 @@ from .baseline import (
     plausibility,
     subject_safety_check,
 )
-from .decompose import (
-    NoiseSummary,
-    ResidualDecomposition,
-    decompose,
-    noise_magnitude_summary,
-    spearman_rho,
-)
+from .decompose import ResidualDecomposition, decompose, spearman_rho
 from .demo import run_demo
 from .errors import (
     CapExceededError,
@@ -47,13 +41,7 @@ from .errors import (
     RankOutOfRangeError,
     ShapeMismatchError,
 )
-from .io_report import (
-    emit_histogram,
-    load_csv,
-    read_report,
-    write_csv,
-    write_report,
-)
+from .io_report import emit_histogram, load_csv, write_csv, write_report
 from .linkage import LinkageResult, LinkageScore, link_records, score_linkage
 from .masking import (
     NoiseSpec,
@@ -104,7 +92,6 @@ __all__ = [
     "MalformedCsvError",
     "MicrodataTable",
     "NoiseSpec",
-    "NoiseSummary",
     "ParseError",
     "PermprivError",
     "PrivacyCertificate",
@@ -133,10 +120,8 @@ __all__ = [
     "generate_baseline",
     "link_records",
     "load_csv",
-    "noise_magnitude_summary",
     "permutation_distance",
     "plausibility",
-    "read_report",
     "reverse_map_table",
     "run_demo",
     "score_linkage",

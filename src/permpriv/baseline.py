@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CapExceededError, InvalidSpecError
 from .privacy import Release, RecordDistanceResult, batch_permutation_distances
 from .reverse_map import reverse_map_table
-from .table import DEFAULT_TIE_SEED, MicrodataTable, Role, check_same_layout, derive_column_seed
+from .table import MicrodataTable, Role, check_integer, check_same_layout, derive_column_seed
 
 DEFAULT_BASELINE_SEED = 303
 DEFAULT_SAMPLE_SIZE = 10_000
@@ -45,13 +45,13 @@ class BaselineSpec:
     def __post_init__(self):
         if self.mode not in ("exhaustive", "sampled"):
             raise InvalidSpecError(f"unknown baseline mode {self.mode!r}")
-        if int(self.sample_size) < 1:
+        for name in ("sample_size", "seed", "exhaustive_cap"):
+            value = check_integer(getattr(self, name), InvalidSpecError, name)
+            object.__setattr__(self, name, value)
+        if self.sample_size < 1:
             raise InvalidSpecError("sample_size must be positive")
-        if int(self.exhaustive_cap) < 1:
+        if self.exhaustive_cap < 1:
             raise InvalidSpecError("exhaustive_cap must be positive")
-        object.__setattr__(self, "sample_size", int(self.sample_size))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "exhaustive_cap", int(self.exhaustive_cap))
 
 
 def generate_baseline(source: MicrodataTable, spec: BaselineSpec) -> MicrodataTable:
@@ -260,23 +260,20 @@ class AssessmentReport:
 
 
 def assess_tables(
-    original: MicrodataTable,
-    anonymized: MicrodataTable,
-    spec: BaselineSpec,
-    *,
+    original: MicrodataTable, anonymized: Release, spec: BaselineSpec, *,
     threshold: float = 0.05,
-    tie_seed: int = DEFAULT_TIE_SEED,
 ) -> AssessmentReport:
     """Full release assessment: reverse-map, then compare against the baseline.
 
     Distances are always measured against the reverse-mapped table, which is
-    what a maximum-knowledge intruder would attack; baseline records draw
-    from the original columns.  `reverse_map_table` rejects a pair that
-    differs in shape or in attribute names or order.
+    what a maximum-knowledge intruder would attack, ranked under the
+    anonymized release's tie seed; baseline records draw from the original
+    columns.  `reverse_map_table` rejects a pair that differs in shape or in
+    attribute names or order.
     """
     threshold = _check_threshold(threshold)
-    z = reverse_map_table(original, Release(anonymized, tie_seed=tie_seed))
-    release = Release(z, tie_seed=tie_seed)
+    z = reverse_map_table(original, anonymized)
+    release = Release(z, tie_seed=anonymized.tie_seed)
     dists = batch_permutation_distances(original, release)
     dist_x = _tabulate(dists, "original")
     dist_a = baseline_distribution(original, release, spec)

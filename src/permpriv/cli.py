@@ -243,9 +243,8 @@ def cmd_assess(args) -> int:
     original = load_csv(args.original, role=Role.ORIGINAL)
     anonymized = load_csv(args.anonymized, role=Role.ANONYMIZED)
     spec = _baseline_spec(args, args.baseline_mode)
-    report = assess_tables(
-        original, anonymized, spec, threshold=args.threshold, tie_seed=args.tie_seed
-    )
+    release = Release(anonymized, tie_seed=args.tie_seed)
+    report = assess_tables(original, release, spec, threshold=args.threshold)
     out = _out_dir(args)
     report_path = out / "assessment.json"
     seeds = {"tie_seed": args.tie_seed, "baseline_seed": spec.seed}

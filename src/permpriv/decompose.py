@@ -27,10 +27,6 @@ class ResidualDecomposition:
     residual_noise: np.ndarray  # Y - Z, rank-neutral per attribute
     direct_noise: np.ndarray  # Y - X
 
-    @property
-    def attribute_names(self) -> tuple[str, ...]:
-        return self.z.attribute_names
-
 
 def decompose(original: MicrodataTable, anonymized: Release) -> ResidualDecomposition:
     """Decompose the anonymized release = reverse-mapped(original) + residual noise."""
@@ -60,26 +56,3 @@ def spearman_rho(a, b, tie_seed: int = DEFAULT_TIE_SEED) -> float:
     ry = compute_ranks(y, derive_column_seed(tie_seed, 1))
     d = rx - ry
     return float(1.0 - 6.0 * float(np.sum(d * d)) / (n * (n * n - 1)))
-
-
-@dataclass(frozen=True)
-class NoiseSummary:
-    """Per-attribute magnitude summary of residual vs direct noise."""
-
-    attribute_names: tuple[str, ...]
-    mean_abs_residual: tuple[float, ...]
-    max_abs_residual: tuple[float, ...]
-    mean_abs_direct: tuple[float, ...]
-    max_abs_direct: tuple[float, ...]
-
-
-def noise_magnitude_summary(dec: ResidualDecomposition) -> NoiseSummary:
-    res = np.abs(dec.residual_noise)
-    dir_ = np.abs(dec.direct_noise)
-    return NoiseSummary(
-        attribute_names=dec.attribute_names,
-        mean_abs_residual=tuple(float(v) for v in res.mean(axis=0)),
-        max_abs_residual=tuple(float(v) for v in res.max(axis=0)),
-        mean_abs_direct=tuple(float(v) for v in dir_.mean(axis=0)),
-        max_abs_direct=tuple(float(v) for v in dir_.max(axis=0)),
-    )

@@ -347,23 +347,9 @@ DISTANCE_FREQ_BASELINE = {
     10: 0.0000,
 }
 
-# Reference distributions from a 1000-record run with tiny noise
-# (sigmas 0.05, 0.25, 1): original records match almost immediately while
-# random records almost never do.  The >= 15 tail of the baseline is folded
-# into the 15 bin.
-SMALL_NOISE_FREQ_ORIGINAL = {
-    0: 0.0270,
-    1: 0.2670,
-    2: 0.2650,
-    3: 0.2090,
-    4: 0.1170,
-    5: 0.0550,
-    6: 0.0330,
-    7: 0.0170,
-    8: 0.0040,
-    9: 0.0050,
-    12: 0.0010,
-}
+# Reference baseline distribution from a 1000-record run with tiny noise
+# (sigmas 0.05, 0.25, 1): random records almost never match closely.  The
+# >= 15 tail is folded into the 15 bin.
 SMALL_NOISE_FREQ_BASELINE = {
     2: 0.0001,
     3: 0.0002,

@@ -28,7 +28,6 @@ from .errors import (
     EmptyInputError,
     EmptyReportError,
     EncodingError,
-    InvalidSpecError,
     MalformedCsvError,
     ParseError,
     RaggedRowError,
@@ -342,14 +341,6 @@ def _spell(column: np.ndarray) -> list[str]:
         for i in np.flatnonzero(~np.isfinite(column)).tolist():
             text[i] = json.dumps(column[i].item())
     return text
-
-
-def read_report(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
-    if not isinstance(report, dict) or "schema_version" not in report:
-        raise InvalidSpecError(f"{path}: not a report file")
-    return report
 
 
 def emit_histogram(

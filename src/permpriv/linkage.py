@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidTruthMappingError
 from .privacy import Evidence, Release
-from .table import MicrodataTable, check_same_layout
+from .table import MicrodataTable, check_integer, check_same_layout
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +89,7 @@ def score_linkage(result: LinkageResult, truth: Sequence[int]) -> LinkageScore:
     """
     evidence = result.per_record
     n = len(evidence)
-    mapping = [int(t) for t in truth]
+    mapping = [check_integer(t, InvalidTruthMappingError, "truth entry") for t in truth]
     if len(mapping) != n or sorted(mapping) != list(range(1, n + 1)):
         raise InvalidTruthMappingError(
             f"truth must be a bijection of 1..{n}, got {len(mapping)} entries"

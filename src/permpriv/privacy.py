@@ -27,6 +27,7 @@ from .table import (
     MicrodataTable,
     RankProfile,
     _as_column,
+    check_integer,
     check_same_attributes,
     check_same_layout,
 )
@@ -59,6 +60,14 @@ def _closest_ranks(values_by_rank: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.where(take_right, right, left) + 1
 
 
+def _rank_array(values, what: str) -> np.ndarray:
+    """`values` as an int64 array; floats raise RankOutOfRangeError, never truncated."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise RankOutOfRangeError(f"{what} must be integers, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def check_targets(d_target, v_target, m: int) -> tuple[int, tuple[float, ...]]:
     """(d, v) targets as checked values: one finite variance floor per attribute, d >= 0."""
     v = tuple(float(t) for t in np.asarray(v_target, dtype=float).ravel())
@@ -66,7 +75,7 @@ def check_targets(d_target, v_target, m: int) -> tuple[int, tuple[float, ...]]:
         raise ShapeMismatchError(f"{len(v)} variance targets for {m} attributes")
     if not np.all(np.isfinite(v)):
         raise InvalidValueError(f"variance targets must be finite, got {v}")
-    d = int(d_target)
+    d = check_integer(d_target, RankOutOfRangeError, "d_target")
     if d < 0:
         raise RankOutOfRangeError("d_target must be nonnegative")
     return d, v
@@ -91,34 +100,24 @@ def _query_matrix(queries, release: Release) -> np.ndarray:
 class Release:
     """One released table, ranked once and indexed for permutation distances.
 
-    Holds the table and its rank profile.  Each attribute's values in rank
-    order, which check that the profile orders the table, and the search
-    index, every attribute's ranks in the order of the attribute-0 ranks,
-    are built on first use, so a release that is only ranked keeps neither;
-    a profile the caller supplies is checked at once.  Index row r holds
-    attribute-0 rank r + 1, so it deviates from a center c by exactly
-    |r + 1 - c[0]| on attribute 0.  A search scans outward from row c[0] - 1
-    and stops once that gap alone reaches the best deviation found
-    (Friedman, Baskett & Shustek 1975).  Its cost is O(q * d * m) for q
-    queries at distance about d, against O(q * n * m) for a full scan.  Every
-    distance entry point takes one, and this is the only place a table is
-    ranked and indexed for a search.
+    Holds the table and its rank profile, always ranked from the table under
+    `tie_seed`, so anyone holding the table and the disclosed seed rebuilds
+    the same ranks.  Each attribute's values in rank order, which check that
+    the profile orders the table, and the search index, every attribute's
+    ranks in the order of the attribute-0 ranks, are built on first use, so a
+    release that is only ranked keeps neither.  Index row r holds attribute-0
+    rank r + 1, so it deviates from a center c by exactly |r + 1 - c[0]| on
+    attribute 0.  A search scans outward from row c[0] - 1 and stops once
+    that gap alone reaches the best deviation found (Friedman, Baskett &
+    Shustek 1975).  Its cost is O(q * d * m) for q queries at distance about
+    d, against O(q * n * m) for a full scan.  Every distance entry point
+    takes one, and this is the only place a table is ranked and indexed for a
+    search.
     """
 
-    def __init__(
-        self,
-        table: MicrodataTable,
-        ranks: RankProfile | None = None,
-        *,
-        tie_seed: int = DEFAULT_TIE_SEED,
-    ):
-        profile = ranks if ranks is not None else RankProfile.of(table, tie_seed)
-        if profile.n != table.n or profile.m != table.m:
-            raise ShapeMismatchError("rank profile does not match the table shape")
+    def __init__(self, table: MicrodataTable, *, tie_seed: int = DEFAULT_TIE_SEED):
         self.table = table
-        self.profile = profile
-        if ranks is not None:
-            self.values_by_rank  # built, and so checked, at once
+        self.profile = RankProfile.of(table, tie_seed)
 
     @cached_property
     def values_by_rank(self) -> list[np.ndarray]:
@@ -262,10 +261,10 @@ class Release:
         so every variance has the bits a per-window `var` call gives.
         """
         n = self.n
-        centers = np.asarray(centers, dtype=np.int64)
+        centers = _rank_array(centers, "center ranks")
         if centers.ndim != 2 or centers.shape[1] != self.m:
             raise ShapeMismatchError(f"centers have shape {centers.shape}, expected (*, {self.m})")
-        radius = np.broadcast_to(np.asarray(d, dtype=np.int64), centers.shape[:1])
+        radius = np.broadcast_to(_rank_array(d, "window radius"), centers.shape[:1])
         if np.any(radius < 0):
             raise RankOutOfRangeError("window radius must be nonnegative")
         if centers.size and (centers.min() < 1 or centers.max() > n):
@@ -389,12 +388,16 @@ def window_variance(anonymized_column, ranks, center_rank: int, d: int) -> float
     """Population variance of the values whose rank is within d of center_rank.
 
     One window of `Release.window_variances`, clipped to [1, n]; `ranks` must
-    be a permutation of 1..n that orders the column.
+    be a permutation of 1..n that orders the column.  The values in rank
+    order do not depend on how ties are broken, so the column's own release
+    reads the same window.
     """
-    release = Release(
-        MicrodataTable(_as_column(anonymized_column), ("x",)),
-        RankProfile(np.column_stack([ranks]), DEFAULT_TIE_SEED),
-    )
+    column = _as_column(anonymized_column)
+    profile = RankProfile(np.column_stack([ranks]), DEFAULT_TIE_SEED)
+    if profile.ranks.shape != (column.size, 1):
+        raise ShapeMismatchError(f"ranks of shape {profile.ranks.shape} for {column.size} values")
+    _values_by_rank(column, profile.vector(0))
+    release = Release(MicrodataTable(column, ("x",)))
     return float(release.window_variances([[center_rank]], d)[0, 0])
 
 

@@ -9,6 +9,7 @@ while no two records ever share a rank.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,6 +19,7 @@ from .errors import (
     EmptyInputError,
     InvalidSpecError,
     InvalidValueError,
+    PermprivError,
     ShapeMismatchError,
 )
 
@@ -53,6 +55,14 @@ def _as_column(values) -> np.ndarray:
     if not np.all(np.isfinite(col)):
         raise InvalidValueError("column contains NaN or infinite values")
     return col
+
+
+def check_integer(value, error: type[PermprivError], what: str) -> int:
+    """`value` as an int; a float or any other non-integer raises `error`, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def compute_ranks(column, tie_seed: int = DEFAULT_TIE_SEED) -> np.ndarray:
@@ -183,7 +193,8 @@ class RankProfile:
                 )
         arr.setflags(write=False)
         object.__setattr__(self, "ranks", arr)
-        object.__setattr__(self, "tie_seed", int(self.tie_seed))
+        seed = check_integer(self.tie_seed, InvalidSpecError, "tie_seed")
+        object.__setattr__(self, "tie_seed", seed)
 
     @classmethod
     def of(cls, table: MicrodataTable, tie_seed: int = DEFAULT_TIE_SEED) -> "RankProfile":

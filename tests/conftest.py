@@ -43,10 +43,5 @@ def masked_ranks(masked):
 
 
 @pytest.fixture(scope="session")
-def permuted_ranks(permuted):
-    return RankProfile.of(permuted)
-
-
-@pytest.fixture(scope="session")
 def certificate(original, masked):
     return certify_dataset(original, Release(masked))

@@ -30,7 +30,7 @@ import numpy as np
 
 from permpriv import __version__
 from permpriv.errors import EmptyInputError, ParseError, RaggedRowError
-from permpriv.io_report import SCHEMA_VERSION, read_report, write_report
+from permpriv.io_report import SCHEMA_VERSION, write_report
 from permpriv.privacy import Evidence, RecordDistanceResult
 from permpriv.table import MicrodataTable, Role
 
@@ -342,7 +342,7 @@ def peak_rss_mib():
 def from_payload(cls, data):
     """Rebuild an analysis dataclass from its report payload as JSON gives it back.
 
-    The inverse of `write_report` followed by `read_report`: arrays
+    The inverse of `write_report` followed by `load_report`: arrays
     become tuples again and nested payloads their dataclasses, guided by the
     field annotations.  Per-record rows become an `Evidence` again, and with
     it the array fields they carry beside the evidence.  Fields computed in
@@ -383,12 +383,18 @@ def _decode(hint, value):
     return value
 
 
+def load_report(path) -> dict:
+    """A report file as the JSON object it holds."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def json_round_trip(obj):
-    """`obj` written by `write_report`, read back by `read_report` and rebuilt."""
+    """`obj` written by `write_report`, read back by `load_report` and rebuilt."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
         write_report(obj, path, kind="round_trip")
-        return from_payload(type(obj), read_report(path)["payload"])
+        return from_payload(type(obj), load_report(path)["payload"])
 
 
 def report_bytes(obj, **kwargs):

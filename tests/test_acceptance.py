@@ -132,9 +132,9 @@ def test_criterion_06_linkage_simulation(original, permuted):
         assert (score.correct, score.multiple, score.misidentified) == (6, 4, 10)
 
 
-def test_criterion_07_baseline_distributions(original, permuted, permuted_ranks):
+def test_criterion_07_baseline_distributions(original, permuted):
     with criterion("07 chance baseline: both distance distributions to 4 places"):
-        release = Release(permuted, permuted_ranks)
+        release = Release(permuted)
         dist_x = distance_distribution(original, release)
         dist_a = baseline_distribution(original, release, BaselineSpec(mode="exhaustive"))
         for d in range(11):

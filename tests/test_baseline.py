@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import enumerate_baseline, json_round_trip, oracle_total_variation, random_table
+from helpers import (
+    enumerate_baseline,
+    json_round_trip,
+    oracle_total_variation,
+    random_table,
+    random_tied_table,
+)
 from permpriv import fixtures
 from permpriv.baseline import (
     AssessmentReport,
@@ -19,6 +25,7 @@ from permpriv.baseline import (
 )
 from permpriv.errors import CapExceededError, InvalidSpecError
 from permpriv.privacy import Release, batch_permutation_distances, permutation_distance
+from permpriv.reverse_map import reverse_map_table
 from permpriv.table import MicrodataTable, Role
 
 
@@ -28,15 +35,13 @@ def exhaustive_baseline(original):
 
 
 @pytest.fixture(scope="module")
-def baseline_dist(original, permuted, permuted_ranks):
-    return baseline_distribution(
-        original, Release(permuted, permuted_ranks), BaselineSpec(mode="exhaustive")
-    )
+def baseline_dist(original, permuted):
+    return baseline_distribution(original, Release(permuted), BaselineSpec(mode="exhaustive"))
 
 
 @pytest.fixture(scope="module")
-def original_dist(original, permuted, permuted_ranks):
-    return distance_distribution(original, Release(permuted, permuted_ranks))
+def original_dist(original, permuted):
+    return distance_distribution(original, Release(permuted))
 
 
 def test_exhaustive_baseline_is_the_full_product(original, exhaustive_baseline):
@@ -100,6 +105,15 @@ def test_baseline_spec_validation():
         BaselineSpec(sample_size=0)
     with pytest.raises(InvalidSpecError):
         BaselineSpec(exhaustive_cap=0)
+
+
+def test_baseline_spec_refuses_fractional_counts():
+    for field in ("sample_size", "seed", "exhaustive_cap"):
+        with pytest.raises(InvalidSpecError, match=f"{field} must be an integer, got 1.5"):
+            BaselineSpec(**{field: 1.5})
+    spec = BaselineSpec(sample_size=np.int64(7), seed=np.uint8(3), exhaustive_cap=np.int32(9))
+    assert (spec.sample_size, spec.seed, spec.exhaustive_cap) == (7, 3, 9)
+    assert type(spec.sample_size) is int
 
 
 def test_original_distribution_matches_reference(original_dist):
@@ -248,7 +262,7 @@ def test_subject_safety_sampled_close_to_exhaustive(permuted):
 
 
 def test_assessment_on_the_example(original, masked, original_dist, baseline_dist):
-    report = assess_tables(original, masked, BaselineSpec(mode="exhaustive"))
+    report = assess_tables(original, Release(masked), BaselineSpec(mode="exhaustive"))
     assert report.median_distance == pytest.approx(3.0)
     assert report.plausibility_at_median == pytest.approx(0.5524, abs=0.00005)
     assert report.withstands
@@ -261,14 +275,30 @@ def test_assessment_on_the_example(original, masked, original_dist, baseline_dis
 
 def test_assessment_threshold_controls_the_verdict(original, masked):
     strict = assess_tables(
-        original, masked, BaselineSpec(mode="exhaustive"), threshold=0.9
+        original, Release(masked), BaselineSpec(mode="exhaustive"), threshold=0.9
     )
     assert not strict.withstands
     assert strict.plausibility_at_median < 0.9
 
 
+def test_assessment_ranks_under_the_release_tie_seed():
+    rng = np.random.default_rng(23)
+    x = random_tied_table(rng, 40, 2)
+    y = random_tied_table(rng, 40, 2, role=Role.ANONYMIZED)
+    spec = BaselineSpec(mode="sampled", sample_size=200)
+    reports = []
+    for seed in (7, 101):
+        anonymized = Release(y, tie_seed=seed)
+        report = assess_tables(x, anonymized, spec)
+        z = Release(reverse_map_table(x, anonymized), tie_seed=seed)
+        assert report.original == distance_distribution(x, z)
+        assert report.baseline == baseline_distribution(x, z, spec)
+        reports.append(report)
+    assert reports[0].original != reports[1].original
+
+
 def test_assessment_round_trip(original, masked):
-    report = assess_tables(original, masked, BaselineSpec(mode="exhaustive"))
+    report = assess_tables(original, Release(masked), BaselineSpec(mode="exhaustive"))
     assert report.withstands is True
     assert json_round_trip(report) == report
     assert AssessmentReport.report_kind == "assessment"

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from helpers import load_report
 from permpriv import fixtures
 from permpriv.cli import build_parser, main
-from permpriv.io_report import load_csv, read_report, write_csv
+from permpriv.io_report import load_csv, write_csv
 from permpriv.privacy import Release
 from permpriv.reverse_map import reverse_map_table
 from permpriv.table import Role
@@ -69,7 +70,7 @@ def test_certify_reports_the_floor(workspace, capsys):
     )
     assert code == 0
     assert "d=1" in out
-    report = read_report(workspace / "certificate.json")
+    report = load_report(workspace / "certificate.json")
     assert report["kind"] == "privacy_certificate"
     assert report["payload"]["dataset_distance"] == 1
     assert report["seeds"] == {"tie_seed": 101}
@@ -143,7 +144,7 @@ def test_subject_evidence_only(workspace, capsys, original):
     )
     assert code == 0
     assert "distance 4" in out
-    report = read_report(workspace / "subject.json")
+    report = load_report(workspace / "subject.json")
     assert report["kind"] == "subject"
     assert report["payload"]["evidence"]["distance"] == 4
 
@@ -175,7 +176,7 @@ def test_subject_safety_verdicts(workspace, capsys):
     )
     assert safe == 0
     assert "plausib" in out
-    report = read_report(workspace / "subject.json")
+    report = load_report(workspace / "subject.json")
     assert report["payload"]["safety"]["safe"] is True
     # a record present verbatim is an implausibly close match
     row0 = load_csv(workspace / "permuted.csv").values[0]
@@ -254,7 +255,7 @@ def test_link_with_identity_truth(workspace, capsys):
     )
     assert code == 0
     assert "20 records linked" in out
-    report = read_report(workspace / "linkage.json")
+    report = load_report(workspace / "linkage.json")
     assert report["kind"] == "linkage"
     score = report["payload"]["score"]
     assert (score["correct"], score["multiple"], score["misidentified"]) == (6, 4, 10)
@@ -275,7 +276,7 @@ def test_link_with_truth_file(workspace, capsys):
         "--out", workspace,
     )
     assert code == 0
-    assert read_report(workspace / "linkage.json")["payload"]["score"]["correct"] == 6
+    assert load_report(workspace / "linkage.json")["payload"]["score"]["correct"] == 6
 
 
 def test_link_without_truth_skips_scoring(workspace, capsys):
@@ -284,7 +285,7 @@ def test_link_without_truth_skips_scoring(workspace, capsys):
         "--out", workspace,
     )
     assert code == 0
-    assert "score" not in read_report(workspace / "linkage.json")["payload"]
+    assert "score" not in load_report(workspace / "linkage.json")["payload"]
 
 
 def test_link_rejects_bad_truth(workspace, capsys):
@@ -306,7 +307,7 @@ def test_assess_withstands_the_example(workspace, capsys):
     )
     assert code == 0
     assert "withstands known-plaintext attack: yes" in out
-    report = read_report(workspace / "assessment.json")
+    report = load_report(workspace / "assessment.json")
     assert report["payload"]["withstands"] is True
     hist = (workspace / "distance_histogram.csv").read_text().splitlines()
     assert hist[0] == "distance,frequency_original,frequency_baseline"
@@ -340,7 +341,7 @@ def test_assess_sampled_mode(workspace, capsys):
         "--out", workspace,
     )
     assert code == 0
-    report = read_report(workspace / "assessment.json")
+    report = load_report(workspace / "assessment.json")
     assert report["payload"]["baseline"]["sample_size"] == 2000
     assert report["seeds"]["baseline_seed"] == 17
 
@@ -384,7 +385,7 @@ def test_withheld_seeds_in_reports(workspace, capsys):
         "--out", workspace,
     )
     assert code == 0
-    report = read_report(workspace / "certificate.json")
+    report = load_report(workspace / "certificate.json")
     assert report["seeds"] == {"tie_seed": None}
     assert report["payload"]["tie_seed"] is None
     code, _, _ = run(
@@ -392,7 +393,7 @@ def test_withheld_seeds_in_reports(workspace, capsys):
         "--withhold-seeds", "--tie-seed", "9", "--out", workspace,
     )
     assert code == 0
-    report = read_report(workspace / "linkage.json")
+    report = load_report(workspace / "linkage.json")
     assert report["seeds"] == {"tie_seed": None}
     assert report["payload"]["tie_seed"] is None
 
@@ -444,7 +445,7 @@ def test_flag_beats_config_beats_default(workspace, capsys):
             "--out", workspace, *extra,
         )
         assert code == 0
-        assert read_report(workspace / "certificate.json")["seeds"] == {"tie_seed": seed}
+        assert load_report(workspace / "certificate.json")["seeds"] == {"tie_seed": seed}
 
 
 def test_config_reaches_demo_and_report_flags(workspace, capsys, monkeypatch):
@@ -461,7 +462,7 @@ def test_config_reaches_demo_and_report_flags(workspace, capsys, monkeypatch):
         "--config", workspace / "withhold.json", "--out", workspace,
     )
     assert code == 0
-    assert read_report(workspace / "certificate.json")["seeds"] == {"tie_seed": None}
+    assert load_report(workspace / "certificate.json")["seeds"] == {"tie_seed": None}
 
 
 def test_config_errors(workspace, capsys, original):
@@ -567,14 +568,14 @@ def test_config_sets_the_subject_baseline_and_the_link_truth(workspace, capsys):
     )
     assert code == 0
     assert "plausib" in out
-    assert read_report(workspace / "subject.json")["payload"]["safety"]["safe"] is True
+    assert load_report(workspace / "subject.json")["payload"]["safety"]["safe"] is True
     (workspace / "truth.json").write_text(json.dumps({"truth": "identity"}))
     code, _, _ = run(
         capsys, "link", workspace / "original.csv", workspace / "permuted.csv",
         "--config", workspace / "truth.json", "--out", workspace,
     )
     assert code == 0
-    score = read_report(workspace / "linkage.json")["payload"]["score"]
+    score = load_report(workspace / "linkage.json")["payload"]["score"]
     assert (score["correct"], score["multiple"], score["misidentified"]) == (6, 4, 10)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import oracle_spearman, random_pair
 from permpriv import fixtures
-from permpriv.decompose import decompose, noise_magnitude_summary, spearman_rho
+from permpriv.decompose import decompose, spearman_rho
 from permpriv.errors import InsufficientDataError, ShapeMismatchError
 from permpriv.privacy import Release
 
@@ -89,26 +89,6 @@ def test_rank_correlation_needs_two_records():
         spearman_rho([1.0], [2.0])
     with pytest.raises(ShapeMismatchError):
         spearman_rho([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-def test_noise_summary_golden(decomposition):
-    summary = noise_magnitude_summary(decomposition)
-    assert summary.max_abs_residual[0] == pytest.approx(6.62, abs=0.005)
-    assert summary.attribute_names == decomposition.attribute_names
-
-
-def test_noise_summary_matches_recomputation():
-    rng = np.random.default_rng(17)
-    x, y = random_pair(rng, 30, 3, sigma=4.0)
-    dec = decompose(x, Release(y))
-    summary = noise_magnitude_summary(dec)
-    for j in range(3):
-        res = np.abs(dec.residual_noise[:, j])
-        dir_ = np.abs(dec.direct_noise[:, j])
-        assert summary.mean_abs_residual[j] == pytest.approx(res.mean())
-        assert summary.max_abs_residual[j] == pytest.approx(res.max())
-        assert summary.mean_abs_direct[j] == pytest.approx(dir_.mean())
-        assert summary.max_abs_direct[j] == pytest.approx(dir_.max())
 
 
 def test_residual_noise_is_rank_neutral():

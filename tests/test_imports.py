@@ -1,19 +1,23 @@
 """Every name a package module imports is used in it, no check is an `assert`,
-and every name the benchmark traces exists.
+every name the benchmark traces exists, and every public name has a reader.
 
 `__init__.py` is exempt from the import rule: its imports are its public
 names.  `python -O` strips asserts, so a check written as one vanishes.
 The benchmark's tracer stops at a name it cannot patch, so a renamed
-function must fail here first.
+function must fail here first.  A public name that no module reads, README
+does not document and the benchmark does not trace is library-only code.
 """
 
 import ast
 import functools
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
+
+import permpriv
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "permpriv"
@@ -67,3 +71,37 @@ def traced_points():
 def test_every_traced_name_resolves(module, attr):
     home = importlib.import_module(f"permpriv.{module}")
     assert callable(functools.reduce(getattr, attr.split("."), home))
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module reads, leaving out a function's or class's reads of itself."""
+    read = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                if child.id != owner:
+                    read.add(child.id)
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return read
+
+
+def test_the_walk_skips_a_definition_reading_itself():
+    source = "def f(n):\n    return f(n - 1)\nX = 1\nclass C:\n    y = X\n"
+    assert names_read(source) == {"n", "X"}
+
+
+def test_every_public_name_has_a_reader():
+    read = set().union(*(names_read((PACKAGE / m).read_text(encoding="utf-8")) for m in MODULES))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    traced = {part for _, attr in traced_points() for part in attr.split(".")}
+    unread = [
+        name for name in permpriv.__all__
+        if name not in read | traced and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert unread == []

@@ -113,6 +113,13 @@ def test_truth_validation(linkage):
         score_linkage(linkage, list(range(0, 20)))
 
 
+def test_truth_entries_must_be_integers(linkage):
+    with pytest.raises(InvalidTruthMappingError, match="truth entry must be an integer, got 1.9"):
+        score_linkage(linkage, [1.9] + list(range(2, 21)))
+    identity = score_linkage(linkage, range(1, 21))
+    assert score_linkage(linkage, np.arange(1, 21)).classes == identity.classes
+
+
 def test_self_linkage_is_perfect(original):
     result = link_records(original, Release(original))
     assert all(r.distance == 0 for r in result.per_record)

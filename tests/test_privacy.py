@@ -127,6 +127,28 @@ def test_window_variance_errors():
             window_variance(col, bad, 1, 1)
 
 
+def test_window_variance_refuses_fractional_ranks():
+    col = [1.0, 2.0, 3.0, 4.0]
+    ranks = [1, 2, 3, 4]
+    with pytest.raises(RankOutOfRangeError, match="window radius must be integers"):
+        window_variance(col, ranks, 2, 1.5)
+    with pytest.raises(RankOutOfRangeError, match="center ranks must be integers"):
+        window_variance(col, ranks, 2.7, 1)
+    # numpy integers are integers
+    assert window_variance(col, ranks, np.int32(2), np.int64(1)) == pytest.approx(
+        np.var([1.0, 2.0, 3.0])
+    )
+
+
+def test_window_variance_accepts_any_tie_break():
+    # either order of two equal values orders the column, and reads the same window
+    col = [5.0, 5.0, 1.0]
+    for ranks in ([2, 3, 1], [3, 2, 1]):
+        assert window_variance(col, ranks, 2, 0) == 0.0
+        assert window_variance(col, ranks, 3, 1) == 0.0
+        assert window_variance(col, ranks, 1, 1) == pytest.approx(np.var([1.0, 5.0]))
+
+
 def test_distance_zero_for_a_present_record(permuted):
     result = permutation_distance(permuted.values[4], Release(permuted))
     assert result.distance == 0
@@ -223,6 +245,17 @@ def test_verify_variance_bound_is_strict(masked):
     assert not at_exact.passed  # equality does not clear a strict bound
     eps = tuple(v - 1e-9 for v in exact)
     assert verify_record(ref["record"], Release(masked), ref["distance"], eps).passed
+
+
+def test_verify_refuses_a_fractional_distance_target(masked):
+    release = Release(masked)
+    record = fixtures.RECORD3["record"]
+    v = (0.0, 0.0, 0.0)
+    with pytest.raises(RankOutOfRangeError, match="d_target must be an integer, got 1.9"):
+        verify_record(record, release, 1.9, v)
+    with pytest.raises(RankOutOfRangeError, match="d_target must be an integer"):
+        release.verdicts([[1, 1, 1]], [0], 1.0, v)
+    assert verify_record(record, release, np.int64(4), v).d_target == 4
 
 
 def test_verify_rejects_wrong_target_length(masked):
@@ -329,11 +362,11 @@ def test_matched_indices_are_exactly_the_minimizers():
         n = int(rng.integers(3, 18))
         m = int(rng.integers(1, 4))
         table = random_table(rng, n, m, role=Role.ANONYMIZED)
-        profile = RankProfile.of(table)
+        release = Release(table)
         x = rng.normal(0.0, 120.0, size=m)
-        result = permutation_distance(x, Release(table, profile))
+        result = permutation_distance(x, release)
         devs = np.abs(
-            profile.ranks - np.array(result.closest_ranks)[None, :]
+            release.profile.ranks - np.array(result.closest_ranks)[None, :]
         ).max(axis=1)
         assert set(result.matched_indices) == {
             int(i) + 1 for i in np.nonzero(devs == result.distance)[0]

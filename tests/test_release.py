@@ -23,7 +23,6 @@ from permpriv.baseline import (
     distance_distribution,
     subject_safety_check,
 )
-from permpriv.errors import InvalidValueError, ShapeMismatchError
 from permpriv.linkage import link_records
 from permpriv.privacy import (
     Release,
@@ -195,27 +194,18 @@ def test_entry_points_take_a_release(original, masked, permuted):
             call()
 
 
+def test_a_release_is_ranked_from_its_table_and_tie_seed_only(masked):
+    # a subject holding the table and the disclosed seed rebuilds the same ranks
+    release = Release(masked, tie_seed=7)
+    assert release.tie_seed == 7
+    assert release.profile == RankProfile.of(masked, 7)
+    with pytest.raises(TypeError):
+        Release(masked, RankProfile.of(masked, 5))
+
+
 def test_release_records_its_own_tie_seed(original, masked, permuted):
     assert certify_dataset(original, Release(masked, tie_seed=7)).tie_seed == 7
     assert link_records(original, Release(permuted, tie_seed=7)).tie_seed == 7
-
-
-def test_release_rejects_a_profile_of_another_shape(masked):
-    short = MicrodataTable(masked.values[:5], masked.attribute_names, role=Role.ANONYMIZED)
-    with pytest.raises(ShapeMismatchError):
-        Release(masked, RankProfile.of(short))
-
-
-def test_release_rejects_a_profile_that_does_not_order_the_table():
-    table = MicrodataTable([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]], ("a", "b"))
-    reversed_ranks = RankProfile([[3, 3], [2, 2], [1, 1]], 101)
-    with pytest.raises(InvalidValueError, match="does not order the table"):
-        Release(table, reversed_ranks)
-    # any tie-break of equal values still orders the table
-    tied = MicrodataTable([[5.0], [5.0], [1.0]], ("a",))
-    for ranks in ([[2], [3], [1]], [[3], [2], [1]]):
-        release = Release(tied, RankProfile(ranks, 101))
-        assert release.values_by_rank[0].tolist() == [1.0, 5.0, 5.0]
 
 
 def test_a_searched_release_puts_each_column_in_rank_order_once(monkeypatch):

@@ -172,6 +172,14 @@ def test_rank_profile_rejects_non_permutations():
         RankProfile(np.array([1, 2, 3]), tie_seed=0)
 
 
+def test_rank_profile_refuses_a_fractional_tie_seed(masked):
+    with pytest.raises(InvalidSpecError, match="tie_seed must be an integer, got 7.9"):
+        RankProfile.of(masked, tie_seed=7.9)
+    with pytest.raises(InvalidSpecError, match="tie_seed must be an integer"):
+        Release(masked, tie_seed=7.9)
+    assert Release(masked, tie_seed=np.int64(7)).tie_seed == 7
+
+
 def test_rank_profile_deterministic(masked):
     a = RankProfile.of(masked, tie_seed=DEFAULT_TIE_SEED)
     b = RankProfile.of(masked, tie_seed=DEFAULT_TIE_SEED)

@@ -14,7 +14,7 @@ from permpriv.io_report import write_csv
 from permpriv.linkage import link_records
 from permpriv.privacy import Release, batch_permutation_distances, certify_dataset
 from permpriv.reverse_map import reverse_map_table
-from permpriv.table import MicrodataTable, RankProfile, Role, check_same_layout
+from permpriv.table import MicrodataTable, Role, check_same_layout
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -31,12 +31,12 @@ def swapped(original):
 ENTRY_POINTS = {
     "reverse_map_table": lambda x, y: reverse_map_table(x, Release(y)),
     "certify_dataset": lambda x, y: certify_dataset(x, Release(y)),
-    # a release ranked from a profile of its own, with a non-default tie seed
-    "certify_dataset(Release)": lambda x, y: certify_dataset(
-        x, Release(y, RankProfile.of(y, tie_seed=7))
-    ),
+    # a release ranked under a non-default tie seed
+    "certify_dataset(Release)": lambda x, y: certify_dataset(x, Release(y, tie_seed=7)),
     "link_records": lambda x, y: link_records(x, Release(y)),
-    "assess_tables": lambda x, y: assess_tables(x, y, BaselineSpec(mode="sampled", sample_size=50)),
+    "assess_tables": lambda x, y: assess_tables(
+        x, Release(y), BaselineSpec(mode="sampled", sample_size=50)
+    ),
 }
 
 
