@@ -86,8 +86,14 @@ def load_csv(path, role: Role = Role.ORIGINAL) -> MicrodataTable:
 
 # one line and its end, split where `open(newline="")` splits: \r\n, \r or \n
 _LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
-# at least one cell byte, and nothing but cell bytes and line ends
-_PLAIN_BODY = re.compile(rb"[\r\n]*[0-9+\-.eE,][0-9+\-.eE,\r\n]*")
+# the bytes of cells and line ends, all a plain body may hold
+_PLAIN_BYTES = b"0123456789+-.eE,\r\n"
+_NOT_LINE_END = re.compile(rb"[^\r\n]")
+# bytes of body the plain check translates at a time: `translate` allocates
+# an output as long as its input, so one call over the body would hold a
+# second copy of the file, while blocks under malloc's 128 KiB mmap
+# threshold reuse small buffers
+_PLAIN_BLOCK = 1 << 16
 _SEPARATOR = re.compile(rb"[,\r\n]")
 
 
@@ -98,7 +104,7 @@ def _read_plain(data: bytes, start: int, width: int):
     at least one row of `width` finite values.  `loadtxt` reads the bytes in
     place, so neither a decoded nor a sliced copy of the file is made.
     """
-    if not _PLAIN_BODY.fullmatch(data, start) or not _cells_fit(data, start):
+    if not _is_plain(data, start) or not _cells_fit(data, start):
         return None
     body = io.BytesIO(data)  # shares the bytes object's buffer until written
     body.seek(start)
@@ -109,6 +115,14 @@ def _read_plain(data: bytes, start: int, width: int):
     if len(values) < 1 or values.shape[1] != width or not np.isfinite(values).all():
         return None
     return values
+
+
+def _is_plain(data: bytes, start: int) -> bool:
+    """Whether the body from byte `start` holds a cell byte and only plain bytes."""
+    return _NOT_LINE_END.search(data, start) is not None and not any(
+        data[i : i + _PLAIN_BLOCK].translate(None, _PLAIN_BYTES)
+        for i in range(start, len(data), _PLAIN_BLOCK)
+    )
 
 
 def _cells_fit(data: bytes, start: int) -> bool:

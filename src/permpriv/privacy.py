@@ -137,7 +137,9 @@ class Release:
     @cached_property
     def _order(self) -> np.ndarray:
         """The record (0-based) holding each attribute-0 rank."""
-        return np.argsort(self.profile.vector(0))
+        order = np.empty(self.n, dtype=np.intp)
+        order[self.profile.vector(0) - 1] = np.arange(self.n)
+        return order
 
     @cached_property
     def _index(self) -> list[np.ndarray]:

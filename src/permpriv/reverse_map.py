@@ -28,5 +28,12 @@ def reverse_map_table(original: MicrodataTable, anonymized: Release) -> Microdat
     ranks = anonymized.profile.ranks
     z = np.empty((original.n, original.m))
     for j in range(original.m):
-        z[:, j] = np.sort(original.column(j), kind="stable")[ranks[:, j] - 1]
+        x = original.column(j)
+        x_sorted = np.sort(x)
+        # -0.0 and 0.0 are the only equal values that differ, so writing the
+        # zeros back in input order gives the stable sort's bits
+        zeros = x[x == 0]
+        start = np.searchsorted(x_sorted, 0.0)
+        x_sorted[start : start + zeros.size] = zeros
+        z[:, j] = x_sorted[ranks[:, j] - 1]
     return MicrodataTable(z, original.attribute_names, role=Role.REVERSE_MAPPED)

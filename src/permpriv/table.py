@@ -42,7 +42,8 @@ def derive_column_seed(seed: int, index: int) -> int:
     Columns are seeded independently so per-attribute work can run in any
     order (or in parallel) and still reproduce the sequential result.
     """
-    state = np.random.SeedSequence([int(seed), int(index)]).generate_state(2)
+    seed = check_integer(seed, InvalidSpecError, "tie_seed")
+    state = np.random.SeedSequence([seed, int(index)]).generate_state(2)
     return (int(state[0]) << 32) | int(state[1])
 
 
@@ -74,18 +75,34 @@ def compute_ranks(column, tie_seed: int = DEFAULT_TIE_SEED) -> np.ndarray:
     so regenerating with the same inputs yields identical ranks.
     """
     col = _as_column(column)
+    rng = np.random.default_rng(check_integer(tie_seed, InvalidSpecError, "tie_seed"))
     n = col.size
-    order = np.argsort(col, kind="stable")
+    order = np.argsort(col)
     svals = col[order]
-    rng = np.random.default_rng(int(tie_seed))
     starts = np.flatnonzero(np.r_[True, svals[1:] != svals[:-1]])
     stops = np.r_[starts[1:], n]
+    # equal values (-0.0 and 0.0 among them) in position order, as a stable
+    # sort leaves them: sort run * n + position and take the run back off
+    offset = np.repeat(np.arange(starts.size) * n, stops - starts)
+    order += offset
+    order.sort()
+    order -= offset
     tied = stops - starts > 1
     for start, stop in zip(starts[tied].tolist(), stops[tied].tolist()):
         rng.shuffle(order[start:stop])
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
     return ranks
+
+
+def _is_permutation(ranks: np.ndarray) -> bool:
+    """Whether an int64 vector of length n holds each of 1..n once, in O(n)."""
+    n = ranks.size
+    if n and (ranks.min() < 1 or ranks.max() > n):
+        return False  # checked first: the scatter wraps a negative rank to the end
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[ranks] = True
+    return bool(seen[1:].all())
 
 
 def check_same_layout(first: MicrodataTable, second: MicrodataTable) -> None:
@@ -185,9 +202,8 @@ class RankProfile:
         if arr.ndim != 2:
             raise ShapeMismatchError(f"expected 2-d rank matrix, got {arr.shape}")
         n = arr.shape[0]
-        expected = np.arange(1, n + 1)
         for j in range(arr.shape[1]):
-            if not np.array_equal(np.sort(arr[:, j]), expected):
+            if not _is_permutation(arr[:, j]):
                 raise InvalidValueError(
                     f"rank vector for attribute {j} is not a permutation of 1..{n}"
                 )

@@ -6,7 +6,7 @@ import pytest
 from helpers import oracle_spearman, random_pair
 from permpriv import fixtures
 from permpriv.decompose import decompose, spearman_rho
-from permpriv.errors import InsufficientDataError, ShapeMismatchError
+from permpriv.errors import InsufficientDataError, InvalidSpecError, ShapeMismatchError
 from permpriv.privacy import Release
 
 
@@ -89,6 +89,14 @@ def test_rank_correlation_needs_two_records():
         spearman_rho([1.0], [2.0])
     with pytest.raises(ShapeMismatchError):
         spearman_rho([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def test_rank_correlation_refuses_a_fractional_tie_seed():
+    a = [1.0, 1.0, 2.0, 2.0, 2.0, 3.0]
+    b = [2.0, 1.0, 1.0, 3.0, 2.0, 2.0]
+    with pytest.raises(InvalidSpecError, match="tie_seed must be an integer, got 7.9"):
+        spearman_rho(a, b, tie_seed=7.9)
+    assert spearman_rho(a, b, tie_seed=np.int64(7)) == spearman_rho(a, b, tie_seed=7)
 
 
 def test_residual_noise_is_rank_neutral():

@@ -17,6 +17,7 @@ from helpers import (
     load_report,
     oracle_load_csv,
     oracle_payload,
+    oracle_plain_body,
     oracle_write_csv,
     oracle_write_report,
     random_pair,
@@ -236,6 +237,44 @@ def test_load_matches_the_row_parser_on_generated_files(tmp_path, monkeypatch):
         assert _outcome(load_csv, path, role) == expected, path.read_bytes()
     # both readers have run often enough for the agreement to mean something
     assert 100 < sum(fast) < len(fast) - 100
+
+
+def test_plain_gate_routes_bodies_as_the_regex_did(tmp_path, monkeypatch):
+    # bodies of cell bytes, line ends and a few others; some only line ends,
+    # some plain but for one bad byte at the end; blocks of 1 and 3 bytes
+    # put the bad byte past a block boundary
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    plain, odd = list(b"0123456789,.eE+-\r\n"), list(b" _x")
+    rng = np.random.default_rng(404)
+    path = tmp_path / "body.csv"
+    routed = []
+    for case in range(400):
+        size = int(rng.integers(0, 12))
+        kind = case % 4
+        alphabet = {0: list(b"\r\n"), 1: plain, 2: plain + odd, 3: plain}[kind]
+        body = bytes(rng.choice(alphabet, size=size).tolist())
+        if kind == 3:
+            body += bytes([int(rng.choice(odd))])
+        data = b"a,b\n" + body
+        monkeypatch.setattr(io_report, "_PLAIN_BLOCK", int(rng.choice([1, 3, 1 << 16])))
+        expected = oracle_plain_body(data, 4)
+        assert io_report._is_plain(data, 4) == expected, body
+        path.write_bytes(data)
+        before = len(calls)
+        try:
+            load_csv(path)
+        except PermprivError:
+            pass
+        assert (len(calls) > before) == expected, body
+        routed.append(expected)
+    assert 50 < sum(routed) < len(routed) - 50
 
 
 def test_loading_a_large_plain_file_keeps_memory_bounded(tmp_path):

@@ -69,7 +69,7 @@ def test_matches_the_per_column_oracle_bit_for_bit(tie_seed):
     rng = np.random.default_rng(59)
     shapes = [(1, 1), (1, 3), (12, 1)] + [
         (int(rng.integers(1, 60)), int(rng.integers(1, 5))) for _ in range(40)
-    ]
+    ] + [(5_000, 3)]
     for n, m in shapes:
         x = random_tied_table(rng, n, m)
         # negate about half the cells so zeros come in both signs

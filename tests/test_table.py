@@ -90,6 +90,27 @@ def test_tied_ranks_equal_the_per_value_walk():
             column = np.where(column == 0, -0.0, column)  # -0.0 ties with 0.0
         seed = int(rng.integers(0, 10_000))
         assert np.array_equal(compute_ranks(column, seed), oracle_tied_ranks(column, seed))
+    # one large tie-heavy column on -3..3, its zeros in both signs
+    rng = np.random.default_rng(9050)
+    column = random_tied_table(rng, 20_000, 1, levels=7).column(0) - 3.0
+    column = np.where(rng.random(column.size) < 0.5, -column, column)
+    assert np.signbit(column[column == 0]).any() and not np.signbit(column[column == 0]).all()
+    seed = derive_column_seed(DEFAULT_TIE_SEED, 0)
+    assert np.array_equal(compute_ranks(column, seed), oracle_tied_ranks(column, seed))
+
+
+def test_seeds_are_checked_not_truncated():
+    col = [1.0, 1.0, 2.0, 2.0, 2.0, 3.0]
+    with pytest.raises(InvalidSpecError, match="tie_seed must be an integer, got 7.9"):
+        compute_ranks(col, 7.9)
+    with pytest.raises(InvalidSpecError, match="tie_seed must be an integer, got 7.9"):
+        derive_column_seed(7.9, 0)
+    # numpy integers and the 64-bit derived seeds are integers
+    assert np.array_equal(compute_ranks(col, np.int64(7)), compute_ranks(col, 7))
+    assert derive_column_seed(np.int64(101), 2) == derive_column_seed(101, 2)
+    seed = derive_column_seed(101, 0)
+    assert seed >= 2**63  # a derived seed may use all 64 bits
+    assert np.array_equal(compute_ranks(col, np.uint64(seed)), compute_ranks(col, seed))
 
 
 def test_rank_determinism():
@@ -168,6 +189,12 @@ def test_rank_profile_round_trip(masked_ranks):
 def test_rank_profile_rejects_non_permutations():
     with pytest.raises(InvalidValueError):
         RankProfile(np.array([[1], [1]]), tie_seed=0)
+    # out of range in the last slot, where rank 0 or -1 would land if scattered
+    for bad in (0, 5, -1, 2**62):
+        with pytest.raises(InvalidValueError, match="attribute 0 is not a permutation of 1..4"):
+            RankProfile(np.array([[1], [2], [3], [bad]]), tie_seed=0)
+    with pytest.raises(InvalidValueError, match="attribute 2 is not a permutation of 1..4"):
+        RankProfile(np.array([[1, 4, 2], [2, 3, 1], [3, 2, 3], [4, 1, 1]]), tie_seed=0)
     with pytest.raises(ShapeMismatchError):
         RankProfile(np.array([1, 2, 3]), tie_seed=0)
 
