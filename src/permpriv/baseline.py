@@ -19,7 +19,14 @@ import numpy as np
 from .errors import CapExceededError, InvalidSpecError
 from .privacy import Release, RecordDistanceResult, batch_permutation_distances
 from .reverse_map import reverse_map_table
-from .table import MicrodataTable, Role, check_integer, check_same_layout, derive_column_seed
+from .table import (
+    MicrodataTable,
+    Role,
+    check_integer,
+    check_same_layout,
+    check_seed,
+    derive_column_seed,
+)
 
 DEFAULT_BASELINE_SEED = 303
 DEFAULT_SAMPLE_SIZE = 10_000
@@ -45,9 +52,10 @@ class BaselineSpec:
     def __post_init__(self):
         if self.mode not in ("exhaustive", "sampled"):
             raise InvalidSpecError(f"unknown baseline mode {self.mode!r}")
-        for name in ("sample_size", "seed", "exhaustive_cap"):
+        for name in ("sample_size", "exhaustive_cap"):
             value = check_integer(getattr(self, name), InvalidSpecError, name)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "seed", check_seed(self.seed, "seed"))
         if self.sample_size < 1:
             raise InvalidSpecError("sample_size must be positive")
         if self.exhaustive_cap < 1:

@@ -208,15 +208,36 @@ class _PerRecord:
     columns: dict[str, np.ndarray]
 
 
+@dataclass(frozen=True, eq=False)
+class _Items:
+    """A tuple of ints or of strings in a report payload, one item per line."""
+
+    values: tuple
+
+
+# A marker costs about what json's encoder spends on 16 to 64 items, so
+# shorter tuples, such as a record's m closest ranks, stay with json.
+_ITEMS_MIN = 32
+
+
+def _is_items(value) -> bool:
+    """True for a tuple of at least _ITEMS_MIN plain ints, or as many strings."""
+    if not isinstance(value, tuple) or len(value) < _ITEMS_MIN:
+        return False
+    kinds = set(map(type, value))
+    return len(kinds) == 1 and kinds <= {int, str}
+
+
 def to_payload(obj) -> dict:
     """Nested dicts of an analysis dataclass, fields in declaration order.
 
     A field holding a dataclass is converted in turn, and an `Evidence` stays
     columnar: `write_report` writes one `RecordDistanceResult` row per record,
     nested under `result` beside the record's row of each array field (the
-    certificate's variances) when there are any.  Every other value goes to
-    the writer as it is, which writes tuples as arrays and integer keys as
-    their decimal strings.
+    certificate's variances) when there are any.  A long tuple of ints or
+    of strings, such as a linkage's targets or classes, is written in blocks
+    too.  Every other value goes to the writer as it is, which writes tuples
+    as arrays and integer keys as their decimal strings.
     """
     values = {f.name: getattr(obj, f.name) for f in fields(obj)}
     columns = {k: v for k, v in values.items() if isinstance(v, np.ndarray)}
@@ -226,6 +247,8 @@ def to_payload(obj) -> dict:
             payload[name] = _PerRecord(value, columns)
         elif is_dataclass(value):
             payload[name] = to_payload(value)
+        elif _is_items(value):
+            payload[name] = _Items(value)
         elif name not in columns:
             payload[name] = value
     return payload
@@ -248,8 +271,8 @@ def write_report(
     report still shows what was randomized while revealing nothing; a payload
     field of the same name is nulled too.  The bytes are those of
     `json.dump(report, fh, indent=2)` and a final newline, but per-record
-    evidence is written by `_write_rows` in row blocks, so memory does not
-    grow with it.
+    evidence and long tuples are written by `_write_rows` and `_write_items`
+    in blocks, so memory does not grow with them.
     """
     if obj is None:
         raise EmptyReportError("nothing to report")
@@ -281,12 +304,13 @@ def write_report(
         "payload": payload,
     }
     # json lays out the envelope and spells every key and scalar; each
-    # Evidence leaves a random marker, which no other string equals, where
-    # its rows go, as deep as the marker's line is indented
+    # Evidence or tuple of items leaves a random marker, which no other
+    # string equals, where its rows go, as deep as the marker's line is
+    # indented
     marker, deferred = f"rows {os.urandom(16).hex()}", []
 
     def defer(value):
-        if not isinstance(value, _PerRecord):
+        if not isinstance(value, (_PerRecord, _Items)):
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
         deferred.append(value)
         return marker
@@ -296,7 +320,8 @@ def write_report(
         for before, rows in zip(parts, deferred):
             fh.write(before)
             line = before[before.rfind("\n") + 1 :]
-            _write_rows(fh, rows, (len(line) - len(line.lstrip(" "))) // 2)
+            write = _write_rows if isinstance(rows, _PerRecord) else _write_items
+            write(fh, rows, (len(line) - len(line.lstrip(" "))) // 2)
         fh.write(parts[-1])
         fh.write("\n")
 
@@ -345,6 +370,27 @@ def _write_rows(fh, rows: _PerRecord, level: int) -> None:
         body = ("," + pad).join(map(template.__mod__, zip(*cells)))
         fh.write(("[" if a == 0 else ",") + pad + body)
         a = b
+    fh.write("\n" + "  " * level + "]")
+
+
+def _write_items(fh, items: _Items, level: int) -> None:
+    """Write a tuple of ints or of strings, `level` containers deep, as `json` would.
+
+    Items go out in blocks of at most _WRITE_BLOCK_BYTES (8 per item), one
+    `write` per block.  An int is spelled by `repr`, as `json` spells it;
+    each distinct string is spelled once by `json.dumps`.
+    """
+    values = items.values
+    if isinstance(values[0], str):
+        spelled = {v: json.dumps(v) for v in set(values)}
+        spell = spelled.__getitem__
+    else:
+        spell = repr
+    pad = "\n" + "  " * (level + 1)
+    step = max(1, _WRITE_BLOCK_BYTES // 8)
+    for lo in range(0, len(values), step):
+        block = ("," + pad).join(map(spell, values[lo : lo + step]))
+        fh.write(("[" if lo == 0 else ",") + pad + block)
     fh.write("\n" + "  " * level + "]")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError, ShapeMismatchError
-from .table import MicrodataTable, Role, derive_column_seed
+from .table import MicrodataTable, Role, check_seed, derive_column_seed
 
 DEFAULT_SYNTH_SEED = 404
 DEFAULT_MASK_SEED = 202
@@ -59,7 +59,7 @@ class SynthSpec:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "means", tuple(float(v) for v in means))
         object.__setattr__(self, "stds", stds)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed, "seed"))
         object.__setattr__(self, "names", names)
 
 
@@ -79,7 +79,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sigmas", _check_positive_finite(self.sigmas, "sigmas"))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed, "seed"))
 
 
 def gaussian_mask(table: MicrodataTable, spec: NoiseSpec) -> MicrodataTable:

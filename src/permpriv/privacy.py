@@ -16,7 +16,7 @@ evidence; no access to the rest of the original data is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -32,9 +32,10 @@ from .table import (
     check_same_layout,
 )
 
-# Bytes of rank deviations one search block may hold, counted as queries x
-# candidate rows x attributes x 8; bounds the search's peak memory whatever n
-# and the number of queries.
+# Bytes one search block may hold, 8 * m for each entry: a (query, grid
+# slice) pair, or a candidate row with its m rank deviations from its query's
+# center.  Bounds the search's peak memory whatever n and the number of
+# queries; the grid's runs bound a slice to about n ** (1 - 1 / p) rows.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -54,8 +55,9 @@ def _closest_ranks(values_by_rank: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """1-based rank of the value nearest to each query; ties take the smaller rank."""
     n = values_by_rank.size
     pos = np.searchsorted(values_by_rank, xs, side="left")
-    left = np.clip(pos - 1, 0, n - 1)
-    right = np.clip(pos, 0, n - 1)
+    # 0 <= pos <= n; np.clip takes a slow path for integer arrays
+    left = np.maximum(pos - 1, 0)
+    right = np.minimum(pos, n - 1)
     take_right = np.abs(values_by_rank[right] - xs) < np.abs(xs - values_by_rank[left])
     return np.where(take_right, right, left) + 1
 
@@ -97,22 +99,204 @@ def _query_matrix(queries, release: Release) -> np.ndarray:
     return q
 
 
+@lru_cache(maxsize=16)
+def _ring_offsets(p: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slices of ring r around a core, relative to the core's first cell.
+
+    (p - 1, s) offsets on the leading gridded axes, then (s,) first and last
+    offsets on the last one.  Face rows span the whole ring; an inner row
+    gives two slices, one end cell each.
+    """
+    side = (2 * r + 2,) * (p - 1)
+    lead = np.indices(side).reshape(p - 1, np.prod(side, dtype=int)) - r
+    face = ((lead == -r) | (lead == r + 1)).any(axis=0) | (r == 0)
+    inner = lead[:, ~face]
+    count = [face.sum(), inner.shape[1], inner.shape[1]]
+    offsets = (
+        np.concatenate([lead[:, face], inner, inner], axis=1),
+        np.repeat([-r, -r, r + 1], count),
+        np.repeat([r + 1, -r, r + 1], count),
+    )
+    for a in offsets:
+        a.setflags(write=False)
+    return offsets
+
+
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """A release's records in CSR order by cell of a uniform grid over ranks.
+
+    Only the first p = min(m, 3) rank axes are gridded, each cut into k =
+    round(n ** (1 / p)) runs of about n / k ranks.  Cells are numbered with
+    the last gridded axis fastest, so each row of cells along that axis is
+    one contiguous slice of grid rows.
+    """
+
+    p: int
+    k: int
+    fence: np.ndarray  # (k + 1,) first 0-based rank of each run; the two ends moved out
+    starts: np.ndarray  # (k**p + 1,) first grid row of each cell, then n
+    records: np.ndarray  # (n,) 0-based record held by each grid row
+    ranks: np.ndarray  # (n, m) rank vector held by each grid row
+
+    @classmethod
+    def of(cls, ranks: np.ndarray) -> _Grid:
+        n, m = ranks.shape
+        p = min(m, 3)
+        k = max(1, round(n ** (1 / p)))
+        cell = np.zeros(n, dtype=np.intp)
+        for j in range(p):
+            cell *= k
+            cell += (ranks[:, j] - 1) * k // n
+        # the order within a cell is free: match sets are sorted afterwards
+        records = np.argsort(cell)
+        starts = np.zeros(k**p + 1, dtype=np.intp)
+        np.cumsum(np.bincount(cell, minlength=k**p), out=starts[1:])
+        del cell
+        # run i holds 0-based ranks -(-i * n // k) up to the next run's first;
+        # 0 and n move to -n and 2n, so an edge of the grid lies farther from
+        # any center than any deviation reaches
+        fence = -(-np.arange(k + 1) * n // k)
+        fence[[0, -1]] = -n, 2 * n
+        return cls(p, k, fence, starts, records, np.take(ranks, records, axis=0))
+
+    def cells(self, ranks: np.ndarray) -> np.ndarray:
+        """Cell coordinates of 1-based ranks on the gridded axes."""
+        return (ranks - 1) * self.k // self.starts[-1]
+
+    def box(self, c: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and last cells, (q, p) each, of the box covering centers c +- radius."""
+        n = self.starts[-1]
+        return self.cells(np.maximum(c - radius, 1)), self.cells(np.minimum(c + radius, n))
+
+    def ring(self, queries: np.ndarray, centers: np.ndarray, best: np.ndarray, r: int):
+        """Yield (query, slices, gap) for the cells at Chebyshev distance r from a core.
+
+        A query's core is the 2**p cells, two per gridded axis, that meet at
+        the cell corner nearest its center, so the first ring alone leaves
+        about half a run of ranks on every side.  Around the core, a row of
+        the (2r + 2)**(p - 1) rows along the last axis is new in full when it
+        lies on the ring's face, and new at its two end cells otherwise.
+        Only cells that meet the box within best - 1 of the center are read:
+        no other cell holds a record closer than the best deviation found so
+        far.  `slices` are (query, first, size) as `read` takes them.  `gap`
+        is each query's distance from its center to the nearest rank outside
+        the block of cells read so far, on any gridded axis; past an edge of
+        the grid it exceeds n, which no deviation reaches.  Queries go in
+        blocks of at most _BLOCK_BYTES of (query, slice) pairs, counted as
+        8 * m bytes each.
+        """
+        offsets = _ring_offsets(self.p, r)
+        step = max(1, _BLOCK_BYTES // (offsets[1].size * centers.shape[1] * 8))
+        for b in range(0, queries.size, step):
+            query = queries[b : b + step]
+            c = centers[query, : self.p]
+            yield query, *self._ring_block(query, c, best[query, None] - 1, r, *offsets)
+
+    def _ring_block(self, query, c, radius, r, lead, lo, hi):
+        """Slices of ring r and the gaps after it, for one block of queries."""
+        k, fence = self.k, self.fence
+        # the core's first cell on each axis: the center's own cell, or the one
+        # below when the center lies nearer that face
+        h = self.cells(c)
+        h -= c - fence[h] < fence[h + 1] + 1 - c
+        below = c - fence[np.maximum(h - r, 0)]
+        gap = np.minimum(below, fence[np.minimum(h + r + 2, k)] + 1 - c).min(axis=1)
+        # each slice is the ring's row of cells, cut to the box within radius
+        low, high = (v.T[:, :, None] for v in self.box(c, radius))
+        inside, row = True, 0
+        for j in range(self.p - 1):
+            a = h[:, j, None] + lead[j]
+            inside = inside & (a >= low[j]) & (a <= high[j])
+            row = row * k + a
+        lo = np.maximum(h[:, -1, None] + lo, low[-1])
+        hi = np.minimum(h[:, -1, None] + hi, high[-1]) + 1
+        inside = inside & (lo < hi)
+        row = row * k
+        first = self.starts[np.where(inside, row + lo, 0)]
+        size = self.starts[np.where(inside, row + hi, 0)] - first
+        query = np.broadcast_to(query[:, None], size.shape)
+        return (query.ravel(), first.ravel(), size.ravel()), gap
+
+    def read(self, query: np.ndarray, first: np.ndarray, size: np.ndarray, centers: np.ndarray):
+        """Yield (query, grid rows, deviations) for the rows of many grid slices.
+
+        Slice i holds grid rows first[i] .. first[i] + size[i] - 1, read for
+        query[i] with 1-based center centers[query[i]].  The rows go out in
+        chunks of at most _BLOCK_BYTES (or one slice), each row with its query
+        and its largest rank deviation from that center over all m attributes.
+        """
+        keep = size > 0
+        query, first, size = query[keep], first[keep], size[keep]
+        ends = np.cumsum(size)
+        cap = max(1, _BLOCK_BYTES // (centers.shape[1] * 8))
+        a = 0
+        while a < size.size:
+            base = ends[a] - size[a]
+            b = max(a + 1, int(np.searchsorted(ends, base + cap, side="right")))
+            sz = size[a:b]
+            rows = np.arange(base, ends[b - 1]) + np.repeat(first[a:b] - (ends[a:b] - sz), sz)
+            owner = np.repeat(query[a:b], sz)
+            gaps = np.take(self.ranks, rows, axis=0)
+            gaps -= np.take(centers, owner, axis=0)
+            np.abs(gaps, out=gaps)
+            # column by column: a max over a short last axis is several times slower
+            dev = gaps[:, 0].copy()
+            for gap in gaps.T[1:]:
+                np.maximum(dev, gap, out=dev)
+            yield owner, rows, dev
+            a = b
+
+    def boxes(self, centers: np.ndarray, radius: np.ndarray):
+        """Yield (query, first, size) for the box of cells covering centers +- radius.
+
+        The box is one slice per cell of its first p - 1 axes.  Each yield
+        holds whole queries, at most _BLOCK_BYTES of (query, slice) pairs
+        (or one query), in ascending query order.  The boxes' bounds are
+        taken for cap // p queries at a time, so each bound array holds at
+        most as many entries as a block of pairs.
+        """
+        p = self.p
+        cap = max(1, _BLOCK_BYTES // (centers.shape[1] * 8))
+        step = max(1, cap // p)
+        for start in range(0, radius.size, step):
+            lo, hi = self.box(centers[start : start + step, :p], radius[start : start + step, None])
+            width = hi[:, :-1] - lo[:, :-1] + 1
+            count = width.prod(axis=1)
+            ends = np.cumsum(count)
+            a = 0
+            while a < count.size:
+                b = max(a + 1, int(np.searchsorted(ends, ends[a] - count[a] + cap, side="right")))
+                query = np.repeat(np.arange(a, b), count[a:b])
+                t = np.arange(query.size) - np.repeat(ends[a:b] - count[a:b], count[a:b])
+                # the box's rows of cells in mixed radix, last lead axis fastest
+                row, scale = 0, self.k
+                for j in reversed(range(p - 1)):
+                    w = width[query, j]
+                    row = row + (lo[query, j] + t % w) * scale
+                    t //= w
+                    scale *= self.k
+                first = self.starts[row + lo[query, -1]]
+                size = self.starts[row + hi[query, -1] + 1] - first
+                yield query + start, first, size
+                a = b
+
+
 class Release:
     """One released table, ranked once and indexed for permutation distances.
 
     Holds the table and its rank profile, always ranked from the table under
     `tie_seed`, so anyone holding the table and the disclosed seed rebuilds
     the same ranks.  Each attribute's values in rank order, which check that
-    the profile orders the table, and the search index, every attribute's
-    ranks in the order of the attribute-0 ranks, are built on first use, so a
-    release that is only ranked keeps neither.  Index row r holds attribute-0
-    rank r + 1, so it deviates from a center c by exactly |r + 1 - c[0]| on
-    attribute 0.  A search scans outward from row c[0] - 1 and stops once
-    that gap alone reaches the best deviation found (Friedman, Baskett &
-    Shustek 1975).  Its cost is O(q * d * m) for q queries at distance about
-    d, against O(q * n * m) for a full scan.  Every distance entry point
-    takes one, and this is the only place a table is ranked and indexed for a
-    search.
+    the profile orders the table, and the search grid (`_Grid`, the cell
+    method of Bentley, Stanat & Williams 1977) are built on first use, so a
+    release that is only ranked keeps neither.  A distance search reads
+    Chebyshev rings of cells on the first min(m, 3) rank axes, around the
+    2**p cells that meet nearest each query's center, until no unseen cell
+    can hold a closer record; the match sets then read the one box of cells
+    within the distance.  Deviations are always taken over all m attributes.
+    Every distance entry point takes a Release, and this is the only place a
+    table is ranked and indexed for a search.
     """
 
     def __init__(self, table: MicrodataTable, *, tie_seed: int = DEFAULT_TIE_SEED):
@@ -134,18 +318,6 @@ class Release:
             for column, ranks in zip(self.table.values.T, self.profile.ranks.T):
                 _values_by_rank(column, ranks)
 
-    @cached_property
-    def _order(self) -> np.ndarray:
-        """The record (0-based) holding each attribute-0 rank."""
-        order = np.empty(self.n, dtype=np.intp)
-        order[self.profile.vector(0) - 1] = np.arange(self.n)
-        return order
-
-    @cached_property
-    def _index(self) -> list[np.ndarray]:
-        """The other attributes' ranks in the order of `_order`."""
-        return [self.profile.vector(j)[self._order] for j in range(1, self.m)]
-
     @property
     def n(self) -> int:
         return self.table.n
@@ -164,76 +336,54 @@ class Release:
             [_closest_ranks(self.values_by_rank[j], queries[:, j]) for j in range(self.m)]
         )
 
-    def _max_deviation(self, rows: np.ndarray, centers: Sequence[np.ndarray]) -> np.ndarray:
-        """Largest rank deviation of index rows from per-attribute centers.
-
-        `centers[j]` broadcasts against `rows`.
-        """
-        dev = rows - (centers[0] - 1)
-        np.abs(dev, out=dev)
-        for ranks, c in zip(self._index, centers[1:]):
-            gap = ranks[rows]
-            gap -= c
-            np.maximum(dev, np.abs(gap, out=gap), out=dev)
-        return dev
+    @cached_property
+    def _grid(self) -> _Grid:
+        return _Grid.of(self.profile.ranks)
 
     def distances(self, centers: np.ndarray) -> np.ndarray:
         """(q,) min-max rank deviation for each row of (q, m) 1-based centers.
 
-        Scans index offsets 0, +-1, +-2, ... in rings that double in width,
-        each over blocks of at most _BLOCK_BYTES.  A query leaves the scan
-        once the next ring's offset reaches its best deviation, or no row is
-        left.  Rows past either end are clipped to the end row: a duplicate
-        of a real record never lowers the minimum below the true one.
+        Reads the grid cells at Chebyshev distance r = 0, 1, 2, ... from each
+        query's core (`_Grid.ring`), ring by ring.  A query leaves once, on
+        every gridded axis, the first unseen rank on either side of the block
+        of cells read lies no closer to its center than its best deviation;
+        an edge of the grid counts as infinitely far.  Every unseen record
+        lies outside the block on some gridded axis, so none can be closer.
         """
-        n, m = self.n, self.m
-        best = np.full(centers.shape[0], n, dtype=np.int64)
-        start = centers[:, 0] - 1
+        grid = self._grid
+        best = np.full(centers.shape[0], self.n, dtype=np.int64)
         active = np.arange(centers.shape[0])
-        lo, hi = 0, 1
+        r = 0
         while active.size:
-            k = np.arange(lo, min(hi, n))
-            offsets = k if lo == 0 else np.concatenate([-k, k])
-            step = max(1, _BLOCK_BYTES // (offsets.size * m * 8))
-            for b in range(0, active.size, step):
-                idx = active[b : b + step]
-                rows = start[idx, None] + offsets
-                np.clip(rows, 0, n - 1, out=rows)
-                dev = self._max_deviation(rows, [centers[idx, j, None] for j in range(m)])
-                best[idx] = np.minimum(best[idx], dev.min(axis=1))
-            # every row still unscanned lies at offset hi or beyond
-            s = start[active]
-            active = active[(best[active] > hi) & ((s >= hi) | (s + hi < n))]
-            lo, hi = hi, 2 * hi
+            left = []
+            for query, slices, gap in grid.ring(active, centers, best, r):
+                for owner, _, dev in grid.read(*slices, centers):
+                    np.minimum.at(best, owner, dev)
+                left.append(query[best[query] > gap])
+            active = np.concatenate(left)
+            r += 1
         return best
 
     def _match_sets(self, centers: np.ndarray, distances: np.ndarray):
         """Match sets in CSR form: offsets (q + 1,) and ascending 1-based records.
 
-        A record at distance d lies within d of the center on attribute 0, so
-        index rows [c[0] - 1 - d, c[0] - 1 + d] hold every match.  Windows are
-        scanned in blocks of at most _BLOCK_BYTES (or one window).
+        A record at distance d lies within d of the center on every axis, so
+        the box of cells that covers each center +- d on the gridded axes
+        holds every match.  Each of the grid's blocks of whole queries is
+        sorted by (query, record) as it is read.
         """
-        n, m, q = self.n, self.m, distances.size
-        first = np.maximum(centers[:, 0] - 1 - distances, 0)
-        size = np.minimum(centers[:, 0] - 1 + distances, n - 1) - first + 1
-        ends = np.cumsum(size)
-        cap = max(1, _BLOCK_BYTES // (m * 8))
+        n, grid = self.n, self._grid
         parts = [np.empty(0, dtype=np.int64)]
-        offsets = np.zeros(q + 1, dtype=np.int64)
-        a = 0
-        while a < q:
-            base = ends[a] - size[a]
-            b = max(a + 1, int(np.searchsorted(ends, base + cap, side="right")))
-            sz = size[a:b]
-            query = np.repeat(np.arange(a, b), sz)
-            rows = np.arange(base, ends[b - 1]) + np.repeat(first[a:b] - (ends[a:b] - sz), sz)
-            dev = self._max_deviation(rows, [centers[query, j] for j in range(m)])
-            hit = dev == distances[query]
-            records, query = self._order[rows[hit]] + 1, query[hit]
-            parts.append(records[np.lexsort((records, query))])
-            offsets[a + 1 : b + 1] = np.bincount(query - a, minlength=b - a)
-            a = b
+        offsets = np.zeros(distances.size + 1, dtype=np.int64)
+        for slices in grid.boxes(centers, distances):
+            keys = [np.empty(0, dtype=np.int64)]
+            for owner, rows, dev in grid.read(*slices, centers):
+                hit = dev == distances[owner]
+                keys.append(owner[hit] * n + grid.records[rows[hit]])
+            key = np.sort(np.concatenate(keys))
+            owner = key // n
+            np.add.at(offsets, owner + 1, 1)
+            parts.append(key - owner * n + 1)
         return np.cumsum(offsets, out=offsets), np.concatenate(parts)
 
     def search(self, queries) -> Evidence:

@@ -42,7 +42,7 @@ def derive_column_seed(seed: int, index: int) -> int:
     Columns are seeded independently so per-attribute work can run in any
     order (or in parallel) and still reproduce the sequential result.
     """
-    seed = check_integer(seed, InvalidSpecError, "tie_seed")
+    seed = check_seed(seed, "tie_seed")
     state = np.random.SeedSequence([seed, int(index)]).generate_state(2)
     return (int(state[0]) << 32) | int(state[1])
 
@@ -66,6 +66,18 @@ def check_integer(value, error: type[PermprivError], what: str) -> int:
         raise error(f"{what} must be an integer, got {value!r}") from None
 
 
+def check_seed(value, what: str) -> int:
+    """`value` as a seed: a non-negative integer, else InvalidSpecError.
+
+    numpy's generators take any such integer, the 64-bit derived column
+    seeds included, and refuse a negative one.
+    """
+    seed = check_integer(value, InvalidSpecError, what)
+    if seed < 0:
+        raise InvalidSpecError(f"{what} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def compute_ranks(column, tie_seed: int = DEFAULT_TIE_SEED) -> np.ndarray:
     """Rank the values of a column; 1 = smallest, ties shuffled under the seed.
 
@@ -75,7 +87,7 @@ def compute_ranks(column, tie_seed: int = DEFAULT_TIE_SEED) -> np.ndarray:
     so regenerating with the same inputs yields identical ranks.
     """
     col = _as_column(column)
-    rng = np.random.default_rng(check_integer(tie_seed, InvalidSpecError, "tie_seed"))
+    rng = np.random.default_rng(check_seed(tie_seed, "tie_seed"))
     n = col.size
     order = np.argsort(col)
     svals = col[order]
@@ -209,7 +221,7 @@ class RankProfile:
                 )
         arr.setflags(write=False)
         object.__setattr__(self, "ranks", arr)
-        seed = check_integer(self.tie_seed, InvalidSpecError, "tie_seed")
+        seed = check_seed(self.tie_seed, "tie_seed")
         object.__setattr__(self, "tie_seed", seed)
 
     @classmethod

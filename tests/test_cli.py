@@ -236,6 +236,30 @@ def test_subject_usage_error_prints_nothing(workspace, capsys, original, flags):
     assert not (workspace / "untouched").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "original.csv", "masked.csv", "--tie-seed", "-1"),
+        ("subject", "record3.csv", "masked.csv", "--baseline", "sampled", "--baseline-seed", "-1"),
+        ("mask", "original.csv", "--sigmas", "5", "25", "100", "--mask-seed", "-1"),
+        ("synth", "--synth-seed", "-1"),
+    ],
+    ids=["certify", "subject", "mask", "synth"],
+)
+def test_negative_seeds_exit_2(workspace, capsys, original, argv):
+    write_csv(
+        original.__class__(original.values[2:3], original.attribute_names),
+        workspace / "record3.csv",
+    )
+    argv = [workspace / a if a.endswith(".csv") else a for a in argv]
+    code, out, err = run(capsys, *argv, "--out", workspace / "untouched")
+    assert code == 2
+    assert out == ""
+    assert "must be a non-negative integer" in err
+    assert "Traceback" not in err
+    assert not (workspace / "untouched").exists()
+
+
 def test_subject_rejects_multi_row_input(workspace, capsys):
     code, _, err = run(
         capsys, "subject", workspace / "original.csv", workspace / "masked.csv",

@@ -541,6 +541,40 @@ def test_report_bytes_match_the_json_dump_oracle(tmp_path, monkeypatch, budget):
         assert ours.read_bytes() == expected.read_bytes(), label
 
 
+@pytest.mark.parametrize("budget", [None, 1, 8 * 40])
+def test_a_linkage_writes_its_long_tuples_in_blocks(tmp_path, monkeypatch, budget):
+    # targets and classes go out through the block writer, not json's
+    # encoder, with the bytes json would write; the m-long tuples of a
+    # subject's evidence stay with json
+    if budget is not None:
+        monkeypatch.setattr(io_report, "_WRITE_BLOCK_BYTES", budget)
+    written = []
+    write_items = io_report._write_items
+
+    def counting(fh, items, level):
+        written.append(len(items.values))
+        write_items(fh, items, level)
+
+    monkeypatch.setattr(io_report, "_write_items", counting)
+    rng = np.random.default_rng(33)
+    x, y = random_pair(rng, 300, 3, sigma=40.0)
+    linkage = link_records(x, Release(reverse_map_table(x, Release(y))))
+    score = score_linkage(linkage, range(1, x.n + 1))
+    assert min(len(linkage.unmatched_targets), len(linkage.multiply_matched_targets)) >= 32
+    ours, expected = tmp_path / "ours.json", tmp_path / "oracle.json"
+    write_report({**to_payload(linkage), "score": to_payload(score)}, ours, kind="linkage")
+    oracle_write_report(
+        {**oracle_payload(linkage), "score": oracle_payload(score)}, expected, kind="linkage"
+    )
+    assert ours.read_bytes() == expected.read_bytes()
+    assert written == [
+        len(linkage.unmatched_targets), len(linkage.multiply_matched_targets), x.n
+    ]
+    written.clear()
+    write_report(linkage.per_record[0], tmp_path / "one.json")
+    assert written == []
+
+
 def test_a_large_certificate_is_written_like_the_oracle(tmp_path):
     # many blocks at the default budget, with multi-record match sets across
     # block boundaries

@@ -1,4 +1,4 @@
-"""The Release index and its projection search against the brute-force oracles."""
+"""The Release grid and its search against the brute-force oracles."""
 
 import os
 import subprocess
@@ -129,10 +129,11 @@ def test_search_matches_the_brute_scan_at_two_thousand_records(tied):
 
 
 def test_search_reaches_the_last_row_at_a_ring_edge():
-    # The query's own attribute-0 rank is 5 of 8, so after the rings at
-    # offsets 0..3 only record 1 (attribute-0 rank 1, offset 4) is left.
-    # Records 2..8 each deviate by 5 or more on a later attribute; record 1
-    # deviates by 4, on attribute 0 alone.
+    # The grid cuts ranks 1..8 into runs 1..4 and 5..8 on the first three
+    # axes.  The query's home cell (5..8, 1..4, 5..8) holds no record, so
+    # only ring 1, across the edge at attribute-0 rank 4, finds record 1:
+    # grid row 0, at attribute-0 rank 1.  Records 2..8 each deviate by 5 or
+    # more on a later attribute; record 1 deviates by 4, on attribute 0 alone.
     ranks = np.array(
         [
             [1, 1, 8, 1],
@@ -152,8 +153,8 @@ def test_search_reaches_the_last_row_at_a_ring_edge():
 
 
 def _first_block(m):
-    """Queries in one block of the search's first ring (one candidate row each)."""
-    return privacy._BLOCK_BYTES // (m * 8)
+    """Queries in one block of the grid's first ring (2**(p - 1) slices each)."""
+    return privacy._BLOCK_BYTES // (m * 8) // 2 ** (min(m, 3) - 1)
 
 
 def test_queries_just_over_one_block():
@@ -172,6 +173,92 @@ def test_one_query_per_block(monkeypatch):
     rng = np.random.default_rng(14)
     for table in (random_table(rng, 50, 3), random_tied_table(rng, 50, 3, levels=5)):
         _check_against_oracle(table, _queries(rng, table, 5))
+
+
+def _check_against_brute(table, queries, tie_seed=101):
+    release = Release(table, tie_seed=tie_seed)
+    distances, centers, matches = brute_search(table.values, release.profile.ranks, queries)
+    evidence = release.search(queries)
+    assert evidence.distances.tolist() == distances.tolist()
+    assert evidence.closest_ranks.tolist() == centers.tolist()
+    _check_csr(evidence, matches)
+    return release
+
+
+def _recording_rings(monkeypatch):
+    """The ring radii the grid reads, in order, once the patch is in place."""
+    radii = []
+    ring = privacy._Grid.ring
+
+    def recording(self, queries, centers, best, r):
+        radii.append(r)
+        return ring(self, queries, centers, best, r)
+
+    monkeypatch.setattr(privacy._Grid, "ring", recording)
+    return radii
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_grid_matches_the_brute_scan_from_one_to_eight_attributes(m):
+    # only the first three axes are gridded; the rest count in every deviation
+    rng = np.random.default_rng(40 + m)
+    for table in (random_table(rng, 300, m), random_tied_table(rng, 300, m, levels=3)):
+        release = _check_against_brute(table, _queries(rng, table, 40))
+        assert release._grid.p == min(m, 3)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 4])
+def test_grid_matches_the_brute_scan_on_heavy_ties(levels):
+    rng = np.random.default_rng(50 + levels)
+    table = random_tied_table(rng, 1500, 3, levels=levels)
+    _check_against_brute(table, _queries(rng, table, 100), tie_seed=int(rng.integers(0, 1000)))
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 8), (2, 2), (2, 3), (3, 8)])
+def test_a_one_cell_grid_reads_every_record(n, m):
+    rng = np.random.default_rng(60 + n * m)
+    for table in (random_table(rng, n, m), random_tied_table(rng, n, m, levels=2)):
+        release = _check_against_brute(table, _queries(rng, table, 4))
+        assert release._grid.k == 1
+
+
+def _clustered_table(rng, n):
+    """Every attribute follows one latent order: the records sit near the
+    diagonal of rank space, and most grid cells are empty."""
+    latent = np.sort(rng.normal(size=n))
+    values = latent[:, None] * [1.0, 10.0, 100.0] + rng.normal(0.0, 0.05, (n, 3))
+    return MicrodataTable(values, ("a", "b", "c"))
+
+
+def _far_queries(rng, table, count):
+    """Records at rank 1 or n on each attribute, then `_queries`."""
+    low, high = table.values.min(axis=0), table.values.max(axis=0)
+    corners = np.where(np.indices((2,) * table.m).reshape(table.m, -1).T, high, low)
+    return np.vstack([corners, _queries(rng, table, count)])
+
+
+def test_grid_on_a_clustered_release_with_mostly_empty_cells(monkeypatch):
+    # queries at ranks 1 and n on crossed attributes, and far outliers, lie
+    # far from the diagonal and need rings of radius 2 and more
+    rng = np.random.default_rng(70)
+    table = _clustered_table(rng, 2000)
+    radii = _recording_rings(monkeypatch)
+    grid = _check_against_brute(table, _far_queries(rng, table, 50))._grid
+    assert np.count_nonzero(np.diff(grid.starts)) < 0.1 * grid.k**grid.p
+    assert max(radii) >= 2
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+def test_one_query_per_block_on_far_queries(monkeypatch, tied):
+    # blocks of one (query, slice) pair and one slice of rows at every ring
+    monkeypatch.setattr(privacy, "_BLOCK_BYTES", 1)
+    radii = _recording_rings(monkeypatch)
+    rng = np.random.default_rng(80 + tied)
+    table = _clustered_table(rng, 400)
+    if tied:
+        table = MicrodataTable(np.round(table.values), table.attribute_names)
+    _check_against_brute(table, _far_queries(rng, table, 20))
+    assert max(radii) >= 2
 
 
 def test_entry_points_take_a_release(original, masked, permuted):
@@ -242,6 +329,38 @@ def test_search_memory_is_bounded_in_bytes():
         distances = batch_permutation_distances(queries, release)
         after = peak_rss_mib()
         assert distances.shape == (64000,)
+        print(after - before)
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)]), "OMP_NUM_THREADS": "1"},
+    )
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 8.0
+
+
+def test_full_size_search_memory_is_bounded_in_bytes():
+    # 10 000 queries at rank 1 or n on every attribute against 100 000
+    # records: far rings and wide match boxes; the grid without blocks grows
+    # the peak RSS by about 25 MiB here
+    script = textwrap.dedent(
+        """
+        import numpy as np
+        from helpers import peak_rss_mib
+        from permpriv.masking import SynthSpec, synth_original
+        from permpriv.privacy import Release
+
+        table = synth_original(SynthSpec(n=100_000, means=[100.0, 1000.0, 5000.0, 20000.0],
+                                         stds=[10.0, 50.0, 200.0, 800.0], seed=5))
+        release = Release(table)
+        release.search(table.values[:1])
+        queries = np.random.default_rng(6).choice([-1e12, 1e12], size=(10_000, 4))
+        before = peak_rss_mib()
+        evidence = release.search(queries)
+        after = peak_rss_mib()
+        assert evidence.distances.shape == (10_000,)
         print(after - before)
         """
     )

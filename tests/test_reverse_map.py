@@ -130,10 +130,10 @@ def test_reverse_mapping_builds_no_search_index(original, masked):
     reverse_map_table(original, release)
     decompose(original, release)
     # the rank order is checked one column at a time, and no column is kept
-    assert not {"values_by_rank", "_order", "_index"} & release.__dict__.keys()
-    # the first search builds the columns and the index, once
+    assert not {"values_by_rank", "_grid"} & release.__dict__.keys()
+    # the first search builds the columns and the grid, once
     permutation_distance(original.values[0], release)
-    assert {"values_by_rank", "_order", "_index"} <= release.__dict__.keys()
+    assert {"values_by_rank", "_grid"} <= release.__dict__.keys()
 
 
 def test_the_demo_ranks_each_table_once(monkeypatch):

@@ -7,12 +7,14 @@ import pytest
 
 from helpers import oracle_ranks, oracle_tied_ranks, random_table, random_tied_table
 from permpriv import fixtures
+from permpriv.baseline import BaselineSpec
 from permpriv.errors import (
     EmptyInputError,
     InvalidSpecError,
     InvalidValueError,
     ShapeMismatchError,
 )
+from permpriv.masking import NoiseSpec, SynthSpec
 from permpriv.privacy import Release
 from permpriv.table import (
     DEFAULT_TIE_SEED,
@@ -111,6 +113,26 @@ def test_seeds_are_checked_not_truncated():
     seed = derive_column_seed(101, 0)
     assert seed >= 2**63  # a derived seed may use all 64 bits
     assert np.array_equal(compute_ranks(col, np.uint64(seed)), compute_ranks(col, seed))
+
+
+def test_negative_seeds_are_refused_everywhere(original):
+    col = [1.0, 1.0, 2.0]
+    calls = [
+        lambda: compute_ranks(col, -1),
+        lambda: derive_column_seed(-1, 0),
+        lambda: RankProfile.of(original, -1),
+        lambda: Release(original, tie_seed=-(2**70)),
+        lambda: BaselineSpec(mode="sampled", seed=-1),
+        lambda: SynthSpec(n=3, means=[0.0], stds=[1.0], seed=-1),
+        lambda: NoiseSpec(sigmas=[1.0], seed=-1),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidSpecError, match="must be a non-negative integer"):
+            call()
+    # zero and the largest 64-bit seed are seeds
+    assert compute_ranks(col, 0).tolist() in ([1, 2, 3], [2, 1, 3])
+    assert sorted(compute_ranks(col, 2**64 - 1).tolist()) == [1, 2, 3]
+    assert SynthSpec(n=3, means=[0.0], stds=[1.0], seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_rank_determinism():
