@@ -104,6 +104,12 @@ def _fmt_vector(values) -> str:
     return "(" + ", ".join(f"{float(v):.2f}" for v in values) + ")"
 
 
+def _fmt_records(records) -> str:
+    """The first 10 record numbers, then how many more there are."""
+    shown = ", ".join(str(i) for i in records[:10])
+    return shown if len(records) <= 10 else f"{shown} and {len(records) - 10} more"
+
+
 def _load_single_record(path) -> MicrodataTable:
     table = load_csv(path, role=Role.ORIGINAL)
     if table.n != 1:
@@ -156,9 +162,7 @@ def cmd_certify(args) -> int:
     passed, _ = release.verdicts(evidence.closest_ranks, evidence.distances, d_t, v_t)
     failures = (np.flatnonzero(~passed) + 1).tolist()
     if failures:
-        shown = ", ".join(str(i) for i in failures[:10])
-        more = "" if len(failures) <= 10 else f" and {len(failures) - 10} more"
-        print(f"targets (d={d_t}, v={_fmt_vector(v_t)}) NOT met: records {shown}{more}")
+        print(f"targets (d={d_t}, v={_fmt_vector(v_t)}) NOT met: records {_fmt_records(failures)}")
         return EXIT_VERDICT
     print(f"targets (d={d_t}, v={_fmt_vector(v_t)}) met by all {original.n} records")
     return EXIT_OK
@@ -220,10 +224,13 @@ def cmd_link(args) -> int:
     result = link_records(original, Release(permuted, tie_seed=args.tie_seed))
     payload = to_payload(result)
     multiple = np.count_nonzero(np.diff(result.per_record.offsets) > 1)
+    unmatched = result.unmatched_targets
     summary = (
         f"{original.n} records linked; {multiple} with multiple matches; "
-        f"unmatched targets {result.unmatched_targets}"
+        f"{len(unmatched)} unmatched targets"
     )
+    if unmatched:
+        summary += f" ({_fmt_records(unmatched)})"
     if args.truth is not None:
         truth = _read_truth(args.truth, original.n)
         score = score_linkage(result, truth)

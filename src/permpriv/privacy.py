@@ -36,7 +36,10 @@ from .table import (
 # slice) pair, or a candidate row with its m rank deviations from its query's
 # center.  Bounds the search's peak memory whatever n and the number of
 # queries; the grid's runs bound a slice to about n ** (1 - 1 / p) rows.
+# A window-variance block holds 8 bytes for each gathered value.
 _BLOCK_BYTES = 1 << 19
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _values_by_rank(column: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -44,8 +47,10 @@ def _values_by_rank(column: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
     Raises InvalidValueError when the ranks do not order the column.
     """
-    out = np.empty(column.size, dtype=float)
-    out[np.asarray(ranks) - 1] = column
+    # one slot ahead, so the 1-based ranks index it without a shifted copy
+    out = np.empty(column.size + 1)
+    out[np.asarray(ranks)] = column
+    out = out[1:]
     if np.any(out[1:] < out[:-1]):
         raise InvalidValueError("rank profile does not order the table")
     return out
@@ -62,11 +67,59 @@ def _closest_ranks(values_by_rank: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.where(take_right, right, left) + 1
 
 
+def _window_variances(flat: np.ndarray, first: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Population variance of each window flat[first[i] : first[i] + width[i]].
+
+    The windows are ordered by width, so equal widths form runs.  They are
+    gathered in blocks of at most _BLOCK_BYTES of values (or one window),
+    and each block takes the six steps of numpy's `var`: a sum per window,
+    a division by the width, the subtraction of the window's mean, a square,
+    a second sum and a second division.  Each sum is one `add.reduce` over a
+    run's C-contiguous (k, w) rows, the reduction `ndarray.var(axis=1)` makes
+    on the same rows; the other four steps are elementwise.  So each variance
+    has the bits of `flat[first[i] : first[i] + width[i]].var()`.
+    """
+    out = np.empty(width.size)
+    ends = np.cumsum(width)
+    cap = max(1, _BLOCK_BYTES // 8)
+    a = 0
+    while a < width.size:
+        base = ends[a] - width[a]
+        b = max(a + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        size = width[a:b]
+        shift = np.repeat(first[a:b] - (ends[a:b] - size), size)
+        values = flat[np.arange(base, ends[b - 1]) + shift]
+        starts = np.flatnonzero(np.diff(size, prepend=0))
+        runs = list(zip(np.diff(starts, append=size.size).tolist(), size[starts].tolist()))
+        mean = _run_sums(values, runs) / size
+        values -= np.repeat(mean, size)
+        np.square(values, out=values)
+        out[a:b] = _run_sums(values, runs) / size
+        a = b
+    return out
+
+
+def _run_sums(values: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
+    """Sum of each window of a gathered block; `runs` holds (windows, width) pairs."""
+    sums = np.empty(sum(k for k, _ in runs))
+    i = at = 0
+    for k, w in runs:
+        np.add.reduce(values[at : at + k * w].reshape(k, w), axis=1, out=sums[i : i + k])
+        i, at = i + k, at + k * w
+    return sums
+
+
 def _rank_array(values, what: str) -> np.ndarray:
-    """`values` as an int64 array; floats raise RankOutOfRangeError, never truncated."""
+    """`values` as an int64 array; RankOutOfRangeError for floats and integers beyond int64.
+
+    Nothing is truncated or wrapped: numpy holds 2**63 .. 2**64 - 1 as uint64
+    and larger integers as objects, and both are refused.
+    """
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
-        raise RankOutOfRangeError(f"{what} must be integers, got {arr.dtype}")
+        raise RankOutOfRangeError(f"{what} must be integers within int64, got {arr.dtype}")
+    if arr.size and arr.dtype.kind == "u" and arr.max() > _INT64_MAX:
+        raise RankOutOfRangeError(f"{what} must be integers within int64, got {arr.max()}")
     return arr.astype(np.int64, copy=False)
 
 
@@ -80,6 +133,8 @@ def check_targets(d_target, v_target, m: int) -> tuple[int, tuple[float, ...]]:
     d = check_integer(d_target, RankOutOfRangeError, "d_target")
     if d < 0:
         raise RankOutOfRangeError("d_target must be nonnegative")
+    if d > _INT64_MAX:
+        raise RankOutOfRangeError(f"d_target must be within int64, got {d}")
     return d, v
 
 
@@ -304,9 +359,17 @@ class Release:
         self.profile = RankProfile.of(table, tie_seed)
 
     @cached_property
-    def values_by_rank(self) -> list[np.ndarray]:
-        """Each attribute's values in rank order, checked to be ascending."""
-        return list(map(_values_by_rank, self.table.values.T, self.profile.ranks.T))
+    def values_by_rank(self) -> np.ndarray:
+        """(m, n) read-only array: row j is attribute j's values in rank order.
+
+        Each row is checked to be ascending.  The array is C-contiguous, so
+        its `ravel()` lays the m rows end to end without a copy.
+        """
+        out = np.empty((self.m, self.n))
+        for row, column, ranks in zip(out, self.table.values.T, self.profile.ranks.T):
+            row[:] = _values_by_rank(column, ranks)
+        out.setflags(write=False)
+        return out
 
     def check_order(self) -> None:
         """Raise InvalidValueError unless the rank profile orders the table.
@@ -405,34 +468,33 @@ class Release:
         """(q, m) variance of the values ranked within d of each center.
 
         `centers` is a (q, m) matrix of 1-based ranks and `d` one radius or
-        one per row.  Each window is clipped to [1, n].  Per attribute, the
-        windows are grouped by length and gathered into C-contiguous blocks of
-        at most _BLOCK_BYTES (or one window), and each block takes one
-        `var(axis=1)`.  numpy reduces each row of a contiguous block exactly
-        as it reduces the same window as a 1-D slice of `values_by_rank[j]`,
-        so every variance has the bits a per-window `var` call gives.
+        one per row.  Each window is clipped to [1, n], after the radius is
+        clipped to n, so no radius overflows.  All q * m windows are taken
+        in one pass over `values_by_rank.ravel()`, where the window of
+        (record i, attribute j) is a first position and a width inside row
+        j, and each distinct window is reduced once (`_window_variances`).
         """
-        n = self.n
+        n, m = self.n, self.m
         centers = _rank_array(centers, "center ranks")
-        if centers.ndim != 2 or centers.shape[1] != self.m:
-            raise ShapeMismatchError(f"centers have shape {centers.shape}, expected (*, {self.m})")
+        if centers.ndim != 2 or centers.shape[1] != m:
+            raise ShapeMismatchError(f"centers have shape {centers.shape}, expected (*, {m})")
         radius = np.broadcast_to(_rank_array(d, "window radius"), centers.shape[:1])
         if np.any(radius < 0):
             raise RankOutOfRangeError("window radius must be nonnegative")
         if centers.size and (centers.min() < 1 or centers.max() > n):
             raise RankOutOfRangeError(f"center ranks outside 1..{n}")
-        out = np.empty(centers.shape, dtype=float)
-        for j, values in enumerate(self.values_by_rank):
-            first = np.maximum(centers[:, j] - radius, 1) - 1
-            width = np.minimum(centers[:, j] + radius, n) - first
-            order = np.argsort(width, kind="stable")
-            for rows in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
-                w = int(width[rows[0]])
-                step = max(1, _BLOCK_BYTES // (w * 8))
-                for b in range(0, rows.size, step):
-                    block = rows[b : b + step]
-                    out[block, j] = values[first[block, None] + np.arange(w)].var(axis=1)
-        return out
+        if not centers.size:
+            return np.empty(centers.shape)
+        radius = np.minimum(radius, n)[:, None]
+        first = np.maximum(centers - radius, 1) - 1
+        width = np.minimum(centers + radius, n) - first
+        first += np.arange(m) * n
+        # distinct windows, ordered by width and then by first position
+        key, inverse = np.unique((width * (m * n) + first).ravel(), return_inverse=True)
+        width, first = np.divmod(key, m * n)
+        return _window_variances(self.values_by_rank.ravel(), first, width)[inverse].reshape(
+            centers.shape
+        )
 
     def verdicts(
         self, centers, distances, d_target: int, v_target: Sequence[float]

@@ -1,17 +1,18 @@
 """Command-line interface: exit codes, artifacts, and config handling."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import load_report
+from helpers import load_report, random_table
 from permpriv import fixtures
 from permpriv.cli import build_parser, main
 from permpriv.io_report import load_csv, write_csv
 from permpriv.privacy import Release
 from permpriv.reverse_map import reverse_map_table
-from permpriv.table import Role
+from permpriv.table import MicrodataTable, Role
 
 
 @pytest.fixture()
@@ -130,6 +131,57 @@ def test_negative_distance_target_exits_2(workspace, capsys, original, command):
     )
     assert code == 2
     assert "d_target must be nonnegative" in err
+    assert not (workspace / "untouched").exists()
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+def test_distance_targets_up_to_int64_max(workspace, capsys, original, masked):
+    # a radius of 2**63 - 1 reaches the whole column on every attribute,
+    # with no overflow, NaN or "Degrees of freedom" warning
+    write_csv(
+        original.__class__(original.values[2:3], original.attribute_names),
+        workspace / "record3.csv",
+    )
+    whole = [row.var() for row in Release(masked).values_by_rank]
+    top = str(2**63 - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        subject = run(capsys, "subject", workspace / "record3.csv", workspace / "masked.csv",
+                      "--d", top, "--out", workspace / "subject")
+        certify = run(capsys, "certify", workspace / "original.csv", workspace / "masked.csv",
+                      "--d", top, "--v", "0", "0", "0", "--out", workspace / "certify")
+    # no record lies 2**63 - 1 ranks from its match, so both verdicts fail
+    assert (subject[0], certify[0]) == (4, 4)
+    payload = _strict_json(workspace / "subject" / "subject.json")["payload"]
+    assert payload["verification"]["window_variances"] == whole
+    certificate = _strict_json(workspace / "certify" / "certificate.json")["payload"]
+    assert certificate["dataset_distance"] == 1
+
+
+@pytest.mark.parametrize("d", [2**63, 2**64, 2**70])
+@pytest.mark.parametrize("command", ["certify", "subject"])
+def test_distance_targets_beyond_int64_exit_2_before_writing(
+    workspace, capsys, original, command, d
+):
+    write_csv(
+        original.__class__(original.values[2:3], original.attribute_names),
+        workspace / "record3.csv",
+    )
+    first = "original.csv" if command == "certify" else "record3.csv"
+    code, out, err = run(
+        capsys, command, workspace / first, workspace / "masked.csv",
+        "--d", str(d), "--out", workspace / "untouched",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"d_target must be within int64, got {d}" in err
+    assert "Traceback" not in err
     assert not (workspace / "untouched").exists()
 
 
@@ -279,6 +331,8 @@ def test_link_with_identity_truth(workspace, capsys):
     )
     assert code == 0
     assert "20 records linked" in out
+    unmatched = fixtures.LINKAGE_UNMATCHED  # 10 or fewer: each one is listed
+    assert f"; {len(unmatched)} unmatched targets ({', '.join(map(str, unmatched))});" in out
     report = load_report(workspace / "linkage.json")
     assert report["kind"] == "linkage"
     score = report["payload"]["score"]
@@ -310,6 +364,29 @@ def test_link_without_truth_skips_scoring(workspace, capsys):
     )
     assert code == 0
     assert "score" not in load_report(workspace / "linkage.json")["payload"]
+
+
+def test_link_summary_lists_at_most_10_unmatched_targets(tmp_path, capsys):
+    # shuffling each column on its own leaves about a third of the permuted
+    # records in no match set
+    rng = np.random.default_rng(5)
+    original = random_table(rng, 600, 2)
+    shuffled = np.column_stack([rng.permutation(c) for c in original.values.T])
+    write_csv(original, tmp_path / "original.csv")
+    write_csv(MicrodataTable(shuffled, original.attribute_names), tmp_path / "permuted.csv")
+    code, out, _ = run(
+        capsys, "link", tmp_path / "original.csv", tmp_path / "permuted.csv",
+        "--out", tmp_path,
+    )
+    assert code == 0
+    unmatched = load_report(tmp_path / "linkage.json")["payload"]["unmatched_targets"]
+    assert len(unmatched) > 100
+    summary = out.splitlines()[0]
+    shown = ", ".join(map(str, unmatched[:10]))
+    assert summary.endswith(
+        f"; {len(unmatched)} unmatched targets ({shown} and {len(unmatched) - 10} more)"
+    )
+    assert len(summary) < 160
 
 
 def test_link_rejects_bad_truth(workspace, capsys):

@@ -117,13 +117,14 @@ def test_table_bytes_at_1000_records(tmp_path, monkeypatch):
 # records tie at their distance with several released records, so these
 # reports pin multi-record match sets.  A command's printed summary, with
 # the output directory spelled ROOT, is pinned where it reads the evidence:
-# the failing records of certify's targets and link's multi-match count.
+# the failing records of certify's targets and link's multi-match and
+# unmatched-target counts, with at most 10 record numbers listed.
 TIED = {
     "certify/certificate.json": "79707a1aa7a44b508c4584157f4c615996da72f7eeb633ba8ecb907786f0cbd2",
     "certify-targets/certificate.json": "79707a1aa7a44b508c4584157f4c615996da72f7eeb633ba8ecb907786f0cbd2",
     "certify-targets/stdout.txt": "71d54d8be652ce7eed8ad3f68e6f47315b5841b23ec68d8bbb359ead7550e231",
     "link/linkage.json": "d0c141b6f2a6690fe4bac8dc0303150da4608cf386b3cddb26d0d4b0af01dbab",
-    "link/stdout.txt": "a5bd706401919724de012dc87ea7498710dd9822ab6fe77233e31373ae3bb732",
+    "link/stdout.txt": "b7a1725df3d4b8c8cd8fffad060812e96002143ec6997a4c55c7c71054da22bc",
     "subject/subject.json": "5129c6f17118cd625ae5538d7fc22141cc894eb330b4d5f70780f666e56a1899",
 }
 # a record whose match set in the release holds more than one record

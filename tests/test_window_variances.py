@@ -197,3 +197,107 @@ def test_kernel_memory_is_bounded_in_bytes():
     )
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) < 8.0
+
+
+def test_shared_windows_are_reduced_once_with_the_loop_s_bits(monkeypatch):
+    # many records share one (center, radius) on a tie-heavy release, with
+    # mixed per-row radii; each distinct (first rank, width) is reduced once
+    reduced = []
+    kernel = privacy._window_variances
+
+    def counting(flat, first, width):
+        reduced.append(first.size)
+        return kernel(flat, first, width)
+
+    monkeypatch.setattr(privacy, "_window_variances", counting)
+    rng = np.random.default_rng(28)
+    n, m = 400, 3
+    release = Release(random_tied_table(rng, n, m, levels=3))
+    pool = rng.integers(1, n + 1, size=(6, m))
+    pick = rng.integers(0, pool.shape[0], size=500)
+    centers = pool[pick]
+    radii = np.array([0, 2, 2, 9, 150, n, 3 * n])[rng.integers(0, 7, size=500)]
+    _check(release, centers, radii)
+    radius = np.minimum(radii, n)[:, None]
+    first = np.maximum(centers - radius, 1)
+    last = np.minimum(centers + radius, n)
+    windows = {(j, f, l) for row_f, row_l in zip(first.tolist(), last.tolist())
+               for j, (f, l) in enumerate(zip(row_f, row_l))}
+    assert reduced == [len(windows)]
+    assert len(windows) < centers.size // 10
+
+
+def test_width_runs_that_straddle_a_block_edge(monkeypatch):
+    # 20 windows of width 3 and 20 of width 5: with 35 values per block the
+    # first block ends inside the width-3 run, and the second holds the rest
+    # of it and the start of the width-5 run
+    rng = np.random.default_rng(29)
+    release = Release(random_table(rng, 50, 1))
+    middle = np.arange(11, 31)[:, None]
+    centers = np.concatenate([middle, middle])
+    radii = np.repeat([1, 2], 20)
+    blocks = []
+    sums = privacy._run_sums
+
+    def recording(values, runs):
+        blocks.append(runs)
+        return sums(values, runs)
+
+    monkeypatch.setattr(privacy, "_run_sums", recording)
+    for values in (1, 2, 3, 8, 13, 64, 1000, 35):
+        blocks.clear()
+        monkeypatch.setattr(privacy, "_BLOCK_BYTES", 8 * values)
+        _check(release, centers, radii)
+    # (windows, width) runs of each 35-value block, summed once for the means
+    # and once for the squares
+    assert blocks[::2] == [[(11, 3)], [(9, 3), (1, 5)], [(7, 5)], [(7, 5)], [(5, 5)]]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_windows_at_both_ends_stay_inside_their_attribute(m):
+    # each attribute on its own scale, so a window reading into the next
+    # attribute's row would change the variance by orders of magnitude
+    rng = np.random.default_rng(30 + m)
+    n = 30
+    for table in (random_table(rng, n, m), random_tied_table(rng, n, m, levels=3)):
+        scaled = table.values * 10.0 ** np.arange(m)
+        release = Release(MicrodataTable(scaled, table.attribute_names))
+        ends = np.array([[1] * m, [n] * m, [1 if j % 2 else n for j in range(m)],
+                         [n if j % 2 else 1 for j in range(m)]])
+        for d in (0, 1, 5, n - 1, n):
+            _check(release, ends, d)
+        _check(release, np.repeat(ends, 5, axis=0), np.tile([0, 1, 5, n - 1, n], ends.shape[0]))
+
+
+def test_a_huge_radius_gives_the_bits_of_radius_n():
+    rng = np.random.default_rng(31)
+    for table in (random_table(rng, 40, 3), random_tied_table(rng, 40, 3)):
+        release = Release(table)
+        centers = rng.integers(1, 41, size=(25, 3))
+        want = release.window_variances(centers, 40)
+        for d in (2**63 - 1, np.int64(2**63 - 1), np.full(25, 2**63 - 1)):
+            assert _same_bits(release.window_variances(centers, d), want)
+
+
+def test_integers_beyond_int64_are_refused():
+    release = Release(random_table(np.random.default_rng(32), 10, 2))
+    for radius in (2**63, 2**64 - 1, 2**64, np.uint64(2**63), [1, 2**64]):
+        with pytest.raises(RankOutOfRangeError, match="window radius"):
+            release.window_variances([[1, 1]], radius)
+    with pytest.raises(RankOutOfRangeError, match="center ranks"):
+        release.window_variances(np.array([[1, 2**63]], dtype=np.uint64), 1)
+    for d in (2**63, 2**70):
+        with pytest.raises(RankOutOfRangeError, match="d_target"):
+            privacy.check_targets(d, [0.0, 0.0], 2)
+    assert privacy.check_targets(2**63 - 1, [0.0, 0.0], 2)[0] == 2**63 - 1
+
+
+def test_zero_rows():
+    release = Release(random_table(np.random.default_rng(33), 10, 3))
+    none = np.zeros((0, 3), dtype=np.int64)
+    for d in (0, 4, np.zeros(0, dtype=np.int64)):
+        variances = release.window_variances(none, d)
+        assert variances.shape == (0, 3) and variances.dtype == float
+    passed, variances = release.verdicts(none, np.zeros(0, dtype=np.int64), 1, [0.0] * 3)
+    assert passed.shape == (0,) and passed.dtype == bool
+    assert variances.shape == (0, 3)
