@@ -15,6 +15,7 @@ from functools import reduce
 from typing import Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapExceededError, InvalidSpecError
 from .privacy import Release, RecordDistanceResult, batch_permutation_distances
@@ -136,6 +137,43 @@ def distance_distribution(records: MicrodataTable, release: Release) -> Distance
     return _tabulate(batch_permutation_distances(records, release), tag)
 
 
+def _chessboard_transform(ranks: np.ndarray) -> np.ndarray:
+    """Chessboard (L-infinity) distance from each cell of the n**m grid to the nearest point.
+
+    `ranks` holds n points whose every column is a permutation of 0..n-1, so
+    exactly one point p(k) has first coordinate k.  Over axes 1..m-1 the
+    transform is then closed-form, near[k, c'] = max_j |c'_j - p(k)_j|, and
+    the distance of cell (c0, c') is min_k max(|c0 - k|, near[k, c']).  That
+    minimum is taken one shift s = |c0 - k| at a time, on contiguous slabs
+    along axis 0.  After shift s every cell within s of a point holds its
+    final distance, and so does a cell holding s + 1, since a smaller
+    distance would be final already; the pass stops once no cell holds more.
+    """
+    n, m = ranks.shape
+    points = np.empty_like(ranks)
+    points[ranks[:, 0]] = ranks  # row k is p(k)
+    dtype = np.min_scalar_type(n)
+    # offsets[n - 1 - p, c] == |c - p|, read without an int64 (n, n) temporary
+    offsets = sliding_window_view(np.abs(np.arange(1 - n, n)).astype(dtype), n)
+    near = np.zeros((n,) * m, dtype=dtype)
+    for j in range(1, m):
+        shape = [n] + [1] * (m - 1)
+        shape[j] = n
+        np.maximum(near, offsets[n - 1 - points[:, j]].reshape(shape), out=near)
+    dist = near.copy()
+    scratch = np.empty_like(near)
+    for s in range(1, n):
+        if s >= dist.max():
+            break
+        for dst, src in ((slice(s, n), slice(0, n - s)), (slice(0, n - s), slice(s, n))):
+            level = scratch[: n - s]
+            # a filled slab: np.maximum against the int s runs about ten times slower
+            level.fill(s)
+            np.maximum(near[src], level, out=level)
+            np.minimum(dist[dst], level, out=dist[dst])
+    return dist
+
+
 def baseline_distribution(
     source: MicrodataTable, release: Release, spec: BaselineSpec
 ) -> DistanceDistribution:
@@ -145,13 +183,16 @@ def baseline_distribution(
     Exhaustive mode builds no table.  Every record of the n**m cartesian
     product has closest ranks that form a cell of the release's rank grid,
     and its distance is the chessboard (L-infinity) distance transform of the
-    release's rank points at that cell (Rosenfeld & Pfaltz 1966).  A cell
-    stands for prod_j w_j[c_j] records, where w_j counts the source values of
-    attribute j whose closest rank is c_j.  The marked points grow by one unit
-    dilation per distance until every cell of nonzero weight is covered, and
-    each step's newly covered weight is the count at that distance.  Counts
-    are exact integers, so the frequencies have the bits a search over the
-    enumerated table gives.
+    release's rank points at that cell (Rosenfeld & Pfaltz 1966), computed by
+    `_chessboard_transform` into one grid of n**m small unsigned integers.  A
+    cell stands for prod_j w_j[c_j] records, where w_j counts the source
+    values of attribute j whose closest rank is c_j.  The histogram is built
+    one first-axis slab at a time, a `np.bincount` of the slab's distances
+    weighted by the outer product of w_1..w_{m-1}, scaled by w_0[c_0]; slabs
+    of weight 0 are skipped.  Every partial sum is an integer no larger than
+    n**m, far below 2**53 for any grid that fits in memory, so the counts are
+    exact and the frequencies have the bits a search over the enumerated
+    table gives.
     """
     check_same_layout(source, release.table)
     if spec.mode == "sampled":
@@ -164,23 +205,15 @@ def baseline_distribution(
             f"{spec.exhaustive_cap}; use sampled mode"
         )
     centers = release.centers(source.values) - 1
-    weight = reduce(np.multiply.outer, [np.bincount(c, minlength=n) for c in centers.T])
-    covered = np.zeros((n,) * m, dtype=bool)
-    covered[tuple((release.profile.ranks - 1).T)] = True
-    counts: dict[int, int] = {}
-    seen = 0
-    for d in range(n):  # no cell lies further than n - 1 from a rank point
-        now = int(weight.sum(where=covered))
-        if now > seen:
-            counts[d], seen = now - seen, now
-        if seen == total:
-            break
-        for axis in range(m):
-            grid = np.moveaxis(covered, axis, 0)
-            grid[1:] |= grid[:-1]
-            grid[:-1] |= grid[1:]
+    first, *rest = [np.bincount(c, minlength=n) for c in centers.T]
+    dist = _chessboard_transform(release.profile.ranks - 1)
+    rest_weight = reduce(np.multiply.outer, rest, np.ones(())).ravel()
+    counts = np.zeros(int(dist.max()) + 1)
+    for c0 in np.flatnonzero(first):
+        slab = np.bincount(dist[c0].ravel(), weights=rest_weight, minlength=counts.size)
+        counts += first[c0] * slab
     return DistanceDistribution(
-        frequencies={d: c / total for d, c in counts.items()},
+        frequencies={d: c / total for d, c in enumerate(counts.tolist()) if c},
         sample_size=total,
         source_tag="baseline",
     )

@@ -528,6 +528,9 @@ def main(argv=None) -> int:
     except PermprivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # e.g. a --baseline-size or --exhaustive-cap beyond this host
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ loops, apart from `brute_search`, the full numpy scan the package replaced
 with its projection search, `oracle_window_variances`, the per-window
 `ndarray.var` loop the package replaced with a batched kernel,
 `enumerate_baseline`, the n**m table the package's distance transform
+replaced, `dilation_baseline_counts`, the per-distance dilation that transform
 replaced, `oracle_reverse_map`, the per-column reverse map the package
 replaced with one ranking through `Release`, `oracle_load_csv`, the
 cell-by-cell CSV reader the package keeps only for bodies numpy's reader
@@ -19,6 +20,7 @@ than a tautology.
 import collections
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -197,6 +199,39 @@ def oracle_baseline_frequencies(source, release_values, rank_matrix):
     distances, _, _ = brute_search(release_values, rank_matrix, records.values, block=512)
     counts = collections.Counter(distances.tolist())
     return {d: counts[d] / records.n for d in sorted(counts)}
+
+
+def dilation_baseline_counts(source, release):
+    """Exhaustive baseline counts {distance: records} by unit dilations of the rank points.
+
+    The rank points are marked on a bool grid of n**m cells and grown by one
+    chessboard step per distance, two shifted ORs per axis; each step's newly
+    covered weight, prod_j w_j[c_j] from an int64 weight grid, is the count at
+    that distance.  The package replaced this loop with a closed-form
+    transform over all axes but the first.  Closest ranks come from
+    `Release.centers`, as in the package.
+    """
+    n, m = source.n, source.m
+    total = n**m
+    centers = release.centers(source.values) - 1
+    weight = functools.reduce(
+        np.multiply.outer, [np.bincount(c, minlength=n) for c in centers.T]
+    )
+    covered = np.zeros((n,) * m, dtype=bool)
+    covered[tuple((release.profile.ranks - 1).T)] = True
+    counts = {}
+    seen = 0
+    for d in range(n):  # no cell lies further than n - 1 from a rank point
+        now = int(weight.sum(where=covered))
+        if now > seen:
+            counts[d], seen = now - seen, now
+        if seen == total:
+            break
+        for axis in range(m):
+            grid = np.moveaxis(covered, axis, 0)
+            grid[1:] |= grid[:-1]
+            grid[:-1] |= grid[1:]
+    return counts
 
 
 def oracle_window_variance(column, ranks, center, d):

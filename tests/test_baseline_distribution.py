@@ -1,4 +1,4 @@
-"""The exhaustive chance baseline as a distance transform, against enumeration."""
+"""The exhaustive chance baseline as a distance transform, against enumeration and dilation."""
 
 import os
 import subprocess
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    dilation_baseline_counts,
     enumerate_baseline,
     oracle_baseline_frequencies,
     random_pair,
@@ -35,11 +36,15 @@ def _bits(frequencies):
     return {d: float(f).hex() for d, f in frequencies.items()}
 
 
-def _check_against_oracle(source, release):
+def _check_against_oracle(source, release, *, search=True):
     got = baseline_distribution(source, release, EXHAUSTIVE)
-    want = oracle_baseline_frequencies(source, release.table.values, release.profile.ranks)
-    assert _bits(got.frequencies) == _bits(want)
-    assert got.sample_size == source.n**source.m
+    total = source.n**source.m
+    dilated = dilation_baseline_counts(source, release)
+    assert _bits(got.frequencies) == _bits({d: c / total for d, c in dilated.items()})
+    if search:  # the enumerated table too
+        want = oracle_baseline_frequencies(source, release.table.values, release.profile.ranks)
+        assert _bits(got.frequencies) == _bits(want)
+    assert got.sample_size == total
     assert got.source_tag == "baseline"
     return got
 
@@ -86,6 +91,55 @@ def test_diagonal_release_reaches_half_the_grid():
     assert max(got.frequencies) == 50
 
 
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_distance_grid_dtype_boundary(n):
+    # the distance grid is uint8 up to n = 255 and uint16 from 256 on;
+    # searching the ~65 000 enumerated records takes seconds, so the dilation
+    # is the oracle here
+    rng = np.random.default_rng(n)
+    x, y = random_pair(rng, n, 2, sigma=40.0)
+    _check_against_oracle(x, Release(reverse_map_table(x, Release(y))), search=False)
+    # rank k on the first attribute sits at rank k + n // 2 (mod n) on the
+    # second, so cell (1, 1) lies about n / 2 from every point
+    ranks = np.arange(n)
+    shifted = MicrodataTable(np.column_stack([ranks, (ranks + n // 2) % n]).astype(float),
+                             ("a1", "a2"))
+    got = _check_against_oracle(x, Release(shifted), search=False)
+    assert max(got.frequencies) >= n // 2 - 1
+
+
+@pytest.mark.parametrize("n, m", [(9, 4), (6, 5)])
+def test_long_tie_runs_in_four_and_five_attributes(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    for levels in (1, 2, 3):
+        x = random_tied_table(rng, n, m, levels=levels)
+        y = random_tied_table(rng, n, m, role=Role.ANONYMIZED, levels=2)
+        release = Release(reverse_map_table(x, Release(y, tie_seed=levels)), tie_seed=7)
+        for source in (x, release.table):
+            _check_against_oracle(source, release)
+
+
+def test_source_with_mostly_zero_first_axis_weights():
+    rng = np.random.default_rng(31)
+    n = 30
+    x, y = random_pair(rng, n, 3, sigma=20.0)
+    values = x.values.copy()
+    values[:, 0] = np.where(rng.random(n) < 0.8, 50.0, values[:, 0])
+    source = MicrodataTable(values, x.attribute_names)
+    release = Release(reverse_map_table(x, Release(y)))
+    first = np.bincount(release.centers(source.values)[:, 0] - 1, minlength=n)
+    assert np.count_nonzero(first) <= n // 2
+    _check_against_oracle(source, release)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (40, 1)])
+def test_a_single_record_or_attribute_is_always_at_distance_0(n, m):
+    rng = np.random.default_rng(n + m)
+    x, y = random_pair(rng, n, m, sigma=5.0)
+    got = _check_against_oracle(x, Release(y))
+    assert got.frequencies == {0: 1.0}
+
+
 def test_exhaustive_baseline_matches_the_searched_table(original, permuted):
     # the enumerated table searched by the package itself gives the same bits
     release = Release(permuted)
@@ -117,23 +171,22 @@ def test_source_must_share_the_release_layout(original, permuted):
                 baseline_distribution(source, Release(permuted), BaselineSpec(mode=mode))
 
 
-def test_exhaustive_memory_growth_at_a_million_records():
-    # 100**3 baseline records; enumerating and searching them grows the peak
-    # RSS by about 94 MiB
+def _exhaustive_growth_mib(n, m):
+    """Peak-RSS growth of one exhaustive baseline on an n-record, m-attribute release."""
     script = textwrap.dedent(
-        """
+        f"""
         from helpers import peak_rss_mib
         from permpriv.baseline import BaselineSpec, baseline_distribution
         from permpriv.masking import SynthSpec, synth_original
         from permpriv.privacy import Release
 
-        table = synth_original(SynthSpec(n=100, means=[100.0, 1000.0, 5000.0],
-                                         stds=[10.0, 50.0, 200.0], seed=5))
+        table = synth_original(SynthSpec(n={n}, means=[100.0, 1000.0, 5000.0][:{m}],
+                                         stds=[10.0, 50.0, 200.0][:{m}], seed=5))
         release = Release(table)
         before = peak_rss_mib()
         dist = baseline_distribution(table, release, BaselineSpec(mode="exhaustive"))
         after = peak_rss_mib()
-        assert dist.sample_size == 10**6
+        assert dist.sample_size == {n**m}
         print(after - before)
         """
     )
@@ -143,4 +196,16 @@ def test_exhaustive_memory_growth_at_a_million_records():
         env={"PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)]), "OMP_NUM_THREADS": "1"},
     )
     assert done.returncode == 0, done.stderr
-    assert float(done.stdout) < 32.0
+    return float(done.stdout)
+
+
+def test_exhaustive_memory_growth_at_a_million_records():
+    # 100**3 baseline records; enumerating and searching them grows the peak
+    # RSS by about 94 MiB
+    assert _exhaustive_growth_mib(100, 3) < 32.0
+
+
+@pytest.mark.parametrize("n, m", [(100, 3), (1000, 2)])
+def test_exhaustive_baseline_grows_peak_memory_by_a_few_bytes_per_cell(n, m):
+    # three grids of n**m distances: 1 byte a cell at n = 100, 2 at n = 1000
+    assert _exhaustive_growth_mib(n, m) < 8.0

@@ -312,6 +312,31 @@ def test_negative_seeds_exit_2(workspace, capsys, original, argv):
     assert not (workspace / "untouched").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("assess", "original.csv", "masked.csv", "--baseline-mode", "sampled"),
+        ("subject", "record3.csv", "masked.csv", "--baseline", "sampled"),
+    ],
+    ids=["assess", "subject"],
+)
+def test_a_baseline_beyond_memory_exits_2(workspace, capsys, original, argv):
+    # numpy refuses the 8 PB draw at malloc, before it touches a page
+    write_csv(
+        original.__class__(original.values[2:3], original.attribute_names),
+        workspace / "record3.csv",
+    )
+    argv = [workspace / a if a.endswith(".csv") else a for a in argv]
+    code, out, err = run(
+        capsys, *argv, "--baseline-size", 10**15, "--out", workspace / "untouched"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Unable to allocate")
+    assert err.count("\n") == 1
+    assert not (workspace / "untouched").exists()
+
+
 def test_subject_rejects_multi_row_input(workspace, capsys):
     code, _, err = run(
         capsys, "subject", workspace / "original.csv", workspace / "masked.csv",
