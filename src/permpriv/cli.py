@@ -12,6 +12,7 @@ failed, subject unsafe, release does not withstand the attack, demo drifted).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -468,7 +469,7 @@ def build_parser(config: str | None = None) -> argparse.ArgumentParser:
     )
     p.add_argument("original", help="original table CSV")
     p.add_argument(
-        "--sigmas", type=float, nargs="+", metavar="S", default=[5.0, 25.0, 100.0],
+        "--sigmas", type=float, nargs="+", metavar="S", default=(5.0, 25.0, 100.0),
         help="per-attribute noise standard deviations (default %(default)s)",
     )
     p.add_argument(
@@ -486,11 +487,11 @@ def build_parser(config: str | None = None) -> argparse.ArgumentParser:
         help="number of records (default %(default)s)",
     )
     p.add_argument(
-        "--means", type=float, nargs="+", metavar="M", default=[100.0, 1000.0, 5000.0],
+        "--means", type=float, nargs="+", metavar="M", default=(100.0, 1000.0, 5000.0),
         help="attribute means (default %(default)s)",
     )
     p.add_argument(
-        "--stds", type=float, nargs="+", metavar="S", default=[10.0, 50.0, 200.0],
+        "--stds", type=float, nargs="+", metavar="S", default=(10.0, 50.0, 200.0),
         help="attribute standard deviations (default %(default)s)",
     )
     p.add_argument("--names", nargs="+", metavar="NAME", help="attribute names")
@@ -514,9 +515,13 @@ def build_parser(config: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# the config-free parser, built once per process: parsing leaves it unchanged
+_default_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _default_parser().parse_args(argv)
         if args.config:
             args = build_parser(args.config).parse_args(argv)
         return args.func(args)

@@ -16,7 +16,7 @@ evidence; no access to the rest of the original data is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -154,29 +154,6 @@ def _query_matrix(queries, release: Release) -> np.ndarray:
     return q
 
 
-@lru_cache(maxsize=16)
-def _ring_offsets(p: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slices of ring r around a core, relative to the core's first cell.
-
-    (p - 1, s) offsets on the leading gridded axes, then (s,) first and last
-    offsets on the last one.  Face rows span the whole ring; an inner row
-    gives two slices, one end cell each.
-    """
-    side = (2 * r + 2,) * (p - 1)
-    lead = np.indices(side).reshape(p - 1, np.prod(side, dtype=int)) - r
-    face = ((lead == -r) | (lead == r + 1)).any(axis=0) | (r == 0)
-    inner = lead[:, ~face]
-    count = [face.sum(), inner.shape[1], inner.shape[1]]
-    offsets = (
-        np.concatenate([lead[:, face], inner, inner], axis=1),
-        np.repeat([-r, -r, r + 1], count),
-        np.repeat([r + 1, -r, r + 1], count),
-    )
-    for a in offsets:
-        a.setflags(write=False)
-    return offsets
-
-
 @dataclass(frozen=True, eq=False)
 class _Grid:
     """A release's records in CSR order by cell of a uniform grid over ranks.
@@ -215,64 +192,6 @@ class _Grid:
         fence[[0, -1]] = -n, 2 * n
         return cls(p, k, fence, starts, records, np.take(ranks, records, axis=0))
 
-    def cells(self, ranks: np.ndarray) -> np.ndarray:
-        """Cell coordinates of 1-based ranks on the gridded axes."""
-        return (ranks - 1) * self.k // self.starts[-1]
-
-    def box(self, c: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First and last cells, (q, p) each, of the box covering centers c +- radius."""
-        n = self.starts[-1]
-        return self.cells(np.maximum(c - radius, 1)), self.cells(np.minimum(c + radius, n))
-
-    def ring(self, queries: np.ndarray, centers: np.ndarray, best: np.ndarray, r: int):
-        """Yield (query, slices, gap) for the cells at Chebyshev distance r from a core.
-
-        A query's core is the 2**p cells, two per gridded axis, that meet at
-        the cell corner nearest its center, so the first ring alone leaves
-        about half a run of ranks on every side.  Around the core, a row of
-        the (2r + 2)**(p - 1) rows along the last axis is new in full when it
-        lies on the ring's face, and new at its two end cells otherwise.
-        Only cells that meet the box within best - 1 of the center are read:
-        no other cell holds a record closer than the best deviation found so
-        far.  `slices` are (query, first, size) as `read` takes them.  `gap`
-        is each query's distance from its center to the nearest rank outside
-        the block of cells read so far, on any gridded axis; past an edge of
-        the grid it exceeds n, which no deviation reaches.  Queries go in
-        blocks of at most _BLOCK_BYTES of (query, slice) pairs, counted as
-        8 * m bytes each.
-        """
-        offsets = _ring_offsets(self.p, r)
-        step = max(1, _BLOCK_BYTES // (offsets[1].size * centers.shape[1] * 8))
-        for b in range(0, queries.size, step):
-            query = queries[b : b + step]
-            c = centers[query, : self.p]
-            yield query, *self._ring_block(query, c, best[query, None] - 1, r, *offsets)
-
-    def _ring_block(self, query, c, radius, r, lead, lo, hi):
-        """Slices of ring r and the gaps after it, for one block of queries."""
-        k, fence = self.k, self.fence
-        # the core's first cell on each axis: the center's own cell, or the one
-        # below when the center lies nearer that face
-        h = self.cells(c)
-        h -= c - fence[h] < fence[h + 1] + 1 - c
-        below = c - fence[np.maximum(h - r, 0)]
-        gap = np.minimum(below, fence[np.minimum(h + r + 2, k)] + 1 - c).min(axis=1)
-        # each slice is the ring's row of cells, cut to the box within radius
-        low, high = (v.T[:, :, None] for v in self.box(c, radius))
-        inside, row = True, 0
-        for j in range(self.p - 1):
-            a = h[:, j, None] + lead[j]
-            inside = inside & (a >= low[j]) & (a <= high[j])
-            row = row * k + a
-        lo = np.maximum(h[:, -1, None] + lo, low[-1])
-        hi = np.minimum(h[:, -1, None] + hi, high[-1]) + 1
-        inside = inside & (lo < hi)
-        row = row * k
-        first = self.starts[np.where(inside, row + lo, 0)]
-        size = self.starts[np.where(inside, row + hi, 0)] - first
-        query = np.broadcast_to(query[:, None], size.shape)
-        return (query.ravel(), first.ravel(), size.ravel()), gap
-
     def read(self, query: np.ndarray, first: np.ndarray, size: np.ndarray, centers: np.ndarray):
         """Yield (query, grid rows, deviations) for the rows of many grid slices.
 
@@ -303,37 +222,50 @@ class _Grid:
             a = b
 
     def boxes(self, centers: np.ndarray, radius: np.ndarray):
-        """Yield (query, first, size) for the box of cells covering centers +- radius.
+        """Yield (queries, slices, gap) for the box of cells covering centers +- radius.
 
-        The box is one slice per cell of its first p - 1 axes.  Each yield
-        holds whole queries, at most _BLOCK_BYTES of (query, slice) pairs
-        (or one query), in ascending query order.  The boxes' bounds are
-        taken for cap // p queries at a time, so each bound array holds at
-        most as many entries as a block of pairs.
+        A query's box is one slice of grid rows per cell of its first p - 1
+        gridded axes; `slices` are (query, first, size) as `read` takes them.
+        `gap` is each query's distance from its center to the nearest rank
+        outside its box on any gridded axis; past an edge of the grid it
+        exceeds n, which no deviation reaches.  Each yield holds the whole
+        queries in the slice `queries`, at most _BLOCK_BYTES of (query, slice)
+        pairs (or one query).  Bounds and gaps are taken for cap // p queries
+        at a time, so each of their arrays holds at most as many entries as a
+        block of pairs.
         """
-        p = self.p
+        p, k, n, fence = self.p, self.k, self.starts[-1], self.fence
         cap = max(1, _BLOCK_BYTES // (centers.shape[1] * 8))
         step = max(1, cap // p)
         for start in range(0, radius.size, step):
-            lo, hi = self.box(centers[start : start + step, :p], radius[start : start + step, None])
-            width = hi[:, :-1] - lo[:, :-1] + 1
-            count = width.prod(axis=1)
+            c = centers[start : start + step, :p]
+            r = radius[start : start + step, None]
+            lo = (np.maximum(c - r, 1) - 1) * k // n
+            hi = (np.minimum(c + r, n) - 1) * k // n
+            gap = np.minimum(c - fence[lo], fence[hi + 1] + 1 - c).min(axis=1)
+            width = hi - lo + 1
+            corner = lo @ k ** np.arange(p - 1, -1, -1)  # each box's first cell
+            count = width[:, :-1].prod(axis=1)
             ends = np.cumsum(count)
+            begin = ends - count
             a = 0
             while a < count.size:
-                b = max(a + 1, int(np.searchsorted(ends, ends[a] - count[a] + cap, side="right")))
+                b = max(a + 1, int(np.searchsorted(ends, begin[a] + cap, side="right")))
                 query = np.repeat(np.arange(a, b), count[a:b])
-                t = np.arange(query.size) - np.repeat(ends[a:b] - count[a:b], count[a:b])
-                # the box's rows of cells in mixed radix, last lead axis fastest
-                row, scale = 0, self.k
-                for j in reversed(range(p - 1)):
-                    w = width[query, j]
-                    row = row + (lo[query, j] + t % w) * scale
-                    t //= w
-                    scale *= self.k
-                first = self.starts[row + lo[query, -1]]
-                size = self.starts[row + hi[query, -1] + 1] - first
-                yield query + start, first, size
+                # slice t of a box runs along its last axis; t counts in mixed
+                # radix over the first p - 1, the last of them fastest
+                t = np.arange(begin[a], ends[b - 1]) - begin[query]
+                cell, scale = corner[query], k
+                for j in range(p - 2, 0, -1):
+                    t, part = np.divmod(t, width[query, j])
+                    cell += part * scale
+                    scale *= k
+                cell += t * scale
+                first = self.starts[cell]
+                size = self.starts[cell + width[query, -1]] - first
+                del t, cell  # freed before the caller reads the block
+                query += start
+                yield slice(start + a, start + b), (query, first, size), gap[a:b]
                 a = b
 
 
@@ -345,11 +277,11 @@ class Release:
     the same ranks.  Each attribute's values in rank order, which check that
     the profile orders the table, and the search grid (`_Grid`, the cell
     method of Bentley, Stanat & Williams 1977) are built on first use, so a
-    release that is only ranked keeps neither.  A distance search reads
-    Chebyshev rings of cells on the first min(m, 3) rank axes, around the
-    2**p cells that meet nearest each query's center, until no unseen cell
-    can hold a closer record; the match sets then read the one box of cells
-    within the distance.  Deviations are always taken over all m attributes.
+    release that is only ranked keeps neither.  Both passes of a search read
+    whole boxes of cells on the first min(m, 3) rank axes: the distances
+    grow each query's box around its center until no unseen cell can hold a
+    closer record, and the match sets then read the one box within the
+    distance.  Deviations are always taken over all m attributes.
     Every distance entry point takes a Release, and this is the only place a
     table is ranked and indexed for a search.
     """
@@ -406,25 +338,31 @@ class Release:
     def distances(self, centers: np.ndarray) -> np.ndarray:
         """(q,) min-max rank deviation for each row of (q, m) 1-based centers.
 
-        Reads the grid cells at Chebyshev distance r = 0, 1, 2, ... from each
-        query's core (`_Grid.ring`), ring by ring.  A query leaves once, on
-        every gridded axis, the first unseen rank on either side of the block
-        of cells read lies no closer to its center than its best deviation;
-        an edge of the grid counts as infinitely far.  Every unseen record
-        lies outside the block on some gridded axis, so none can be closer.
+        Reads whole boxes of grid cells around each query's center
+        (`_Grid.boxes`): first the cells within half a run of it, then every
+        cell within min(best - 1, 2 * gap), where best is the smallest
+        deviation found so far and gap the distance from the center to the
+        nearest rank outside the last box on any gridded axis.  Every unseen
+        record lies outside the box on some gridded axis, so a query leaves
+        once best <= gap.  Otherwise the next box reaches best - 1, after
+        which it leaves, or at least twice as far as the last, so a query
+        reads O(log n) boxes.
         """
         grid = self._grid
         best = np.full(centers.shape[0], self.n, dtype=np.int64)
         active = np.arange(centers.shape[0])
-        r = 0
+        radius = np.broadcast_to(self.n // (2 * grid.k), active.shape)
         while active.size:
-            left = []
-            for query, slices, gap in grid.ring(active, centers, best, r):
+            keep, grow = [], []
+            for block, slices, gap in grid.boxes(centers, radius):
                 for owner, _, dev in grid.read(*slices, centers):
-                    np.minimum.at(best, owner, dev)
-                left.append(query[best[query] > gap])
-            active = np.concatenate(left)
-            r += 1
+                    np.minimum.at(best, active[owner], dev)
+                near = best[active[block]]
+                stay = np.flatnonzero(near > gap)
+                keep.append(stay + block.start)
+                grow.append(np.minimum(near[stay] - 1, 2 * gap[stay]))
+            keep = np.concatenate(keep)
+            active, centers, radius = active[keep], centers[keep], np.concatenate(grow)
         return best
 
     def _match_sets(self, centers: np.ndarray, distances: np.ndarray):
@@ -438,7 +376,7 @@ class Release:
         n, grid = self.n, self._grid
         parts = [np.empty(0, dtype=np.int64)]
         offsets = np.zeros(distances.size + 1, dtype=np.int64)
-        for slices in grid.boxes(centers, distances):
+        for _, slices, _ in grid.boxes(centers, distances):
             keys = [np.empty(0, dtype=np.int64)]
             for owner, rows, dev in grid.read(*slices, centers):
                 hit = dev == distances[owner]

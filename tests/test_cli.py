@@ -574,6 +574,24 @@ def test_flag_beats_config_beats_default(workspace, capsys):
         assert load_report(workspace / "certificate.json")["seeds"] == {"tie_seed": seed}
 
 
+def test_a_config_run_leaves_the_next_run_at_the_flag_defaults(workspace, capsys):
+    # the config-free parser is built once per process, and a config never reaches it
+    config = {"synth_n": 5, "means": [1.0, 2.0], "stds": [1.0, 1.0], "synth_seed": 3}
+    (workspace / "synth.json").write_text(json.dumps(config))
+    for name, extra in [("a", []), ("b", ["--config", workspace / "synth.json"]), ("c", [])]:
+        code, _, _ = run(capsys, "synth", "--out", workspace / name, *extra)
+        assert code == 0
+    assert load_csv(workspace / "b" / "original.csv").values.shape == (5, 2)
+    assert load_csv(workspace / "c" / "original.csv").values.shape == (20, 3)
+    assert (workspace / "c" / "original.csv").read_bytes() == (
+        workspace / "a" / "original.csv"
+    ).read_bytes()
+    # list defaults are tuples, so no run can change them for the next
+    synth = build_parser().parse_args(["synth"])
+    assert isinstance(synth.means, tuple) and isinstance(synth.stds, tuple)
+    assert isinstance(build_parser().parse_args(["mask", "x.csv"]).sigmas, tuple)
+
+
 def test_config_reaches_demo_and_report_flags(workspace, capsys, monkeypatch):
     monkeypatch.chdir(workspace)
     code, out, _ = run(capsys, "demo")

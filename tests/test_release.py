@@ -128,10 +128,11 @@ def test_search_matches_the_brute_scan_at_two_thousand_records(tied):
     _check_csr(evidence, matches)
 
 
-def test_search_reaches_the_last_row_at_a_ring_edge():
+def test_search_reaches_the_first_grid_row_across_a_cell_edge():
     # The grid cuts ranks 1..8 into runs 1..4 and 5..8 on the first three
-    # axes.  The query's home cell (5..8, 1..4, 5..8) holds no record, so
-    # only ring 1, across the edge at attribute-0 rank 4, finds record 1:
+    # axes.  The query's own cell (5..8, 1..4, 5..8) holds no record; the
+    # first box, within 2 ranks of the center, reaches across the edge at
+    # attribute-0 rank 4 into cell (1..4, 1..4, 5..8) and finds record 1:
     # grid row 0, at attribute-0 rank 1.  Records 2..8 each deviate by 5 or
     # more on a later attribute; record 1 deviates by 4, on attribute 0 alone.
     ranks = np.array(
@@ -153,8 +154,8 @@ def test_search_reaches_the_last_row_at_a_ring_edge():
 
 
 def _first_block(m):
-    """Queries in one block of the grid's first ring (2**(p - 1) slices each)."""
-    return privacy._BLOCK_BYTES // (m * 8) // 2 ** (min(m, 3) - 1)
+    """Queries whose box bounds the grid takes at once (cap // p)."""
+    return privacy._BLOCK_BYTES // (m * 8) // min(m, 3)
 
 
 def test_queries_just_over_one_block():
@@ -185,17 +186,18 @@ def _check_against_brute(table, queries, tie_seed=101):
     return release
 
 
-def _recording_rings(monkeypatch):
-    """The ring radii the grid reads, in order, once the patch is in place."""
-    radii = []
-    ring = privacy._Grid.ring
+def _box_rounds(monkeypatch, release, queries):
+    """The radii of each round of boxes that `Release.distances` reads, in order."""
+    rounds = []
+    boxes = privacy._Grid.boxes
 
-    def recording(self, queries, centers, best, r):
-        radii.append(r)
-        return ring(self, queries, centers, best, r)
+    def recording(self, centers, radius):
+        rounds.append(np.array(radius))
+        return boxes(self, centers, radius)
 
-    monkeypatch.setattr(privacy._Grid, "ring", recording)
-    return radii
+    monkeypatch.setattr(privacy._Grid, "boxes", recording)
+    release.distances(release.centers(queries))
+    return rounds
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -239,26 +241,49 @@ def _far_queries(rng, table, count):
 
 def test_grid_on_a_clustered_release_with_mostly_empty_cells(monkeypatch):
     # queries at ranks 1 and n on crossed attributes, and far outliers, lie
-    # far from the diagonal and need rings of radius 2 and more
+    # far from the diagonal and need boxes past the first two
     rng = np.random.default_rng(70)
     table = _clustered_table(rng, 2000)
-    radii = _recording_rings(monkeypatch)
-    grid = _check_against_brute(table, _far_queries(rng, table, 50))._grid
+    queries = _far_queries(rng, table, 50)
+    release = _check_against_brute(table, queries)
+    grid = release._grid
     assert np.count_nonzero(np.diff(grid.starts)) < 0.1 * grid.k**grid.p
-    assert max(radii) >= 2
+    assert len(_box_rounds(monkeypatch, release, queries)) >= 3
+
+
+def test_the_boxes_grow_geometrically_on_far_queries(monkeypatch):
+    # each box reaches at least twice as far as the last, so no query needs
+    # more than about log2(n) rounds, even from the corners of rank space
+    rng = np.random.default_rng(70)
+    table = _clustered_table(rng, 2000)
+    release = Release(table)
+    rounds = _box_rounds(monkeypatch, release, _far_queries(rng, table, 50))
+    assert len(rounds) <= int(np.ceil(np.log2(table.n))) + 2
+    for before, after in zip(rounds, rounds[1:]):
+        assert after.size <= before.size
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
 def test_one_query_per_block_on_far_queries(monkeypatch, tied):
-    # blocks of one (query, slice) pair and one slice of rows at every ring
+    # blocks of one (query, slice) pair and one slice of rows in every box
     monkeypatch.setattr(privacy, "_BLOCK_BYTES", 1)
-    radii = _recording_rings(monkeypatch)
     rng = np.random.default_rng(80 + tied)
     table = _clustered_table(rng, 400)
     if tied:
         table = MicrodataTable(np.round(table.values), table.attribute_names)
+    queries = _far_queries(rng, table, 20)
+    release = _check_against_brute(table, queries)
+    assert len(_box_rounds(monkeypatch, release, queries)) >= 3
+
+
+@pytest.mark.parametrize("pairs", [6, 20, 64])
+def test_blocks_that_split_a_step_of_box_bounds(monkeypatch, pairs):
+    # blocks of a few (query, slice) pairs, so a block of pairs often starts
+    # inside the cap // p queries whose box bounds are taken together
+    monkeypatch.setattr(privacy, "_BLOCK_BYTES", pairs * 3 * 8)
+    rng = np.random.default_rng(90 + pairs)
+    table = _clustered_table(rng, 400)
     _check_against_brute(table, _far_queries(rng, table, 20))
-    assert max(radii) >= 2
 
 
 def test_entry_points_take_a_release(original, masked, permuted):
