@@ -57,8 +57,8 @@ class BaselineSpec:
             value = check_integer(getattr(self, name), InvalidSpecError, name)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "seed", check_seed(self.seed, "seed"))
-        if self.sample_size < 1:
-            raise InvalidSpecError("sample_size must be positive")
+        if not 0 < self.sample_size <= np.iinfo(np.intp).max:  # numpy's largest length
+            raise InvalidSpecError(f"sample_size must be a positive length, got {self.sample_size}")
         if self.exhaustive_cap < 1:
             raise InvalidSpecError("exhaustive_cap must be positive")
 

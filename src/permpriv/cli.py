@@ -44,6 +44,7 @@ from .errors import (
 from .io_report import (
     emit_histogram,
     load_csv,
+    read_utf8,
     to_payload,
     write_csv,
     write_report,
@@ -124,7 +125,7 @@ def _read_truth(value: str, n: int) -> list[int]:
     """Truth mapping: the literal word 'identity' or a file of n integers."""
     if value == "identity":
         return list(range(1, n + 1))
-    tokens = re.split(r"[\s,]+", Path(value).read_text(encoding="utf-8").strip())
+    tokens = re.split(r"[\s,]+", read_utf8(value).decode("utf-8").strip())
     try:
         return [int(t) for t in tokens if t]
     except ValueError as exc:

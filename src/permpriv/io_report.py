@@ -18,7 +18,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -57,15 +57,7 @@ def load_csv(path, role: Role = Role.ORIGINAL) -> MicrodataTable:
     Cell errors carry positions: rows count data rows from 1 (the header is
     row 0 in spirit and excluded), columns count from 1.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.isascii():  # ASCII is UTF-8; other bytes are decoded once to check
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EncodingError(
-                f"{path}: file is not UTF-8 ({exc.reason} at byte {exc.start})"
-            ) from None
+    data = read_utf8(path)
     # lines are split as `open(newline="")` splits them, without a text copy
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     try:
@@ -82,6 +74,20 @@ def load_csv(path, role: Role = Role.ORIGINAL) -> MicrodataTable:
     if values is None:
         values = _parse_rows(path, reader, len(names))
     return MicrodataTable(values, tuple(names), role=role)
+
+
+def read_utf8(path) -> bytes:
+    """The bytes of the file at `path`; EncodingError unless they are UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():  # ASCII is UTF-8; other bytes are decoded once to check
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(
+                f"{path}: file is not UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
+    return data
 
 
 # one line and its end, split where `open(newline="")` splits: \r\n, \r or \n
@@ -201,18 +207,16 @@ def write_csv(table: MicrodataTable, path) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class _PerRecord:
-    """An `Evidence` in a report payload, with the (q, k) arrays written in its rows."""
+class _Rows:
+    """A long array in a report payload, written by `_write_rows` in blocks.
 
-    evidence: Evidence
-    columns: dict[str, np.ndarray]
+    `offsets[i]` counts the cells of the items before item i, and the last
+    entry those of all.  `spell(a, b, pad)` gives the text of items a .. b - 1
+    as `json.dumps(indent=2)` spells them after `pad`, a line break and indent.
+    """
 
-
-@dataclass(frozen=True, eq=False)
-class _Items:
-    """A tuple of ints or of strings in a report payload, one item per line."""
-
-    values: tuple
+    offsets: np.ndarray
+    spell: Callable[[int, int, str], Iterable[str]]
 
 
 # A marker costs about what json's encoder spends on 16 to 64 items, so
@@ -220,38 +224,72 @@ class _Items:
 _ITEMS_MIN = 32
 
 
-def _is_items(value) -> bool:
-    """True for a tuple of at least _ITEMS_MIN plain ints, or as many strings."""
-    if not isinstance(value, tuple) or len(value) < _ITEMS_MIN:
-        return False
-    kinds = set(map(type, value))
-    return len(kinds) == 1 and kinds <= {int, str}
-
-
 def to_payload(obj) -> dict:
     """Nested dicts of an analysis dataclass, fields in declaration order.
 
-    A field holding a dataclass is converted in turn, and an `Evidence` stays
-    columnar: `write_report` writes one `RecordDistanceResult` row per record,
-    nested under `result` beside the record's row of each array field (the
-    certificate's variances) when there are any.  A long tuple of ints or
-    of strings, such as a linkage's targets or classes, is written in blocks
-    too.  Every other value goes to the writer as it is, which writes tuples
-    as arrays and integer keys as their decimal strings.
+    A field holding a dataclass is converted in turn.  An `Evidence`, and a
+    tuple of at least _ITEMS_MIN plain ints or as many strings (a linkage's
+    targets or classes), become `_Rows` that `write_report` writes in blocks.
+    Every other value goes to the writer as it is, which writes tuples as
+    arrays and integer keys as their decimal strings.
     """
     values = {f.name: getattr(obj, f.name) for f in fields(obj)}
     columns = {k: v for k, v in values.items() if isinstance(v, np.ndarray)}
     payload = {}
     for name, value in values.items():
         if isinstance(value, Evidence):
-            payload[name] = _PerRecord(value, columns)
+            payload[name] = _evidence_rows(value, columns)
         elif is_dataclass(value):
             payload[name] = to_payload(value)
-        elif _is_items(value):
-            payload[name] = _Items(value)
+        elif isinstance(value, tuple) and len(value) >= _ITEMS_MIN and (
+            {*map(type, value)} in ({int}, {str})
+        ):
+            payload[name] = _item_rows(value)
         elif name not in columns:
             payload[name] = value
     return payload
+
+
+def _evidence_rows(evidence: Evidence, columns: dict[str, np.ndarray]) -> _Rows:
+    """One `RecordDistanceResult` per record, beside its row of each side column
+    (the certificate's variances) under `result` when there are any.
+
+    Each row fills one `%` template, laid out once by `json.dumps(indent=2)`.
+    A block's numbers are spelled one column at a time and its match sets
+    joined from the CSR slices.
+    """
+    q, m = evidence.closest_values.shape
+    names = [f.name for f in fields(RecordDistanceResult)]
+    record = dict(zip(names, ["%s", ["%s"] * m, ["%s"] * m, ["%s"], ["%s"] * m, "%s"]))
+    if columns:
+        record = {"result": record, **{k: ["%s"] * v.shape[1] for k, v in columns.items()}}
+    layout = json.dumps(record, indent=2).replace('"%s"', "%s")
+    offsets = evidence.offsets
+
+    def spell(a: int, b: int, pad: str):
+        between_matches = "," + pad + "  " * (2 + bool(columns))
+        bounds = (offsets[a : b + 1] - offsets[a]).tolist()
+        matches = _spell(evidence.matches[offsets[a] : offsets[b]])
+        cells = [
+            list(map(str, range(a + 1, b + 1))),
+            *map(_spell, evidence.closest_values[a:b].T),
+            *map(_spell, evidence.closest_ranks[a:b].T),
+            [between_matches.join(matches[x:y]) for x, y in zip(bounds, bounds[1:])],
+            *map(_spell, evidence.matched_deviations[a:b].T),
+            _spell(evidence.distances[a:b]),
+            *(_spell(c) for v in columns.values() for c in v[a:b].T),
+        ]
+        return map(layout.replace("\n", pad).__mod__, zip(*cells))
+
+    width = 2 + 3 * m + sum(v.shape[1] for v in columns.values())
+    return _Rows(width * np.arange(q + 1) + offsets, spell)
+
+
+def _item_rows(values: tuple) -> _Rows:
+    """A tuple of ints or of strings as rows of one cell each: an int spelled
+    by `repr`, as `json` spells it, each distinct string once by `json.dumps`."""
+    spell = {v: json.dumps(v) for v in set(values)}.get if isinstance(values[0], str) else repr
+    return _Rows(np.arange(len(values) + 1), lambda a, b, pad: map(spell, values[a:b]))
 
 
 def write_report(
@@ -270,9 +308,9 @@ def write_report(
     Seeds marked withheld are reported by name with a null value, so the
     report still shows what was randomized while revealing nothing; a payload
     field of the same name is nulled too.  The bytes are those of
-    `json.dump(report, fh, indent=2)` and a final newline, but per-record
-    evidence and long tuples are written by `_write_rows` and `_write_items`
-    in blocks, so memory does not grow with them.
+    `json.dump(report, fh, indent=2)` and a final newline, but every `_Rows`
+    of the payload (per-record evidence and long tuples) is written by
+    `_write_rows` in blocks, so memory does not grow with it.
     """
     if obj is None:
         raise EmptyReportError("nothing to report")
@@ -303,14 +341,13 @@ def write_report(
         "disclosure": disclosure,
         "payload": payload,
     }
-    # json lays out the envelope and spells every key and scalar; each
-    # Evidence or tuple of items leaves a random marker, which no other
-    # string equals, where its rows go, as deep as the marker's line is
-    # indented
+    # json lays out the envelope and spells every key and scalar; each _Rows
+    # leaves a random marker, which no other string equals, where its rows
+    # go, as deep as the marker's line is indented
     marker, deferred = f"rows {os.urandom(16).hex()}", []
 
     def defer(value):
-        if not isinstance(value, (_PerRecord, _Items)):
+        if not isinstance(value, _Rows):
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
         deferred.append(value)
         return marker
@@ -320,86 +357,33 @@ def write_report(
         for before, rows in zip(parts, deferred):
             fh.write(before)
             line = before[before.rfind("\n") + 1 :]
-            write = _write_rows if isinstance(rows, _PerRecord) else _write_items
-            write(fh, rows, (len(line) - len(line.lstrip(" "))) // 2)
+            _write_rows(fh, rows, (len(line) - len(line.lstrip(" "))) // 2)
         fh.write(parts[-1])
         fh.write("\n")
 
 
-def _write_rows(fh, rows: _PerRecord, level: int) -> None:
-    """Write per-record evidence, `level` containers deep, as `json` would.
+def _write_rows(fh, rows: _Rows, level: int) -> None:
+    """Write an array of rows, `level` containers deep, as `json` would.
 
-    Each row fills one `%` template, which `json.dumps(indent=2)` lays out
-    once from the `RecordDistanceResult` fields and the side columns.  Rows
-    go out in blocks of at most _WRITE_BLOCK_BYTES of cells (8 per cell,
-    match sets included), one `write` per block; a block's numbers are
-    spelled one column at a time and its match sets joined from the CSR
-    slices.
+    Rows go out in blocks of at most _WRITE_BLOCK_BYTES of cells, 8 bytes a
+    cell, and at least one row; one `write` per block.
     """
-    evidence, q = rows.evidence, len(rows.evidence)
-    if q == 0:
-        fh.write("[]")
-        return
-    m = evidence.closest_values.shape[1]
-    names = [f.name for f in fields(RecordDistanceResult)]
-    record = dict(zip(names, ["%s", ["%s"] * m, ["%s"] * m, ["%s"], ["%s"] * m, "%s"]))
-    if rows.columns:
-        sides = {k: ["%s"] * v.shape[1] for k, v in rows.columns.items()}
-        record = {"result": record, **sides}
+    offsets, q = rows.offsets, len(rows.offsets) - 1
     pad = "\n" + "  " * (level + 1)
-    template = json.dumps(record, indent=2).replace('"%s"', "%s").replace("\n", pad)
-    between_matches = ",\n" + "  " * (level + 3 + bool(rows.columns))
-    offsets = evidence.offsets
-    width = 2 + 3 * m + sum(v.shape[1] for v in rows.columns.values())
-    ends = width * np.arange(1, q + 1) + offsets[1:]  # cells up to each row's end
-    cap = max(1, _WRITE_BLOCK_BYTES // 8)
-    a = 0
+    cap, a = _WRITE_BLOCK_BYTES // 8, 0
+    fh.write("[")
     while a < q:
-        b = max(a + 1, int(np.searchsorted(ends, width * a + offsets[a] + cap, side="right")))
-        bounds = (offsets[a : b + 1] - offsets[a]).tolist()
-        matches = _spell(evidence.matches[offsets[a] : offsets[b]])
-        cells = [
-            list(map(str, range(a + 1, b + 1))),
-            *map(_spell, evidence.closest_values[a:b].T),
-            *map(_spell, evidence.closest_ranks[a:b].T),
-            [between_matches.join(matches[x:y]) for x, y in zip(bounds, bounds[1:])],
-            *map(_spell, evidence.matched_deviations[a:b].T),
-            _spell(evidence.distances[a:b]),
-            *(_spell(c) for v in rows.columns.values() for c in v[a:b].T),
-        ]
-        body = ("," + pad).join(map(template.__mod__, zip(*cells)))
-        fh.write(("[" if a == 0 else ",") + pad + body)
+        b = max(a + 1, int(np.searchsorted(offsets, offsets[a] + cap, side="right")) - 1)
+        fh.write(("," if a else "") + pad + ("," + pad).join(rows.spell(a, b, pad)))
         a = b
-    fh.write("\n" + "  " * level + "]")
-
-
-def _write_items(fh, items: _Items, level: int) -> None:
-    """Write a tuple of ints or of strings, `level` containers deep, as `json` would.
-
-    Items go out in blocks of at most _WRITE_BLOCK_BYTES (8 per item), one
-    `write` per block.  An int is spelled by `repr`, as `json` spells it;
-    each distinct string is spelled once by `json.dumps`.
-    """
-    values = items.values
-    if isinstance(values[0], str):
-        spelled = {v: json.dumps(v) for v in set(values)}
-        spell = spelled.__getitem__
-    else:
-        spell = repr
-    pad = "\n" + "  " * (level + 1)
-    step = max(1, _WRITE_BLOCK_BYTES // 8)
-    for lo in range(0, len(values), step):
-        block = ("," + pad).join(map(spell, values[lo : lo + step]))
-        fh.write(("[" if lo == 0 else ",") + pad + block)
-    fh.write("\n" + "  " * level + "]")
+    fh.write("\n" + "  " * level + "]" if q else "]")
 
 
 def _spell(column: np.ndarray) -> list[str]:
     """Each number of a 1-D column as `json.dumps` spells it."""
     text = list(map(repr, column.tolist()))
-    if column.dtype.kind == "f":
-        for i in np.flatnonzero(~np.isfinite(column)).tolist():
-            text[i] = json.dumps(column[i].item())
+    for i in np.flatnonzero(~np.isfinite(column)).tolist():
+        text[i] = json.dumps(column[i].item())
     return text
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError, ShapeMismatchError
-from .table import MicrodataTable, Role, check_seed, derive_column_seed
+from .table import MicrodataTable, Role, check_integer, check_seed, derive_column_seed
 
 DEFAULT_SYNTH_SEED = 404
 DEFAULT_MASK_SEED = 202
@@ -40,8 +40,9 @@ class SynthSpec:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise InvalidSpecError("n must be at least 1")
+        object.__setattr__(self, "n", check_integer(self.n, InvalidSpecError, "n"))
+        if not 0 < self.n <= np.iinfo(np.intp).max:  # numpy's largest length
+            raise InvalidSpecError(f"n must be a positive array length, got {self.n}")
         means = np.asarray(self.means, dtype=float).ravel()
         if means.size == 0 or not np.all(np.isfinite(means)):
             raise InvalidSpecError("means must be finite and non-empty")
@@ -56,7 +57,6 @@ class SynthSpec:
         names = tuple(str(v) for v in names)
         if len(names) != means.size:
             raise InvalidSpecError(f"{len(names)} names for {means.size} attributes")
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "means", tuple(float(v) for v in means))
         object.__setattr__(self, "stds", stds)
         object.__setattr__(self, "seed", check_seed(self.seed, "seed"))

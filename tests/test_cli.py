@@ -423,6 +423,22 @@ def test_link_rejects_bad_truth(workspace, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_a_truth_file_that_is_not_utf8_exits_3(workspace, capsys, via):
+    truth = workspace / "truth.txt"
+    truth.write_bytes(b"\xff\xfe")
+    (workspace / "truth.json").write_text(json.dumps({"truth": str(truth)}))
+    source = ["--truth", truth] if via == "flag" else ["--config", workspace / "truth.json"]
+    code, out, err = run(
+        capsys, "link", workspace / "original.csv", workspace / "permuted.csv", *source,
+        "--out", workspace / "untouched",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {truth}: file is not UTF-8 (invalid start byte at byte 0)\n"
+    assert not (workspace / "untouched").exists()
+
+
 def test_assess_withstands_the_example(workspace, capsys):
     code, out, _ = run(
         capsys,

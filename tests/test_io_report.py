@@ -543,19 +543,25 @@ def test_report_bytes_match_the_json_dump_oracle(tmp_path, monkeypatch, budget):
 
 @pytest.mark.parametrize("budget", [None, 1, 8 * 40])
 def test_a_linkage_writes_its_long_tuples_in_blocks(tmp_path, monkeypatch, budget):
-    # targets and classes go out through the block writer, not json's
-    # encoder, with the bytes json would write; the m-long tuples of a
-    # subject's evidence stay with json
+    # the per-record evidence, targets and classes each go out through the
+    # block writer, not json's encoder, with the bytes json would write; the
+    # m-long tuples of a subject's evidence stay with json
     if budget is not None:
         monkeypatch.setattr(io_report, "_WRITE_BLOCK_BYTES", budget)
     written = []
-    write_items = io_report._write_items
+    write_rows = io_report._write_rows
 
-    def counting(fh, items, level):
-        written.append(len(items.values))
-        write_items(fh, items, level)
+    class Blocks(list):
+        def write(self, text):
+            self.append(text)
 
-    monkeypatch.setattr(io_report, "_write_items", counting)
+    def recording(fh, rows, level):
+        blocks = Blocks()
+        write_rows(blocks, rows, level)
+        written.append((level, "".join(blocks), len(blocks)))
+        fh.write("".join(blocks))
+
+    monkeypatch.setattr(io_report, "_write_rows", recording)
     rng = np.random.default_rng(33)
     x, y = random_pair(rng, 300, 3, sigma=40.0)
     linkage = link_records(x, Release(reverse_map_table(x, Release(y))))
@@ -563,13 +569,21 @@ def test_a_linkage_writes_its_long_tuples_in_blocks(tmp_path, monkeypatch, budge
     assert min(len(linkage.unmatched_targets), len(linkage.multiply_matched_targets)) >= 32
     ours, expected = tmp_path / "ours.json", tmp_path / "oracle.json"
     write_report({**to_payload(linkage), "score": to_payload(score)}, ours, kind="linkage")
-    oracle_write_report(
-        {**oracle_payload(linkage), "score": oracle_payload(score)}, expected, kind="linkage"
-    )
+    payload = {**oracle_payload(linkage), "score": oracle_payload(score)}
+    oracle_write_report(payload, expected, kind="linkage")
     assert ours.read_bytes() == expected.read_bytes()
-    assert written == [
-        len(linkage.unmatched_targets), len(linkage.multiply_matched_targets), x.n
+    arrays = [
+        (2, payload["per_record"]),
+        (2, payload["unmatched_targets"]),
+        (2, payload["multiply_matched_targets"]),
+        (3, payload["score"]["classes"]),
     ]
+    assert [(level, text) for level, text, _ in written] == [
+        (level, json.dumps(items, indent=2).replace("\n", "\n" + "  " * level))
+        for level, items in arrays
+    ]
+    if budget == 1:  # one item a block, between the opening and closing writes
+        assert [blocks for *_, blocks in written] == [len(v) + 2 for _, v in arrays]
     written.clear()
     write_report(linkage.per_record[0], tmp_path / "one.json")
     assert written == []

@@ -63,6 +63,14 @@ def test_synth_attribute_naming_and_override():
     assert named.attribute_names == ("income",)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, "5", None, 2**63])
+def test_synth_spec_checks_n_instead_of_truncating_it(n):
+    # 2.5 used to make 2 rows and "5" five; 2**63 is no array length
+    with pytest.raises(InvalidSpecError, match="n must be"):
+        SynthSpec(n=n, means=(1.0,), stds=(1.0,))
+    assert SynthSpec(n=np.int64(3), means=(1.0,), stds=(1.0,)).n == 3
+
+
 def test_synth_spec_validation():
     with pytest.raises(InvalidSpecError):
         SynthSpec(n=0, means=(0.0,), stds=(1.0,))
