@@ -158,10 +158,10 @@ def _query_matrix(queries, release: Release) -> np.ndarray:
 class _Grid:
     """A release's records in CSR order by cell of a uniform grid over ranks.
 
-    Only the first p = min(m, 3) rank axes are gridded, each cut into k =
-    round(n ** (1 / p)) runs of about n / k ranks.  Cells are numbered with
-    the last gridded axis fastest, so each row of cells along that axis is
-    one contiguous slice of grid rows.
+    Only the first p = min(m, 4) rank axes are gridded, each cut into k runs
+    of about n / k ranks (`shape`).  Cells are numbered with the last gridded
+    axis fastest, so each row of cells along that axis is one contiguous
+    slice of grid rows.
     """
 
     p: int
@@ -171,11 +171,23 @@ class _Grid:
     records: np.ndarray  # (n,) 0-based record held by each grid row
     ranks: np.ndarray  # (n, m) rank vector held by each grid row
 
+    @staticmethod
+    def shape(n: int, m: int) -> tuple[int, int]:
+        """(p, k): the first p = min(m, 4) rank axes, each cut into k runs.
+
+        k is the most runs with k**p <= n, so the grid never has more cells
+        than records.
+        """
+        p = min(m, 4)
+        # the integer p-th root or one more, also where the float root of an
+        # exact power falls just short (64 ** (1 / 3) < 4)
+        k = round(n ** (1 / p))
+        return p, k - (k**p > n)
+
     @classmethod
     def of(cls, ranks: np.ndarray) -> _Grid:
         n, m = ranks.shape
-        p = min(m, 3)
-        k = max(1, round(n ** (1 / p)))
+        p, k = cls.shape(n, m)
         cell = np.zeros(n, dtype=np.intp)
         for j in range(p):
             cell *= k
@@ -278,7 +290,7 @@ class Release:
     the profile orders the table, and the search grid (`_Grid`, the cell
     method of Bentley, Stanat & Williams 1977) are built on first use, so a
     release that is only ranked keeps neither.  Both passes of a search read
-    whole boxes of cells on the first min(m, 3) rank axes: the distances
+    whole boxes of cells on the first min(m, 4) rank axes: the distances
     grow each query's box around its center until no unseen cell can hold a
     closer record, and the match sets then read the one box within the
     distance.  Deviations are always taken over all m attributes.

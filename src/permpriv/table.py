@@ -172,6 +172,11 @@ class MicrodataTable:
             )
         if len(set(names)) != len(names):
             raise InvalidSpecError("attribute names must be distinct")
+        try:
+            for name in names:
+                name.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, as from an argument not in UTF-8
+            raise InvalidSpecError(f"attribute name {name!r} is not UTF-8 text") from None
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "attribute_names", names)

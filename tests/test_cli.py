@@ -312,6 +312,18 @@ def test_negative_seeds_exit_2(workspace, capsys, original, argv):
     assert not (workspace / "untouched").exists()
 
 
+def test_synth_refuses_a_name_that_is_not_utf8_before_writing(workspace, capsys):
+    # `--names $'a\xff' b c`: Python decodes the byte 0xff as a lone surrogate
+    code, out, err = run(
+        capsys, "synth", "--n", "5", "--names", "a\udcff", "b", "c", "--out", workspace / "d"
+    )
+    assert code == 2
+    assert out == ""
+    assert "not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert not (workspace / "d").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

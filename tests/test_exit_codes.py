@@ -4,6 +4,10 @@ Each command runs in process through `cli.main`, first from a working argv,
 then once per perturbation of it:
 - each integer and float option set to negative, zero, fractional and huge
   values, and floats to NaN and the infinities;
+- each string option other than a path (`--names`, `--disclosure`,
+  `--truth`) set to an empty string, 10**5 characters, an embedded line end,
+  a quote and backslash, and a lone surrogate, as Python decodes an argument
+  that is not UTF-8;
 - each input file, `--out`, `--truth` and `--config` pointed at a missing
   file, a directory or a malformed file;
 - each config key given each of those values through a `--config` file.
@@ -30,6 +34,7 @@ CODES = {0, 2, 3, 4}
 INTS = ("-1", "0", "1.5", str(10**15), str(2**63), str(2**64))
 FLOATS = ("-1", "0", "0.5", "5e-324", "1e308", "nan", "inf", "-inf", str(10**15))
 CONFIG_VALUES = (-1, 0, 1.5, 10**15, 2**64, float("nan"), float("-inf"), "x", True, [], [0.5])
+STRINGS = ("", "x" * 10**5, "a\nb", 'a"b\\c', "a\udcff")
 
 BAD_FILES = {
     "empty": b"",
@@ -107,6 +112,11 @@ def without(argv: list, flags: list[str]) -> list:
     return kept
 
 
+def texts(value: str, count: int) -> list[str]:
+    """`count` distinct strings led by `value`, so no list is refused for a repeat."""
+    return [value, *(f"{value}{i}" for i in range(1, count))]
+
+
 def perturbations(ws: Path, argv: list):
     """(label, argv, config) for each perturbation of a working argv.
 
@@ -120,18 +130,27 @@ def perturbations(ws: Path, argv: list):
                 yield f"{token.name} as {name}", [*argv[:i], ws / name, *argv[i + 1 :]], None
     for action in options(argv[0]):
         flag = action.option_strings[-1]
+        counts = (1, 3) if action.nargs == "+" else (1,)
+        paths = ("--out", "--config")
+        text = action.type is None and action.nargs != 0 and not action.choices
+        text = text and flag not in paths  # a string option other than a path
         if action.type in (int, float):
-            counts = (1, 3) if action.nargs == "+" else (1,)
             for value in INTS if action.type is int else FLOATS:
                 for count in counts:
                     yield f"{flag} {value} x{count}", [*argv, flag, *[value] * count], None
-        elif flag in ("--out", "--config"):
+        elif flag in paths:
             for name in [*CONFIG_FILES, missing, under_a_file]:
                 yield f"{flag} {name}", [*argv, flag, ws / name], None
+        elif text:
+            for value in STRINGS:
+                for count in counts:
+                    label = f"{flag} {value[:12]!r} ({len(value)} chars) x{count}"
+                    yield label, [*argv, flag, *texts(value, count)], None
         if action.dest != "config":  # the flag goes, so the file's value is the one read
-            for value in CONFIG_VALUES:
+            strings = [texts(v, 3) if action.nargs == "+" else v for v in STRINGS] if text else []
+            for value in [*CONFIG_VALUES, *strings]:
                 case = [*without(argv, action.option_strings), "--config", ws / "config.json"]
-                yield f"config {action.dest}={value!r}", case, {action.dest: value}
+                yield f"config {action.dest}={value!r:.60}", case, {action.dest: value}
 
 
 def run(argv, capsys) -> tuple[object, str]:

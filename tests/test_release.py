@@ -129,39 +129,52 @@ def test_search_matches_the_brute_scan_at_two_thousand_records(tied):
 
 
 def test_search_reaches_the_first_grid_row_across_a_cell_edge():
-    # The grid cuts ranks 1..8 into runs 1..4 and 5..8 on the first three
-    # axes.  The query's own cell (5..8, 1..4, 5..8) holds no record; the
-    # first box, within 2 ranks of the center, reaches across the edge at
-    # attribute-0 rank 4 into cell (1..4, 1..4, 5..8) and finds record 1:
-    # grid row 0, at attribute-0 rank 1.  Records 2..8 each deviate by 5 or
-    # more on a later attribute; record 1 deviates by 4, on attribute 0 alone.
+    # The grid cuts ranks 1..16 into runs 1..8 and 9..16 on all four axes.
+    # The query's own cell (9..16, 1..8, 9..16, 1..8) holds no record, and
+    # no record has its first three ranks in 1..8, so record 1, in cell
+    # (1..8, 1..8, 9..16, 1..8), is grid row 0.  The first box, within 4
+    # ranks of the center, reaches across the edge at attribute-0 rank 8
+    # into that cell.  Record 1 deviates by 4, on attribute 0 alone; every
+    # other record deviates by 5 or more on some attribute.
     ranks = np.array(
         [
-            [1, 1, 8, 1],
-            [2, 6, 4, 2],
-            [3, 7, 5, 3],
-            [4, 8, 6, 4],
-            [5, 2, 1, 5],
-            [6, 3, 2, 6],
-            [7, 4, 3, 7],
-            [8, 5, 7, 8],
+            [5, 1, 16, 1],
+            [15, 4, 3, 12],
+            [6, 12, 7, 3],
+            [12, 8, 11, 9],
+            [1, 10, 6, 6],
+            [4, 15, 1, 5],
+            [14, 14, 2, 15],
+            [8, 2, 10, 4],
+            [3, 3, 15, 8],
+            [10, 13, 14, 10],
+            [16, 5, 12, 13],
+            [2, 7, 13, 14],
+            [11, 16, 4, 11],
+            [13, 11, 9, 16],
+            [9, 6, 8, 7],
+            [7, 9, 5, 2],
         ]
     )
     table = MicrodataTable(ranks.astype(float), ("a1", "a2", "a3", "a4"))
-    result = permutation_distance([5.0, 1.0, 8.0, 1.0], Release(table))
-    assert result.closest_ranks == (5, 1, 8, 1)
+    release = Release(table)
+    result = permutation_distance([9.0, 1.0, 16.0, 1.0], release)
+    assert result.closest_ranks == (9, 1, 16, 1)
     assert (result.distance, result.matched_indices) == (4, (1,))
+    grid = release._grid
+    assert (grid.p, grid.k, grid.records[0]) == (4, 2, 0)
 
 
-def _first_block(m):
+def _first_block(table):
     """Queries whose box bounds the grid takes at once (cap // p)."""
-    return privacy._BLOCK_BYTES // (m * 8) // min(m, 3)
+    p, _ = privacy._Grid.shape(table.n, table.m)
+    return privacy._BLOCK_BYTES // (table.m * 8) // p
 
 
 def test_queries_just_over_one_block():
     rng = np.random.default_rng(13)
     table = random_tied_table(rng, 30, 2, levels=8)
-    count = _first_block(table.m) + 1
+    count = _first_block(table) + 1
     queries = rng.integers(-2, 10, size=(count, 2)).astype(float)
     release = Release(table)
     distances, centers, matches = brute_search(table.values, release.profile.ranks, queries)
@@ -202,11 +215,40 @@ def _box_rounds(monkeypatch, release, queries):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_grid_matches_the_brute_scan_from_one_to_eight_attributes(m):
-    # only the first three axes are gridded; the rest count in every deviation
+    # only the first four axes are gridded; the rest count in every deviation
     rng = np.random.default_rng(40 + m)
     for table in (random_table(rng, 300, m), random_tied_table(rng, 300, m, levels=3)):
         release = _check_against_brute(table, _queries(rng, table, 40))
-        assert release._grid.p == min(m, 3)
+        assert release._grid.p == min(m, 4)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_grid_matches_the_brute_scan_with_four_gridded_axes_of_several_runs(m):
+    # at 2 000 records each of the four gridded axes is cut into 6 runs, so
+    # boxes span several cells on every axis and stop at inner cell edges
+    rng = np.random.default_rng(100 + m)
+    for table in (random_table(rng, 2000, m), random_tied_table(rng, 2000, m, levels=7)):
+        release = _check_against_brute(table, _queries(rng, table, 100))
+        assert (release._grid.p, release._grid.k) == (4, 6)
+
+
+def test_the_grid_never_has_more_cells_than_records():
+    for m in range(1, 13):
+        for n in range(1, 10_001):
+            p, k = privacy._Grid.shape(n, m)
+            assert p == min(m, 4)
+            assert 1 <= k**p <= n < (k + 1) ** p
+
+
+def test_the_grid_of_a_large_release_holds_what_a_three_axis_grid_held():
+    # 4 779 072 bytes is what the grid over the first three axes held at
+    # n = 100 000, m = 4: fence, cell starts, records and row-ordered ranks
+    rng = np.random.default_rng(110)
+    ranks = np.column_stack([rng.permutation(100_000) + 1 for _ in range(4)])
+    grid = privacy._Grid.of(ranks)
+    held = sum(a.nbytes for a in (grid.fence, grid.starts, grid.records, grid.ranks))
+    assert (grid.p, grid.k) == (4, 17)
+    assert held <= 4_779_072
 
 
 @pytest.mark.parametrize("levels", [1, 2, 4])

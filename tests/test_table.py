@@ -14,7 +14,7 @@ from permpriv.errors import (
     InvalidValueError,
     ShapeMismatchError,
 )
-from permpriv.masking import NoiseSpec, SynthSpec
+from permpriv.masking import NoiseSpec, SynthSpec, synth_original
 from permpriv.privacy import Release
 from permpriv.table import (
     DEFAULT_TIE_SEED,
@@ -173,6 +173,17 @@ def test_table_validation():
         MicrodataTable([[1.0, 2.0]], ("a",))
     with pytest.raises(InvalidSpecError):
         MicrodataTable([[1.0, 2.0]], ("a", "a"))
+
+
+def test_attribute_names_must_be_utf8_text():
+    # a lone surrogate is how Python decodes an argument that is not UTF-8;
+    # it could not be written to a CSV header
+    with pytest.raises(InvalidSpecError, match="not UTF-8 text"):
+        MicrodataTable([[1.0, 2.0]], ("a", "b\udcff"))
+    with pytest.raises(InvalidSpecError, match="not UTF-8 text"):
+        synth_original(SynthSpec(n=3, means=(0.0, 1.0), stds=(1.0, 1.0), names=("\ud800", "b")))
+    names = ("", 'a "b"\\c', "d\ne", "\u00e9\U0001f600")
+    assert MicrodataTable(np.zeros((1, 4)), names).attribute_names == names
 
 
 def test_ragged_rows_are_a_shape_mismatch():
