@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -74,6 +75,11 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _shown(path) -> str:
+    """`path` for a summary line, each byte that is not UTF-8 (a lone surrogate) as `\\xNN`."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
 def _write_report(obj, path, args, seeds: dict, kind: str | None = None) -> None:
@@ -138,7 +144,7 @@ def cmd_reverse_map(args) -> int:
     permuted = reverse_map_table(original, Release(anonymized, tie_seed=args.tie_seed))
     path = _out_dir(args) / "reverse_mapped.csv"
     write_csv(permuted, path)
-    print(f"wrote {path} ({permuted.n} records, {permuted.m} attributes)")
+    print(f"wrote {_shown(path)} ({permuted.n} records, {permuted.m} attributes)")
     return EXIT_OK
 
 
@@ -152,7 +158,7 @@ def cmd_certify(args) -> int:
     _write_report(certificate, path, args, {"tie_seed": args.tie_seed})
     print(
         f"certificate: d={certificate.dataset_distance}, "
-        f"v={_fmt_vector(certificate.dataset_variances)}; wrote {path}"
+        f"v={_fmt_vector(certificate.dataset_variances)}; wrote {_shown(path)}"
     )
 
     if targets is None:
@@ -216,7 +222,7 @@ def cmd_subject(args) -> int:
     print("\n".join(lines))
     path = _out_dir(args) / "subject.json"
     _write_report(payload, path, args, seeds, kind="subject")
-    print(f"wrote {path}")
+    print(f"wrote {_shown(path)}")
     return EXIT_VERDICT if failed else EXIT_OK
 
 
@@ -244,7 +250,7 @@ def cmd_link(args) -> int:
     path = _out_dir(args) / "linkage.json"
     _write_report(payload, path, args, {"tie_seed": args.tie_seed}, kind="linkage")
     print(summary)
-    print(f"wrote {path}")
+    print(f"wrote {_shown(path)}")
     return EXIT_OK
 
 
@@ -266,7 +272,7 @@ def cmd_assess(args) -> int:
         f"divergence TV={report.divergence.total_variation:.4f} "
         f"H={report.divergence.hellinger:.4f}"
     )
-    print(f"wrote {report_path} and {histogram_path}")
+    print(f"wrote {_shown(report_path)} and {_shown(histogram_path)}")
     verdict = "yes" if report.withstands else "no"
     print(f"withstands known-plaintext attack: {verdict}")
     return EXIT_OK if report.withstands else EXIT_VERDICT
@@ -279,7 +285,7 @@ def cmd_mask(args) -> int:
     write_csv(gaussian_mask(original, spec), path)
     # The summary names the noise levels but never the masking seed; the seed
     # is the one anonymization parameter that stays secret.
-    print(f"wrote {path} (noise sigmas {_fmt_vector(spec.sigmas)})")
+    print(f"wrote {_shown(path)} (noise sigmas {_fmt_vector(spec.sigmas)})")
     return EXIT_OK
 
 
@@ -294,7 +300,7 @@ def cmd_synth(args) -> int:
     table = synth_original(spec)
     path = _out_dir(args) / "original.csv"
     write_csv(table, path)
-    print(f"wrote {path} ({table.n} records, {table.m} attributes)")
+    print(f"wrote {_shown(path)} ({table.n} records, {table.m} attributes)")
     return EXIT_OK
 
 
@@ -303,7 +309,7 @@ def cmd_demo(args) -> int:
     for line in problems:
         print(f"mismatch -- {line}")
     for path in files:
-        print(f"wrote {path}")
+        print(f"wrote {_shown(path)}")
     if problems:
         print(f"demo FAILED: {len(problems)} mismatches against bundled references")
         return EXIT_VERDICT

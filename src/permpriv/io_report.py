@@ -32,6 +32,7 @@ from .errors import (
     ParseError,
     RaggedRowError,
 )
+from .grid import cuts
 from .privacy import Evidence, RecordDistanceResult
 from .table import MicrodataTable, Role
 
@@ -210,12 +211,12 @@ def write_csv(table: MicrodataTable, path) -> None:
 class _Rows:
     """A long array in a report payload, written by `_write_rows` in blocks.
 
-    `offsets[i]` counts the cells of the items before item i, and the last
-    entry those of all.  `spell(a, b, pad)` gives the text of items a .. b - 1
-    as `json.dumps(indent=2)` spells them after `pad`, a line break and indent.
+    `ends[i]` counts the cells of items 0 .. i.  `spell(a, b, pad)` gives the
+    text of items a .. b - 1 as `json.dumps(indent=2)` spells them after
+    `pad`, a line break and indent.
     """
 
-    offsets: np.ndarray
+    ends: np.ndarray
     spell: Callable[[int, int, str], Iterable[str]]
 
 
@@ -282,14 +283,14 @@ def _evidence_rows(evidence: Evidence, columns: dict[str, np.ndarray]) -> _Rows:
         return map(layout.replace("\n", pad).__mod__, zip(*cells))
 
     width = 2 + 3 * m + sum(v.shape[1] for v in columns.values())
-    return _Rows(width * np.arange(q + 1) + offsets, spell)
+    return _Rows(width * np.arange(1, q + 1) + offsets[1:], spell)
 
 
 def _item_rows(values: tuple) -> _Rows:
     """A tuple of ints or of strings as rows of one cell each: an int spelled
     by `repr`, as `json` spells it, each distinct string once by `json.dumps`."""
     spell = {v: json.dumps(v) for v in set(values)}.get if isinstance(values[0], str) else repr
-    return _Rows(np.arange(len(values) + 1), lambda a, b, pad: map(spell, values[a:b]))
+    return _Rows(np.arange(1, len(values) + 1), lambda a, b, pad: map(spell, values[a:b]))
 
 
 def write_report(
@@ -365,18 +366,14 @@ def write_report(
 def _write_rows(fh, rows: _Rows, level: int) -> None:
     """Write an array of rows, `level` containers deep, as `json` would.
 
-    Rows go out in blocks of at most _WRITE_BLOCK_BYTES of cells, 8 bytes a
-    cell, and at least one row; one `write` per block.
+    Rows go out in blocks (`cuts`) of at most _WRITE_BLOCK_BYTES of cells,
+    8 bytes a cell, and at least one row; one `write` per block.
     """
-    offsets, q = rows.offsets, len(rows.offsets) - 1
     pad = "\n" + "  " * (level + 1)
-    cap, a = _WRITE_BLOCK_BYTES // 8, 0
     fh.write("[")
-    while a < q:
-        b = max(a + 1, int(np.searchsorted(offsets, offsets[a] + cap, side="right")) - 1)
+    for a, b in cuts(rows.ends, _WRITE_BLOCK_BYTES // 8):
         fh.write(("," if a else "") + pad + ("," + pad).join(rows.spell(a, b, pad)))
-        a = b
-    fh.write("\n" + "  " * level + "]" if q else "]")
+    fh.write("\n" + "  " * level + "]" if rows.ends.size else "]")
 
 
 def _spell(column: np.ndarray) -> list[str]:

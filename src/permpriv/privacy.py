@@ -11,6 +11,9 @@ neighborhoods.
 
 Anyone holding a single record x and the anonymized table can recompute this
 evidence; no access to the rest of the original data is needed.
+
+This module holds those definitions; the search behind every distance is
+`grid.Grid`'s.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import grid
 from .errors import InvalidValueError, RankOutOfRangeError, ShapeMismatchError
 from .table import (
     DEFAULT_TIE_SEED,
@@ -31,13 +35,6 @@ from .table import (
     check_same_attributes,
     check_same_layout,
 )
-
-# Bytes one search block may hold, 8 * m for each entry: a (query, grid
-# slice) pair, or a candidate row with its m rank deviations from its query's
-# center.  Bounds the search's peak memory whatever n and the number of
-# queries; the grid's runs bound a slice to about n ** (1 - 1 / p) rows.
-# A window-variance block holds 8 bytes for each gathered value.
-_BLOCK_BYTES = 1 << 19
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -71,31 +68,26 @@ def _window_variances(flat: np.ndarray, first: np.ndarray, width: np.ndarray) ->
     """Population variance of each window flat[first[i] : first[i] + width[i]].
 
     The windows are ordered by width, so equal widths form runs.  They are
-    gathered in blocks of at most _BLOCK_BYTES of values (or one window),
-    and each block takes the six steps of numpy's `var`: a sum per window,
-    a division by the width, the subtraction of the window's mean, a square,
-    a second sum and a second division.  Each sum is one `add.reduce` over a
+    gathered in blocks (`grid.cuts`) of at most `grid._BLOCK_BYTES` of values
+    (or one window), and each block takes the six steps of numpy's `var`: a
+    sum per window, a division by the width, the subtraction of the window's
+    mean, a square, a second sum and a second division.  Each sum is one `add.reduce` over a
     run's C-contiguous (k, w) rows, the reduction `ndarray.var(axis=1)` makes
     on the same rows; the other four steps are elementwise.  So each variance
     has the bits of `flat[first[i] : first[i] + width[i]].var()`.
     """
     out = np.empty(width.size)
     ends = np.cumsum(width)
-    cap = max(1, _BLOCK_BYTES // 8)
-    a = 0
-    while a < width.size:
-        base = ends[a] - width[a]
-        b = max(a + 1, int(np.searchsorted(ends, base + cap, side="right")))
+    for a, b in grid.cuts(ends, max(1, grid._BLOCK_BYTES // 8)):
         size = width[a:b]
         shift = np.repeat(first[a:b] - (ends[a:b] - size), size)
-        values = flat[np.arange(base, ends[b - 1]) + shift]
+        values = flat[np.arange(ends[a] - size[0], ends[b - 1]) + shift]
         starts = np.flatnonzero(np.diff(size, prepend=0))
         runs = list(zip(np.diff(starts, append=size.size).tolist(), size[starts].tolist()))
         mean = _run_sums(values, runs) / size
         values -= np.repeat(mean, size)
         np.square(values, out=values)
         out[a:b] = _run_sums(values, runs) / size
-        a = b
     return out
 
 
@@ -154,146 +146,15 @@ def _query_matrix(queries, release: Release) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True, eq=False)
-class _Grid:
-    """A release's records in CSR order by cell of a uniform grid over ranks.
-
-    Only the first p = min(m, 4) rank axes are gridded, each cut into k runs
-    of about n / k ranks (`shape`).  Cells are numbered with the last gridded
-    axis fastest, so each row of cells along that axis is one contiguous
-    slice of grid rows.
-    """
-
-    p: int
-    k: int
-    fence: np.ndarray  # (k + 1,) first 0-based rank of each run; the two ends moved out
-    starts: np.ndarray  # (k**p + 1,) first grid row of each cell, then n
-    records: np.ndarray  # (n,) 0-based record held by each grid row
-    ranks: np.ndarray  # (n, m) rank vector held by each grid row
-
-    @staticmethod
-    def shape(n: int, m: int) -> tuple[int, int]:
-        """(p, k): the first p = min(m, 4) rank axes, each cut into k runs.
-
-        k is the most runs with k**p <= n, so the grid never has more cells
-        than records.
-        """
-        p = min(m, 4)
-        # the integer p-th root or one more, also where the float root of an
-        # exact power falls just short (64 ** (1 / 3) < 4)
-        k = round(n ** (1 / p))
-        return p, k - (k**p > n)
-
-    @classmethod
-    def of(cls, ranks: np.ndarray) -> _Grid:
-        n, m = ranks.shape
-        p, k = cls.shape(n, m)
-        cell = np.zeros(n, dtype=np.intp)
-        for j in range(p):
-            cell *= k
-            cell += (ranks[:, j] - 1) * k // n
-        # the order within a cell is free: match sets are sorted afterwards
-        records = np.argsort(cell)
-        starts = np.zeros(k**p + 1, dtype=np.intp)
-        np.cumsum(np.bincount(cell, minlength=k**p), out=starts[1:])
-        del cell
-        # run i holds 0-based ranks -(-i * n // k) up to the next run's first;
-        # 0 and n move to -n and 2n, so an edge of the grid lies farther from
-        # any center than any deviation reaches
-        fence = -(-np.arange(k + 1) * n // k)
-        fence[[0, -1]] = -n, 2 * n
-        return cls(p, k, fence, starts, records, np.take(ranks, records, axis=0))
-
-    def read(self, query: np.ndarray, first: np.ndarray, size: np.ndarray, centers: np.ndarray):
-        """Yield (query, grid rows, deviations) for the rows of many grid slices.
-
-        Slice i holds grid rows first[i] .. first[i] + size[i] - 1, read for
-        query[i] with 1-based center centers[query[i]].  The rows go out in
-        chunks of at most _BLOCK_BYTES (or one slice), each row with its query
-        and its largest rank deviation from that center over all m attributes.
-        """
-        keep = size > 0
-        query, first, size = query[keep], first[keep], size[keep]
-        ends = np.cumsum(size)
-        cap = max(1, _BLOCK_BYTES // (centers.shape[1] * 8))
-        a = 0
-        while a < size.size:
-            base = ends[a] - size[a]
-            b = max(a + 1, int(np.searchsorted(ends, base + cap, side="right")))
-            sz = size[a:b]
-            rows = np.arange(base, ends[b - 1]) + np.repeat(first[a:b] - (ends[a:b] - sz), sz)
-            owner = np.repeat(query[a:b], sz)
-            gaps = np.take(self.ranks, rows, axis=0)
-            gaps -= np.take(centers, owner, axis=0)
-            np.abs(gaps, out=gaps)
-            # column by column: a max over a short last axis is several times slower
-            dev = gaps[:, 0].copy()
-            for gap in gaps.T[1:]:
-                np.maximum(dev, gap, out=dev)
-            yield owner, rows, dev
-            a = b
-
-    def boxes(self, centers: np.ndarray, radius: np.ndarray):
-        """Yield (queries, slices, gap) for the box of cells covering centers +- radius.
-
-        A query's box is one slice of grid rows per cell of its first p - 1
-        gridded axes; `slices` are (query, first, size) as `read` takes them.
-        `gap` is each query's distance from its center to the nearest rank
-        outside its box on any gridded axis; past an edge of the grid it
-        exceeds n, which no deviation reaches.  Each yield holds the whole
-        queries in the slice `queries`, at most _BLOCK_BYTES of (query, slice)
-        pairs (or one query).  Bounds and gaps are taken for cap // p queries
-        at a time, so each of their arrays holds at most as many entries as a
-        block of pairs.
-        """
-        p, k, n, fence = self.p, self.k, self.starts[-1], self.fence
-        cap = max(1, _BLOCK_BYTES // (centers.shape[1] * 8))
-        step = max(1, cap // p)
-        for start in range(0, radius.size, step):
-            c = centers[start : start + step, :p]
-            r = radius[start : start + step, None]
-            lo = (np.maximum(c - r, 1) - 1) * k // n
-            hi = (np.minimum(c + r, n) - 1) * k // n
-            gap = np.minimum(c - fence[lo], fence[hi + 1] + 1 - c).min(axis=1)
-            width = hi - lo + 1
-            corner = lo @ k ** np.arange(p - 1, -1, -1)  # each box's first cell
-            count = width[:, :-1].prod(axis=1)
-            ends = np.cumsum(count)
-            begin = ends - count
-            a = 0
-            while a < count.size:
-                b = max(a + 1, int(np.searchsorted(ends, begin[a] + cap, side="right")))
-                query = np.repeat(np.arange(a, b), count[a:b])
-                # slice t of a box runs along its last axis; t counts in mixed
-                # radix over the first p - 1, the last of them fastest
-                t = np.arange(begin[a], ends[b - 1]) - begin[query]
-                cell, scale = corner[query], k
-                for j in range(p - 2, 0, -1):
-                    t, part = np.divmod(t, width[query, j])
-                    cell += part * scale
-                    scale *= k
-                cell += t * scale
-                first = self.starts[cell]
-                size = self.starts[cell + width[query, -1]] - first
-                del t, cell  # freed before the caller reads the block
-                query += start
-                yield slice(start + a, start + b), (query, first, size), gap[a:b]
-                a = b
-
-
 class Release:
     """One released table, ranked once and indexed for permutation distances.
 
     Holds the table and its rank profile, always ranked from the table under
     `tie_seed`, so anyone holding the table and the disclosed seed rebuilds
     the same ranks.  Each attribute's values in rank order, which check that
-    the profile orders the table, and the search grid (`_Grid`, the cell
-    method of Bentley, Stanat & Williams 1977) are built on first use, so a
-    release that is only ranked keeps neither.  Both passes of a search read
-    whole boxes of cells on the first min(m, 4) rank axes: the distances
-    grow each query's box around its center until no unseen cell can hold a
-    closer record, and the match sets then read the one box within the
-    distance.  Deviations are always taken over all m attributes.
+    the profile orders the table, and the search grid (`grid.Grid`) are
+    built on first use, so a release that is only ranked keeps neither.  The
+    grid runs both passes of a search, `distances` and then the match sets.
     Every distance entry point takes a Release, and this is the only place a
     table is ranked and indexed for a search.
     """
@@ -344,66 +205,18 @@ class Release:
         )
 
     @cached_property
-    def _grid(self) -> _Grid:
-        return _Grid.of(self.profile.ranks)
+    def _grid(self) -> grid.Grid:
+        return grid.Grid.of(self.profile.ranks)
 
     def distances(self, centers: np.ndarray) -> np.ndarray:
-        """(q,) min-max rank deviation for each row of (q, m) 1-based centers.
-
-        Reads whole boxes of grid cells around each query's center
-        (`_Grid.boxes`): first the cells within half a run of it, then every
-        cell within min(best - 1, 2 * gap), where best is the smallest
-        deviation found so far and gap the distance from the center to the
-        nearest rank outside the last box on any gridded axis.  Every unseen
-        record lies outside the box on some gridded axis, so a query leaves
-        once best <= gap.  Otherwise the next box reaches best - 1, after
-        which it leaves, or at least twice as far as the last, so a query
-        reads O(log n) boxes.
-        """
-        grid = self._grid
-        best = np.full(centers.shape[0], self.n, dtype=np.int64)
-        active = np.arange(centers.shape[0])
-        radius = np.broadcast_to(self.n // (2 * grid.k), active.shape)
-        while active.size:
-            keep, grow = [], []
-            for block, slices, gap in grid.boxes(centers, radius):
-                for owner, _, dev in grid.read(*slices, centers):
-                    np.minimum.at(best, active[owner], dev)
-                near = best[active[block]]
-                stay = np.flatnonzero(near > gap)
-                keep.append(stay + block.start)
-                grow.append(np.minimum(near[stay] - 1, 2 * gap[stay]))
-            keep = np.concatenate(keep)
-            active, centers, radius = active[keep], centers[keep], np.concatenate(grow)
-        return best
-
-    def _match_sets(self, centers: np.ndarray, distances: np.ndarray):
-        """Match sets in CSR form: offsets (q + 1,) and ascending 1-based records.
-
-        A record at distance d lies within d of the center on every axis, so
-        the box of cells that covers each center +- d on the gridded axes
-        holds every match.  Each of the grid's blocks of whole queries is
-        sorted by (query, record) as it is read.
-        """
-        n, grid = self.n, self._grid
-        parts = [np.empty(0, dtype=np.int64)]
-        offsets = np.zeros(distances.size + 1, dtype=np.int64)
-        for _, slices, _ in grid.boxes(centers, distances):
-            keys = [np.empty(0, dtype=np.int64)]
-            for owner, rows, dev in grid.read(*slices, centers):
-                hit = dev == distances[owner]
-                keys.append(owner[hit] * n + grid.records[rows[hit]])
-            key = np.sort(np.concatenate(keys))
-            owner = key // n
-            np.add.at(offsets, owner + 1, 1)
-            parts.append(key - owner * n + 1)
-        return np.cumsum(offsets, out=offsets), np.concatenate(parts)
+        """(q,) min-max rank deviation for each row of (q, m) 1-based centers."""
+        return self._grid.distances(centers)
 
     def search(self, queries) -> Evidence:
         """Full distance evidence for every query record, row i numbered i + 1."""
         centers = self.centers(_query_matrix(queries, self))
         distances = self.distances(centers)
-        offsets, matches = self._match_sets(centers, distances)
+        offsets, matches = self._grid.match_sets(centers, distances)
         values = [v[c - 1] for v, c in zip(self.values_by_rank, centers.T)]
         return Evidence(
             closest_values=np.column_stack(values),
@@ -464,15 +277,13 @@ class Release:
     def verify(
         self, result: RecordDistanceResult, d_target: int, v_target: Sequence[float]
     ) -> RecordVerification:
-        """Check a record's evidence against (d_target, v_target)."""
+        """Check a record's evidence against (d_target, v_target), as `verdicts` does."""
         d_target, v_target = check_targets(d_target, v_target, self.m)
-        passed, variances = self.verdicts(
-            [result.closest_ranks], [result.distance], d_target, v_target
-        )
+        variances = self.window_variances([result.closest_ranks], d_target)[0]
         return RecordVerification(
-            passed=bool(passed[0]),
+            passed=bool(result.distance >= d_target and np.all(variances > v_target)),
             result=result,
-            window_variances=tuple(variances[0].tolist()),
+            window_variances=tuple(variances.tolist()),
             d_target=d_target,
             v_target=v_target,
         )

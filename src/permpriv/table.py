@@ -193,15 +193,6 @@ class MicrodataTable:
     def column(self, j: int) -> np.ndarray:
         return self.values[:, j]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MicrodataTable):
-            return NotImplemented
-        return (
-            self.attribute_names == other.attribute_names
-            and self.role == other.role
-            and np.array_equal(self.values, other.values)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class RankProfile:
@@ -238,18 +229,5 @@ class RankProfile:
         ]
         return cls(np.column_stack(cols), tie_seed)
 
-    @property
-    def n(self) -> int:
-        return self.ranks.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.ranks.shape[1]
-
     def vector(self, j: int) -> np.ndarray:
         return self.ranks[:, j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RankProfile):
-            return NotImplemented
-        return self.tie_seed == other.tie_seed and np.array_equal(self.ranks, other.ranks)

@@ -4,10 +4,10 @@ Each command runs in process through `cli.main`, first from a working argv,
 then once per perturbation of it:
 - each integer and float option set to negative, zero, fractional and huge
   values, and floats to NaN and the infinities;
-- each string option other than a path (`--names`, `--disclosure`,
-  `--truth`) set to an empty string, 10**5 characters, an embedded line end,
-  a quote and backslash, and a lone surrogate, as Python decodes an argument
-  that is not UTF-8;
+- each string option other than `--config` (`--names`, `--disclosure`,
+  `--truth`, `--out`) set to an empty string, 10**5 characters, an embedded
+  line end, a quote and backslash, and a lone surrogate, as Python decodes
+  an argument that is not UTF-8;
 - each input file, `--out`, `--truth` and `--config` pointed at a missing
   file, a directory or a malformed file;
 - each config key given each of those values through a `--config` file.
@@ -133,7 +133,7 @@ def perturbations(ws: Path, argv: list):
         counts = (1, 3) if action.nargs == "+" else (1,)
         paths = ("--out", "--config")
         text = action.type is None and action.nargs != 0 and not action.choices
-        text = text and flag not in paths  # a string option other than a path
+        text = text and flag != "--config"  # a string option, --out among them
         if action.type in (int, float):
             for value in INTS if action.type is int else FLOATS:
                 for count in counts:
@@ -141,7 +141,7 @@ def perturbations(ws: Path, argv: list):
         elif flag in paths:
             for name in [*CONFIG_FILES, missing, under_a_file]:
                 yield f"{flag} {name}", [*argv, flag, ws / name], None
-        elif text:
+        if text:
             for value in STRINGS:
                 for count in counts:
                     label = f"{flag} {value[:12]!r} ({len(value)} chars) x{count}"
@@ -168,9 +168,11 @@ def run(argv, capsys) -> tuple[object, str]:
 
 @pytest.mark.parametrize("command", list(commands(Path())))
 def test_every_perturbation_exits_0_2_3_or_4_without_a_traceback(
-    workspace, capsys, monkeypatch, command
+    workspace, tmp_path, capsys, monkeypatch, command
 ):
-    monkeypatch.chdir(workspace)  # a relative --out from a config file lands here
+    # a relative --out lands here, so no --out, even an empty one, writes
+    # over the workspace's input files
+    monkeypatch.chdir(tmp_path)
     argv = commands(workspace)[command] + ["--out", "out"]
     code, err = run(argv, capsys)
     assert code in (0, 4), err

@@ -11,7 +11,7 @@ from helpers import (
     random_table,
     report_bytes,
 )
-from permpriv import fixtures
+from permpriv import fixtures, privacy
 from permpriv.errors import InvalidValueError, RankOutOfRangeError, ShapeMismatchError
 from permpriv.privacy import (
     Release,
@@ -268,6 +268,27 @@ def test_verify_rejects_wrong_target_length(masked):
         release.verify(evidence, 1, [0.0])
     with pytest.raises(ShapeMismatchError, match="2 variance targets for 3 attributes"):
         release.verdicts([evidence.closest_ranks], [evidence.distance], 1, [0.0, 0.0])
+
+
+def test_verify_checks_its_targets_once(masked, monkeypatch):
+    # and judges a record as `verdicts` judges the same evidence
+    checks = []
+    check = privacy.check_targets
+
+    def counting(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(privacy, "check_targets", counting)
+    release = Release(masked)
+    evidence = permutation_distance(fixtures.RECORD3["record"], release)
+    for d, v in [(4, (24.0, 890.0, 20000.0)), (4, (25.0, 0.0, 0.0)), (5, (0.0, 0.0, 0.0))]:
+        checks.clear()
+        outcome = release.verify(evidence, d, v)
+        assert len(checks) == 1
+        passed, variances = release.verdicts([evidence.closest_ranks], [evidence.distance], d, v)
+        assert outcome.passed == passed[0]
+        assert outcome.window_variances == tuple(variances[0].tolist())
 
 
 def test_verification_round_trip(masked):

@@ -16,7 +16,7 @@ from helpers import (
     random_table,
     random_tied_table,
 )
-from permpriv import privacy
+from permpriv import grid, privacy
 from permpriv.baseline import (
     BaselineSpec,
     baseline_distribution,
@@ -161,14 +161,14 @@ def test_search_reaches_the_first_grid_row_across_a_cell_edge():
     result = permutation_distance([9.0, 1.0, 16.0, 1.0], release)
     assert result.closest_ranks == (9, 1, 16, 1)
     assert (result.distance, result.matched_indices) == (4, (1,))
-    grid = release._grid
-    assert (grid.p, grid.k, grid.records[0]) == (4, 2, 0)
+    cells = release._grid
+    assert (cells.p, cells.k, cells.records[0]) == (4, 2, 0)
 
 
 def _first_block(table):
     """Queries whose box bounds the grid takes at once (cap // p)."""
-    p, _ = privacy._Grid.shape(table.n, table.m)
-    return privacy._BLOCK_BYTES // (table.m * 8) // p
+    p, _ = grid.Grid.shape(table.n, table.m)
+    return grid._BLOCK_BYTES // (table.m * 8) // p
 
 
 def test_queries_just_over_one_block():
@@ -183,7 +183,7 @@ def test_queries_just_over_one_block():
 
 
 def test_one_query_per_block(monkeypatch):
-    monkeypatch.setattr(privacy, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(grid, "_BLOCK_BYTES", 1)
     rng = np.random.default_rng(14)
     for table in (random_table(rng, 50, 3), random_tied_table(rng, 50, 3, levels=5)):
         _check_against_oracle(table, _queries(rng, table, 5))
@@ -202,13 +202,13 @@ def _check_against_brute(table, queries, tie_seed=101):
 def _box_rounds(monkeypatch, release, queries):
     """The radii of each round of boxes that `Release.distances` reads, in order."""
     rounds = []
-    boxes = privacy._Grid.boxes
+    boxes = grid.Grid.boxes
 
     def recording(self, centers, radius):
         rounds.append(np.array(radius))
         return boxes(self, centers, radius)
 
-    monkeypatch.setattr(privacy._Grid, "boxes", recording)
+    monkeypatch.setattr(grid.Grid, "boxes", recording)
     release.distances(release.centers(queries))
     return rounds
 
@@ -235,7 +235,7 @@ def test_grid_matches_the_brute_scan_with_four_gridded_axes_of_several_runs(m):
 def test_the_grid_never_has_more_cells_than_records():
     for m in range(1, 13):
         for n in range(1, 10_001):
-            p, k = privacy._Grid.shape(n, m)
+            p, k = grid.Grid.shape(n, m)
             assert p == min(m, 4)
             assert 1 <= k**p <= n < (k + 1) ** p
 
@@ -245,9 +245,9 @@ def test_the_grid_of_a_large_release_holds_what_a_three_axis_grid_held():
     # n = 100 000, m = 4: fence, cell starts, records and row-ordered ranks
     rng = np.random.default_rng(110)
     ranks = np.column_stack([rng.permutation(100_000) + 1 for _ in range(4)])
-    grid = privacy._Grid.of(ranks)
-    held = sum(a.nbytes for a in (grid.fence, grid.starts, grid.records, grid.ranks))
-    assert (grid.p, grid.k) == (4, 17)
+    cells = grid.Grid.of(ranks)
+    held = sum(a.nbytes for a in (cells.fence, cells.starts, cells.records, cells.ranks))
+    assert (cells.p, cells.k) == (4, 17)
     assert held <= 4_779_072
 
 
@@ -288,8 +288,8 @@ def test_grid_on_a_clustered_release_with_mostly_empty_cells(monkeypatch):
     table = _clustered_table(rng, 2000)
     queries = _far_queries(rng, table, 50)
     release = _check_against_brute(table, queries)
-    grid = release._grid
-    assert np.count_nonzero(np.diff(grid.starts)) < 0.1 * grid.k**grid.p
+    cells = release._grid
+    assert np.count_nonzero(np.diff(cells.starts)) < 0.1 * cells.k**cells.p
     assert len(_box_rounds(monkeypatch, release, queries)) >= 3
 
 
@@ -308,7 +308,7 @@ def test_the_boxes_grow_geometrically_on_far_queries(monkeypatch):
 @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
 def test_one_query_per_block_on_far_queries(monkeypatch, tied):
     # blocks of one (query, slice) pair and one slice of rows in every box
-    monkeypatch.setattr(privacy, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(grid, "_BLOCK_BYTES", 1)
     rng = np.random.default_rng(80 + tied)
     table = _clustered_table(rng, 400)
     if tied:
@@ -322,7 +322,7 @@ def test_one_query_per_block_on_far_queries(monkeypatch, tied):
 def test_blocks_that_split_a_step_of_box_bounds(monkeypatch, pairs):
     # blocks of a few (query, slice) pairs, so a block of pairs often starts
     # inside the cap // p queries whose box bounds are taken together
-    monkeypatch.setattr(privacy, "_BLOCK_BYTES", pairs * 3 * 8)
+    monkeypatch.setattr(grid, "_BLOCK_BYTES", pairs * 3 * 8)
     rng = np.random.default_rng(90 + pairs)
     table = _clustered_table(rng, 400)
     _check_against_brute(table, _far_queries(rng, table, 20))
@@ -352,7 +352,9 @@ def test_a_release_is_ranked_from_its_table_and_tie_seed_only(masked):
     # a subject holding the table and the disclosed seed rebuilds the same ranks
     release = Release(masked, tie_seed=7)
     assert release.tie_seed == 7
-    assert release.profile == RankProfile.of(masked, 7)
+    again = RankProfile.of(masked, 7)
+    assert np.array_equal(release.profile.ranks, again.ranks)
+    assert release.profile.tie_seed == again.tie_seed
     with pytest.raises(TypeError):
         Release(masked, RankProfile.of(masked, 5))
 

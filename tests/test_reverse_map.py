@@ -46,7 +46,7 @@ def test_column_multiset_is_preserved(original, permuted):
 
 
 def test_rank_order_follows_the_anonymized_table(masked, permuted):
-    assert RankProfile.of(permuted) == RankProfile.of(masked)
+    assert np.array_equal(RankProfile.of(permuted).ranks, RankProfile.of(masked).ranks)
 
 
 def test_marginal_statistics_survive(original, permuted):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import oracle_window_variances, random_table, random_tied_table
-from permpriv import privacy
+from permpriv import grid, privacy
 from permpriv.errors import RankOutOfRangeError, ShapeMismatchError
 from permpriv.privacy import Release, certify_dataset
 from permpriv.table import MicrodataTable, Role
@@ -91,7 +91,7 @@ def test_window_lengths_around_the_pairwise_summation_blocks():
 
 
 def test_blocks_of_one_window(monkeypatch):
-    monkeypatch.setattr(privacy, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(grid, "_BLOCK_BYTES", 1)
     for case in range(10):
         rng = np.random.default_rng(9500 + case)
         release, centers = _random_case(rng, tied=bool(case % 2))
@@ -246,7 +246,7 @@ def test_width_runs_that_straddle_a_block_edge(monkeypatch):
     monkeypatch.setattr(privacy, "_run_sums", recording)
     for values in (1, 2, 3, 8, 13, 64, 1000, 35):
         blocks.clear()
-        monkeypatch.setattr(privacy, "_BLOCK_BYTES", 8 * values)
+        monkeypatch.setattr(grid, "_BLOCK_BYTES", 8 * values)
         _check(release, centers, radii)
     # (windows, width) runs of each 35-value block, summed once for the means
     # and once for the squares
