@@ -350,6 +350,10 @@ def _read_config(path, parsers) -> dict:
         ):
             spelled = f"list[{kind.__name__}]" if many else kind.__name__
             raise InvalidSpecError(f"{path}: config key {key!r} must be {spelled} | None")
+        try:  # strings must encode as argv's do, in UTF-8 with surrogateescape
+            json.dumps(value, ensure_ascii=False).encode("utf-8", "surrogateescape")
+        except UnicodeEncodeError:
+            raise InvalidSpecError(f"{path}: config key {key!r} is not UTF-8 text") from None
     return values
 
 

@@ -188,23 +188,18 @@ _WRITE_BLOCK_BYTES = 1 << 17
 def write_csv(table: MicrodataTable, path) -> None:
     """Write a table; cells use shortest-round-trip float formatting.
 
-    The body goes out in row blocks of at most _WRITE_BLOCK_BYTES of cells.
-    A block calls `repr` once per distinct bit pattern, so 0.0 and -0.0 keep
-    their own strings, and gathers the strings through the inverse index.  No
-    `repr` of a finite float holds a comma, quote or line end, so the body
-    needs no quoting and matches `csv.writer` byte for byte; only the header,
-    whose names may need quoting, goes through `csv.writer`.
+    The body goes out in row blocks of at most _WRITE_BLOCK_BYTES of cells,
+    each block spelled at once by `_spell`.  No `repr` of a finite float
+    holds a comma, quote or line end, so the body needs no quoting and
+    matches `csv.writer` byte for byte; only the header, whose names may need
+    quoting, goes through `csv.writer`.
     """
     step = max(1, _WRITE_BLOCK_BYTES // (8 * table.m))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(table.attribute_names)
         for lo in range(0, table.n, step):
-            block = table.values[lo : lo + step]
-            bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-            columns = text[inverse.reshape(block.shape).T].tolist()
-            fh.write("\r\n".join(map(",".join, zip(*columns))))
-            fh.write("\r\n")
+            columns = _spell(table.values[lo : lo + step].T)
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,8 +207,8 @@ class _Rows:
     """A long array in a report payload, written by `_write_rows` in blocks.
 
     `ends[i]` counts the cells of items 0 .. i.  `spell(a, b, pad)` gives the
-    text of items a .. b - 1 as `json.dumps(indent=2)` spells them after
-    `pad`, a line break and indent.
+    texts that, joined by "," + pad, spell items a .. b - 1 as
+    `json.dumps(indent=2)` spells them after `pad`, a line break and indent.
     """
 
     ends: np.ndarray
@@ -255,16 +250,16 @@ def _evidence_rows(evidence: Evidence, columns: dict[str, np.ndarray]) -> _Rows:
     """One `RecordDistanceResult` per record, beside its row of each side column
     (the certificate's variances) under `result` when there are any.
 
-    Each row fills one `%` template, laid out once by `json.dumps(indent=2)`.
-    A block's numbers are spelled one column at a time and its match sets
-    joined from the CSR slices.
+    The layout of a row, by `json.dumps(indent=2)`, is split at its slots
+    once; a block is one text, joined from those pieces and its spelled
+    columns interleaved, with match sets joined from the CSR slices.
     """
     q, m = evidence.closest_values.shape
     names = [f.name for f in fields(RecordDistanceResult)]
     record = dict(zip(names, ["%s", ["%s"] * m, ["%s"] * m, ["%s"], ["%s"] * m, "%s"]))
     if columns:
         record = {"result": record, **{k: ["%s"] * v.shape[1] for k, v in columns.items()}}
-    layout = json.dumps(record, indent=2).replace('"%s"', "%s")
+    pieces = json.dumps(record, indent=2).split('"%s"')
     offsets = evidence.offsets
 
     def spell(a: int, b: int, pad: str):
@@ -273,14 +268,20 @@ def _evidence_rows(evidence: Evidence, columns: dict[str, np.ndarray]) -> _Rows:
         matches = _spell(evidence.matches[offsets[a] : offsets[b]])
         cells = [
             list(map(str, range(a + 1, b + 1))),
-            *map(_spell, evidence.closest_values[a:b].T),
-            *map(_spell, evidence.closest_ranks[a:b].T),
+            *_spell(evidence.closest_values[a:b].T),
+            *_spell(evidence.closest_ranks[a:b].T),
             [between_matches.join(matches[x:y]) for x, y in zip(bounds, bounds[1:])],
-            *map(_spell, evidence.matched_deviations[a:b].T),
+            *_spell(evidence.matched_deviations[a:b].T),
             _spell(evidence.distances[a:b]),
-            *(_spell(c) for v in columns.values() for c in v[a:b].T),
+            *(text for v in columns.values() for text in _spell(v[a:b].T)),
         ]
-        return map(layout.replace("\n", pad).__mod__, zip(*cells))
+        *literal, last = (piece.replace("\n", pad) for piece in pieces)
+        step = 2 * len(cells)
+        parts = [text for piece in literal for text in (piece, "")] * (b - a)
+        parts[step::step] = [last + "," + pad + literal[0]] * (b - a - 1)
+        for i, column in enumerate(cells):
+            parts[2 * i + 1 :: step] = column
+        return ["".join(parts) + last]
 
     width = 2 + 3 * m + sum(v.shape[1] for v in columns.values())
     return _Rows(width * np.arange(1, q + 1) + offsets[1:], spell)
@@ -376,12 +377,14 @@ def _write_rows(fh, rows: _Rows, level: int) -> None:
     fh.write("\n" + "  " * level + "]" if rows.ends.size else "]")
 
 
-def _spell(column: np.ndarray) -> list[str]:
-    """Each number of a 1-D column as `json.dumps` spells it."""
-    text = list(map(repr, column.tolist()))
-    for i in np.flatnonzero(~np.isfinite(column)).tolist():
-        text[i] = json.dumps(column[i].item())
-    return text
+def _spell(values: np.ndarray) -> list:
+    """`values.tolist()`, each int64 or float64 as `json.dumps` spells it, once per bit pattern."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(values.dtype)
+    text = np.array(list(map(repr, distinct.tolist())), dtype=object)
+    for i in np.flatnonzero(~np.isfinite(distinct)).tolist():
+        text[i] = json.dumps(distinct[i].item())
+    return text[inverse.reshape(values.shape)].tolist()
 
 
 def emit_histogram(

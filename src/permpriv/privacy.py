@@ -67,38 +67,32 @@ def _closest_ranks(values_by_rank: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def _window_variances(flat: np.ndarray, first: np.ndarray, width: np.ndarray) -> np.ndarray:
     """Population variance of each window flat[first[i] : first[i] + width[i]].
 
-    The windows are ordered by width, so equal widths form runs.  They are
-    gathered in blocks (`grid.cuts`) of at most `grid._BLOCK_BYTES` of values
-    (or one window), and each block takes the six steps of numpy's `var`: a
-    sum per window, a division by the width, the subtraction of the window's
-    mean, a square, a second sum and a second division.  Each sum is one `add.reduce` over a
-    run's C-contiguous (k, w) rows, the reduction `ndarray.var(axis=1)` makes
-    on the same rows; the other four steps are elementwise.  So each variance
-    has the bits of `flat[first[i] : first[i] + width[i]].var()`.
+    The windows, ordered by width, are cut into blocks (`grid.cuts`) of at
+    most `grid._BLOCK_BYTES` of values, or one window.  A block's run of k
+    windows of width w is one C-contiguous (k, w) gather from a strided view
+    of `flat`'s buffer (no window passes its end), which takes numpy
+    `var`'s six steps: the per-row `add.reduce` of `ndarray.var(axis=1)`, a
+    division by w, the subtraction of each row's mean, a square, a second
+    sum and a second division.  So each variance has the bits of
+    `flat[first[i] : first[i] + width[i]].var()`.
     """
     out = np.empty(width.size)
-    ends = np.cumsum(width)
-    for a, b in grid.cuts(ends, max(1, grid._BLOCK_BYTES // 8)):
-        size = width[a:b]
-        shift = np.repeat(first[a:b] - (ends[a:b] - size), size)
-        values = flat[np.arange(ends[a] - size[0], ends[b - 1]) + shift]
-        starts = np.flatnonzero(np.diff(size, prepend=0))
-        runs = list(zip(np.diff(starts, append=size.size).tolist(), size[starts].tolist()))
-        mean = _run_sums(values, runs) / size
-        values -= np.repeat(mean, size)
-        np.square(values, out=values)
-        out[a:b] = _run_sums(values, runs) / size
+    for a, b in grid.cuts(np.cumsum(width), max(1, grid._BLOCK_BYTES // 8)):
+        for lo, hi, w in _width_runs(width, a, b):
+            # row i is flat[i : i + w]; numpy refuses rows past the buffer's end
+            view = np.ndarray((flat.size - w + 1, w), flat.dtype, flat, 0, flat.strides * 2)
+            values = view[first[lo:hi]]
+            mean = np.add.reduce(values, axis=1) / w
+            values -= mean[:, None]
+            np.square(values, out=values)
+            out[lo:hi] = np.add.reduce(values, axis=1) / w
     return out
 
 
-def _run_sums(values: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
-    """Sum of each window of a gathered block; `runs` holds (windows, width) pairs."""
-    sums = np.empty(sum(k for k, _ in runs))
-    i = at = 0
-    for k, w in runs:
-        np.add.reduce(values[at : at + k * w].reshape(k, w), axis=1, out=sums[i : i + k])
-        i, at = i + k, at + k * w
-    return sums
+def _width_runs(width: np.ndarray, a: int, b: int) -> list[tuple[int, int, int]]:
+    """(lo, hi, w): windows lo .. hi - 1 of a .. b - 1 share the width w."""
+    starts = a + np.flatnonzero(np.diff(width[a:b], prepend=0))
+    return list(zip(starts.tolist(), [*starts[1:].tolist(), b], width[starts].tolist()))
 
 
 def _rank_array(values, what: str) -> np.ndarray:
@@ -255,9 +249,8 @@ class Release:
         # distinct windows, ordered by width and then by first position
         key, inverse = np.unique((width * (m * n) + first).ravel(), return_inverse=True)
         width, first = np.divmod(key, m * n)
-        return _window_variances(self.values_by_rank.ravel(), first, width)[inverse].reshape(
-            centers.shape
-        )
+        variances = _window_variances(self.values_by_rank.ravel(), first, width)
+        return variances[inverse].reshape(centers.shape)
 
     def verdicts(
         self, centers, distances, d_target: int, v_target: Sequence[float]

@@ -10,7 +10,8 @@ then once per perturbation of it:
   an argument that is not UTF-8;
 - each input file, `--out`, `--truth` and `--config` pointed at a missing
   file, a directory or a malformed file;
-- each config key given each of those values through a `--config` file.
+- each config key given each of those values through a `--config` file,
+  and each string config key a surrogate that argv decoding never makes.
 Huge means 10**15 or more, so an allocation it sizes fails at once.  The
 tables are seeded and hold at most 20 rows.
 """
@@ -35,6 +36,8 @@ INTS = ("-1", "0", "1.5", str(10**15), str(2**63), str(2**64))
 FLOATS = ("-1", "0", "0.5", "5e-324", "1e308", "nan", "inf", "-inf", str(10**15))
 CONFIG_VALUES = (-1, 0, 1.5, 10**15, 2**64, float("nan"), float("-inf"), "x", True, [], [0.5])
 STRINGS = ("", "x" * 10**5, "a\nb", 'a"b\\c', "a\udcff")
+# a JSON string may also hold a surrogate that no argv bytes decode to
+CONFIG_STRINGS = (*STRINGS, "a\ud800")
 
 BAD_FILES = {
     "empty": b"",
@@ -147,7 +150,7 @@ def perturbations(ws: Path, argv: list):
                     label = f"{flag} {value[:12]!r} ({len(value)} chars) x{count}"
                     yield label, [*argv, flag, *texts(value, count)], None
         if action.dest != "config":  # the flag goes, so the file's value is the one read
-            strings = [texts(v, 3) if action.nargs == "+" else v for v in STRINGS] if text else []
+            strings = [texts(v, 3) if action.nargs == "+" else v for v in CONFIG_STRINGS if text]
             for value in [*CONFIG_VALUES, *strings]:
                 case = [*without(argv, action.option_strings), "--config", ws / "config.json"]
                 yield f"config {action.dest}={value!r:.60}", case, {action.dest: value}

@@ -237,20 +237,42 @@ def test_width_runs_that_straddle_a_block_edge(monkeypatch):
     centers = np.concatenate([middle, middle])
     radii = np.repeat([1, 2], 20)
     blocks = []
-    sums = privacy._run_sums
+    width_runs = privacy._width_runs
 
-    def recording(values, runs):
-        blocks.append(runs)
-        return sums(values, runs)
+    def recording(width, a, b):
+        runs = width_runs(width, a, b)
+        blocks.append([(hi - lo, w) for lo, hi, w in runs])
+        return runs
 
-    monkeypatch.setattr(privacy, "_run_sums", recording)
+    monkeypatch.setattr(privacy, "_width_runs", recording)
     for values in (1, 2, 3, 8, 13, 64, 1000, 35):
         blocks.clear()
         monkeypatch.setattr(grid, "_BLOCK_BYTES", 8 * values)
         _check(release, centers, radii)
-    # (windows, width) runs of each 35-value block, summed once for the means
-    # and once for the squares
-    assert blocks[::2] == [[(11, 3)], [(9, 3), (1, 5)], [(7, 5)], [(7, 5)], [(5, 5)]]
+    # (windows, width) runs of each 35-value block, each gathered once
+    assert blocks == [[(11, 3)], [(9, 3), (1, 5)], [(7, 5)], [(7, 5)], [(5, 5)]]
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("values", [1, 3, None])
+def test_a_run_whose_last_window_ends_at_the_last_value(monkeypatch, m, values):
+    # the strided view of each width holds flat.size - w + 1 rows, so a window
+    # that ends at the last value of the last attribute is its last row
+    if values is not None:
+        monkeypatch.setattr(grid, "_BLOCK_BYTES", 8 * values)
+    rng = np.random.default_rng(40 + m)
+    n = 20
+    release = Release(random_table(rng, n, m))
+    vbr = release.values_by_rank
+    before = vbr.copy()
+    for d in (0, 1, n - 1, n, 5 * n):
+        centers = rng.integers(1, n + 1, size=(6, m))
+        centers[-3:, -1] = n
+        got = release.window_variances(centers, d)
+        want = vbr[-1, max(n - d, 1) - 1 :].var()
+        assert _same_bits(got[-3:, -1], np.full(3, want))
+        assert _same_bits(got, oracle_window_variances(vbr, centers, d))
+        assert _same_bits(release.values_by_rank, before)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
