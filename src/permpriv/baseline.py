@@ -103,8 +103,11 @@ class DistanceDistribution:
             raise InvalidSpecError(f"frequencies sum to {total!r}, expected 1")
         if self.source_tag not in _SOURCE_TAGS:
             raise InvalidSpecError(f"source_tag must be one of {_SOURCE_TAGS}")
+        size = check_integer(self.sample_size, InvalidSpecError, "sample_size")
+        if size < 1:
+            raise InvalidSpecError(f"sample_size must be positive, got {size}")
         object.__setattr__(self, "frequencies", dict(sorted(freq.items())))
-        object.__setattr__(self, "sample_size", int(self.sample_size))
+        object.__setattr__(self, "sample_size", size)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -118,11 +121,10 @@ class DistanceDistribution:
         return float(sum(f for d, f in self.frequencies.items() if d <= distance))
 
 
-def _tabulate(distances: np.ndarray, source_tag: str) -> DistanceDistribution:
-    values, counts = np.unique(distances, return_counts=True)
-    total = distances.size
+def _tabulate(counts: np.ndarray, total: int, source_tag: str) -> DistanceDistribution:
+    """counts[d] records of `total` at distance d, as frequencies of the nonzero bins."""
     return DistanceDistribution(
-        frequencies={d: c / total for d, c in zip(values.tolist(), counts.tolist())},
+        frequencies={d: c / total for d, c in enumerate(counts.tolist()) if c},
         sample_size=total,
         source_tag=source_tag,
     )
@@ -134,7 +136,8 @@ def distance_distribution(records: MicrodataTable, release: Release) -> Distance
     Baseline records are tagged "baseline", any other role "original".
     """
     tag = "baseline" if records.role is Role.BASELINE else "original"
-    return _tabulate(batch_permutation_distances(records, release), tag)
+    distances = batch_permutation_distances(records, release)
+    return _tabulate(np.bincount(distances), distances.size, tag)
 
 
 def _chessboard_transform(ranks: np.ndarray) -> np.ndarray:
@@ -212,11 +215,7 @@ def baseline_distribution(
     for c0 in np.flatnonzero(first):
         slab = np.bincount(dist[c0].ravel(), weights=rest_weight, minlength=counts.size)
         counts += first[c0] * slab
-    return DistanceDistribution(
-        frequencies={d: c / total for d, c in enumerate(counts.tolist()) if c},
-        sample_size=total,
-        source_tag="baseline",
-    )
+    return _tabulate(counts, total, "baseline")
 
 
 def _check_threshold(threshold) -> float:
@@ -316,7 +315,7 @@ def assess_tables(
     z = reverse_map_table(original, anonymized)
     release = Release(z, tie_seed=anonymized.tie_seed)
     dists = batch_permutation_distances(original, release)
-    dist_x = _tabulate(dists, "original")
+    dist_x = _tabulate(np.bincount(dists), dists.size, "original")
     dist_a = baseline_distribution(original, release, spec)
     div = divergence(dist_x, dist_a)
     median_d = float(np.median(dists))

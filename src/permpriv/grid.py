@@ -1,8 +1,8 @@
 """The permutation-distance search, a Chebyshev nearest-neighbour search over ranks.
 
 `Grid` runs both passes of a search, `distances` and then `match_sets`,
-with the cell method of Bentley, Stanat & Williams 1977.  `cuts` cuts every
-budgeted loop of the package into blocks.
+with the cell method of Bentley, Stanat & Williams 1977.  `cuts` cuts the
+search's and the report writer's budgeted loops into blocks.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 # slice) pair, or a candidate row with its m rank deviations from its query's
 # center.  Bounds the search's peak memory whatever n and the number of
 # queries; the grid's runs bound a slice to about n ** (1 - 1 / p) rows.
-# A window-variance block holds 8 bytes for each gathered value.
+# A window-variance gather, from one run of equal widths, holds 8 bytes a value.
 _BLOCK_BYTES = 1 << 19
 
 

@@ -223,14 +223,16 @@ _ITEMS_MIN = 32
 def to_payload(obj) -> dict:
     """Nested dicts of an analysis dataclass, fields in declaration order.
 
-    A field holding a dataclass is converted in turn.  An `Evidence`, and a
-    tuple of at least _ITEMS_MIN plain ints or as many strings (a linkage's
-    targets or classes), become `_Rows` that `write_report` writes in blocks.
-    Every other value goes to the writer as it is, which writes tuples as
-    arrays and integer keys as their decimal strings.
+    A field holding a dataclass is converted in turn.  An `Evidence`, with
+    the dataclass's array fields as its side columns, and a tuple of at least
+    _ITEMS_MIN plain ints or as many strings (a linkage's targets or
+    classes), become `_Rows` that `write_report` writes in blocks.  Every
+    other value goes to the writer as it is, which writes tuples as arrays
+    and integer keys as their decimal strings, and refuses an array.
     """
     values = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    columns = {k: v for k, v in values.items() if isinstance(v, np.ndarray)}
+    evidence = any(isinstance(v, Evidence) for v in values.values())
+    columns = {k: v for k, v in values.items() if evidence and isinstance(v, np.ndarray)}
     payload = {}
     for name, value in values.items():
         if isinstance(value, Evidence):

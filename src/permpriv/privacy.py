@@ -67,32 +67,30 @@ def _closest_ranks(values_by_rank: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def _window_variances(flat: np.ndarray, first: np.ndarray, width: np.ndarray) -> np.ndarray:
     """Population variance of each window flat[first[i] : first[i] + width[i]].
 
-    The windows, ordered by width, are cut into blocks (`grid.cuts`) of at
-    most `grid._BLOCK_BYTES` of values, or one window.  A block's run of k
-    windows of width w is one C-contiguous (k, w) gather from a strided view
-    of `flat`'s buffer (no window passes its end), which takes numpy
+    The windows are ordered by width.  Each run of windows of one width w
+    reads a strided view of `flat`'s buffer (no window passes its end) in
+    chunks of at most `grid._BLOCK_BYTES` of values, or one window.  A chunk
+    of k windows is one C-contiguous (k, w) gather, which takes numpy
     `var`'s six steps: the per-row `add.reduce` of `ndarray.var(axis=1)`, a
     division by w, the subtraction of each row's mean, a square, a second
     sum and a second division.  So each variance has the bits of
     `flat[first[i] : first[i] + width[i]].var()`.
     """
     out = np.empty(width.size)
-    for a, b in grid.cuts(np.cumsum(width), max(1, grid._BLOCK_BYTES // 8)):
-        for lo, hi, w in _width_runs(width, a, b):
-            # row i is flat[i : i + w]; numpy refuses rows past the buffer's end
-            view = np.ndarray((flat.size - w + 1, w), flat.dtype, flat, 0, flat.strides * 2)
-            values = view[first[lo:hi]]
+    starts = np.flatnonzero(np.diff(width, prepend=0))
+    ends = [*starts[1:].tolist(), width.size]
+    for lo, end, w in zip(starts.tolist(), ends, width[starts].tolist()):
+        # row i is flat[i : i + w]; numpy refuses rows past the buffer's end
+        view = np.ndarray((flat.size - w + 1, w), flat.dtype, flat, 0, flat.strides * 2)
+        step = max(1, grid._BLOCK_BYTES // (8 * w))
+        for a in range(lo, end, step):
+            b = min(a + step, end)
+            values = view[first[a:b]]
             mean = np.add.reduce(values, axis=1) / w
             values -= mean[:, None]
             np.square(values, out=values)
-            out[lo:hi] = np.add.reduce(values, axis=1) / w
+            out[a:b] = np.add.reduce(values, axis=1) / w
     return out
-
-
-def _width_runs(width: np.ndarray, a: int, b: int) -> list[tuple[int, int, int]]:
-    """(lo, hi, w): windows lo .. hi - 1 of a .. b - 1 share the width w."""
-    starts = a + np.flatnonzero(np.diff(width[a:b], prepend=0))
-    return list(zip(starts.tolist(), [*starts[1:].tolist(), b], width[starts].tolist()))
 
 
 def _rank_array(values, what: str) -> np.ndarray:

@@ -216,6 +216,11 @@ def test_distribution_validation():
         DistanceDistribution({0: 1.0}, 10, "elsewhere")
     with pytest.raises(InvalidSpecError):
         DistanceDistribution({}, 10, "original")
+    # a sample size is a count of records: never truncated, never below 1
+    with pytest.raises(InvalidSpecError, match="sample_size must be an integer"):
+        DistanceDistribution({0: 0.5, 1: 0.5}, 2.7, "baseline")
+    with pytest.raises(InvalidSpecError, match="sample_size must be positive"):
+        DistanceDistribution({0: 0.5, 1: 0.5}, -3, "baseline")
 
 
 def test_distribution_round_trip(baseline_dist):

@@ -32,6 +32,7 @@ from permpriv.baseline import (
     assess_tables,
     subject_safety_check,
 )
+from permpriv.decompose import decompose
 from permpriv.errors import (
     EmptyInputError,
     EmptyReportError,
@@ -693,6 +694,15 @@ def test_mapping_payloads_need_an_explicit_kind(tmp_path):
         write_report(object(), tmp_path / "nope.json")
     with pytest.raises(TypeError, match="Object of type ndarray is not JSON serializable"):
         write_report({"answer": np.arange(2)}, tmp_path / "nope.json", kind="subject")
+
+
+def test_arrays_without_evidence_are_refused_not_dropped(tmp_path, original, masked):
+    # only an Evidence carries array fields beside it; a decomposition's
+    # noise arrays and its table's values must not vanish from the payload
+    path = tmp_path / "decomposition.json"
+    with pytest.raises(TypeError, match="Object of type ndarray is not JSON serializable"):
+        write_report(decompose(original, Release(masked)), path, kind="decomposition")
+    assert not path.exists()
 
 
 def _fixture_distribution(freqs, size, tag):

@@ -228,29 +228,18 @@ def test_shared_windows_are_reduced_once_with_the_loop_s_bits(monkeypatch):
 
 
 def test_width_runs_that_straddle_a_block_edge(monkeypatch):
-    # 20 windows of width 3 and 20 of width 5: with 35 values per block the
-    # first block ends inside the width-3 run, and the second holds the rest
-    # of it and the start of the width-5 run
+    # 20 windows of width 3, then 20 of width 5, each run gathered in chunks
+    # of budget // w windows, or one window: at 21 values the width-3 run
+    # takes chunks of 7, 7 and 6 windows and the width-5 run five of 4; at 4
+    # values every width-5 window alone exceeds the budget
     rng = np.random.default_rng(29)
     release = Release(random_table(rng, 50, 1))
     middle = np.arange(11, 31)[:, None]
     centers = np.concatenate([middle, middle])
     radii = np.repeat([1, 2], 20)
-    blocks = []
-    width_runs = privacy._width_runs
-
-    def recording(width, a, b):
-        runs = width_runs(width, a, b)
-        blocks.append([(hi - lo, w) for lo, hi, w in runs])
-        return runs
-
-    monkeypatch.setattr(privacy, "_width_runs", recording)
-    for values in (1, 2, 3, 8, 13, 64, 1000, 35):
-        blocks.clear()
+    for values in (1, 2, 3, 8, 13, 64, 1000, 35, 21, 4):
         monkeypatch.setattr(grid, "_BLOCK_BYTES", 8 * values)
         _check(release, centers, radii)
-    # (windows, width) runs of each 35-value block, each gathered once
-    assert blocks == [[(11, 3)], [(9, 3), (1, 5)], [(7, 5)], [(7, 5)], [(5, 5)]]
 
 
 @pytest.mark.parametrize("m", [1, 4])
