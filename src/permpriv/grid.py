@@ -13,8 +13,9 @@ import numpy as np
 
 # Bytes one search block may hold, 8 * m for each entry: a (query, grid
 # slice) pair, or a candidate row with its m rank deviations from its query's
-# center.  Bounds the search's peak memory whatever n and the number of
-# queries; the grid's runs bound a slice to about n ** (1 - 1 / p) rows.
+# center, whatever width `Grid.layout` pads a row to.  Bounds the search's
+# peak memory whatever n and the number of queries; the grid's runs bound a
+# slice to about n ** (1 - 1 / p) rows.
 # A window-variance gather, from one run of equal widths, holds 8 bytes a value.
 _BLOCK_BYTES = 1 << 19
 
@@ -34,6 +35,14 @@ def cuts(ends: np.ndarray, cap: int):
         a, start = b, ends[b - 1]
 
 
+def _padded(matrix: np.ndarray, dtype: np.dtype, width: int) -> np.ndarray:
+    """A (q, m) integer matrix as rows of `Grid.layout`: cast, then zeros after column m."""
+    out = np.empty((matrix.shape[0], width), dtype)
+    out[:, matrix.shape[1] :] = 0
+    out[:, : matrix.shape[1]] = matrix
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """A release's records in CSR order by cell of a uniform grid over ranks.
@@ -41,15 +50,17 @@ class Grid:
     Only the first p = min(m, 4) rank axes are gridded, each cut into k runs
     of about n / k ranks (`shape`).  Cells are numbered with the last gridded
     axis fastest, so each row of cells along that axis is one contiguous
-    slice of grid rows.
+    slice of grid rows.  The rank rows are laid out by `layout`, and the
+    centers a search takes are cast and padded to match once per call.
     """
 
     p: int
     k: int
+    m: int
     fence: np.ndarray  # (k + 1,) first 0-based rank of each run; the two ends moved out
     starts: np.ndarray  # (k**p + 1,) first grid row of each cell, then n
     records: np.ndarray  # (n,) 0-based record held by each grid row
-    ranks: np.ndarray  # (n, m) rank vector held by each grid row
+    ranks: np.ndarray  # (n, width) rank vector held by each grid row, then zeros
 
     @staticmethod
     def shape(n: int, m: int) -> tuple[int, int]:
@@ -63,6 +74,16 @@ class Grid:
         # exact power falls just short (64 ** (1 / 3) < 4)
         k = round(n ** (1 / p))
         return p, k - (k**p > n)
+
+    @staticmethod
+    def layout(n: int, m: int) -> tuple[np.dtype, int]:
+        """(dtype, width) of the rank rows: int32 while every rank fits, else
+        int64, and m columns padded with zeros to the next power of two.
+
+        A row of 4, 8 or 16 bytes takes numpy's fixed-size copy when the
+        search gathers rows; m = 3 and m = 4 both give 16-byte rows.
+        """
+        return np.dtype(np.int32 if n < 2**31 else np.int64), 1 << (m - 1).bit_length()
 
     @classmethod
     def of(cls, ranks: np.ndarray) -> Grid:
@@ -82,20 +103,24 @@ class Grid:
         # any center than any deviation reaches
         fence = -(-np.arange(k + 1) * n // k)
         fence[[0, -1]] = -n, 2 * n
-        return cls(p, k, fence, starts, records, np.take(ranks, records, axis=0))
+        # cast and padded in record order, then gathered once in grid order,
+        # so no int64 copy of the gathered rows is made
+        rows = np.take(_padded(ranks, *cls.layout(n, m)), records, axis=0)
+        return cls(p, k, m, fence, starts, records, rows)
 
     def read(self, query: np.ndarray, first: np.ndarray, size: np.ndarray, centers: np.ndarray):
         """Yield (query, grid rows, deviations) for the rows of many grid slices.
 
         Slice i holds grid rows first[i] .. first[i] + size[i] - 1, read for
-        query[i] with 1-based center centers[query[i]].  The rows go out in
-        chunks of at most _BLOCK_BYTES (or one slice), each row with its query
-        and its largest rank deviation from that center over all m attributes.
+        query[i] with 1-based center centers[query[i]], a row padded as the
+        grid's are.  The rows go out in chunks of at most _BLOCK_BYTES (or
+        one slice), each row with its query and its largest rank deviation
+        from that center over the m attributes, in the rows' dtype.
         """
         keep = size > 0
         query, first, size = query[keep], first[keep], size[keep]
         ends = np.cumsum(size)
-        for a, b in cuts(ends, max(1, _BLOCK_BYTES // (centers.shape[1] * 8))):
+        for a, b in cuts(ends, max(1, _BLOCK_BYTES // (self.m * 8))):
             sz = size[a:b]
             base = ends[a] - sz[0]
             rows = np.arange(base, ends[b - 1]) + np.repeat(first[a:b] - (ends[a:b] - sz), sz)
@@ -105,7 +130,7 @@ class Grid:
             np.abs(gaps, out=gaps)
             # column by column: a max over a short last axis is several times slower
             dev = gaps[:, 0].copy()
-            for gap in gaps.T[1:]:
+            for gap in gaps.T[1 : self.m]:
                 np.maximum(dev, gap, out=dev)
             yield owner, rows, dev
 
@@ -123,7 +148,7 @@ class Grid:
         block of pairs.
         """
         p, k, n, fence = self.p, self.k, self.starts[-1], self.fence
-        cap = max(1, _BLOCK_BYTES // (centers.shape[1] * 8))
+        cap = max(1, _BLOCK_BYTES // (self.m * 8))
         step = max(1, cap // p)
         for start in range(0, radius.size, step):
             c = centers[start : start + step, :p]
@@ -164,10 +189,12 @@ class Grid:
         outside the box on some gridded axis, so a query leaves once
         best <= gap.  Otherwise the next box reaches best - 1, after which it
         leaves, or at least twice as far as the last, so a query reads
-        O(log n) boxes.
+        O(log n) boxes.  The minima are kept in the rows' dtype, so
+        `np.minimum.at` mixes no types, and returned as int64.
         """
         n = self.records.size
-        best = np.full(centers.shape[0], n, dtype=np.int64)
+        centers = _padded(centers, self.ranks.dtype, self.ranks.shape[1])
+        best = np.full(centers.shape[0], n, dtype=self.ranks.dtype)
         active = np.arange(centers.shape[0])
         radius = np.broadcast_to(n // (2 * self.k), active.shape)
         while active.size:
@@ -181,7 +208,7 @@ class Grid:
                 grow.append(np.minimum(near[stay] - 1, 2 * gap[stay]))
             keep = np.concatenate(keep)
             active, centers, radius = active[keep], centers[keep], np.concatenate(grow)
-        return best
+        return best.astype(np.int64)
 
     def match_sets(self, centers: np.ndarray, distances: np.ndarray):
         """Match sets in CSR form: offsets (q + 1,) and ascending 1-based records.
@@ -192,6 +219,7 @@ class Grid:
         sorted by (query, record) as it is read.
         """
         n = self.records.size
+        centers = _padded(centers, self.ranks.dtype, self.ranks.shape[1])
         parts = [np.empty(0, dtype=np.int64)]
         offsets = np.zeros(distances.size + 1, dtype=np.int64)
         for _, slices, _ in self.boxes(centers, distances):

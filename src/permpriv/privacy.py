@@ -54,9 +54,17 @@ def _values_by_rank(column: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 
 def _closest_ranks(values_by_rank: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """1-based rank of the value nearest to each query; ties take the smaller rank."""
+    """1-based rank of the value nearest to each query; ties take the smaller rank.
+
+    The queries are looked up in ascending order, where numpy's binary
+    search starts from the previous key's bounds, and the positions are
+    scattered back.  A position depends only on its key, so the ranks are
+    those of a lookup in query order.
+    """
     n = values_by_rank.size
-    pos = np.searchsorted(values_by_rank, xs, side="left")
+    order = np.argsort(xs)
+    pos = np.empty(xs.size, dtype=np.intp)
+    pos[order] = np.searchsorted(values_by_rank, xs[order], side="left")
     # 0 <= pos <= n; np.clip takes a slow path for integer arrays
     left = np.maximum(pos - 1, 0)
     right = np.minimum(pos, n - 1)
@@ -200,14 +208,32 @@ class Release:
     def _grid(self) -> grid.Grid:
         return grid.Grid.of(self.profile.ranks)
 
-    def distances(self, centers: np.ndarray) -> np.ndarray:
-        """(q,) min-max rank deviation for each row of (q, m) 1-based centers."""
-        return self._grid.distances(centers)
+    def _check_centers(self, centers) -> np.ndarray:
+        """`centers` as a (q, m) int64 matrix of 1-based ranks.
+
+        ShapeMismatchError for another shape, RankOutOfRangeError for floats,
+        integers beyond int64 and ranks outside 1..n.
+        """
+        centers = _rank_array(centers, "center ranks")
+        if centers.ndim != 2 or centers.shape[1] != self.m:
+            raise ShapeMismatchError(f"centers have shape {centers.shape}, expected (*, {self.m})")
+        if centers.size and (centers.min() < 1 or centers.max() > self.n):
+            raise RankOutOfRangeError(f"center ranks outside 1..{self.n}")
+        return centers
+
+    def distances(self, centers) -> np.ndarray:
+        """(q,) min-max rank deviation for each row of (q, m) 1-based centers.
+
+        The centers are checked as `window_variances` checks them.  `search`
+        and `batch_permutation_distances` hand the ranks from `centers`,
+        which need no check, to the grid directly.
+        """
+        return self._grid.distances(self._check_centers(centers))
 
     def search(self, queries) -> Evidence:
         """Full distance evidence for every query record, row i numbered i + 1."""
         centers = self.centers(_query_matrix(queries, self))
-        distances = self.distances(centers)
+        distances = self._grid.distances(centers)
         offsets, matches = self._grid.match_sets(centers, distances)
         values = [v[c - 1] for v, c in zip(self.values_by_rank, centers.T)]
         return Evidence(
@@ -230,14 +256,10 @@ class Release:
         j, and each distinct window is reduced once (`_window_variances`).
         """
         n, m = self.n, self.m
-        centers = _rank_array(centers, "center ranks")
-        if centers.ndim != 2 or centers.shape[1] != m:
-            raise ShapeMismatchError(f"centers have shape {centers.shape}, expected (*, {m})")
+        centers = self._check_centers(centers)
         radius = np.broadcast_to(_rank_array(d, "window radius"), centers.shape[:1])
         if np.any(radius < 0):
             raise RankOutOfRangeError("window radius must be nonnegative")
-        if centers.size and (centers.min() < 1 or centers.max() > n):
-            raise RankOutOfRangeError(f"center ranks outside 1..{n}")
         if not centers.size:
             return np.empty(centers.shape)
         radius = np.minimum(radius, n)[:, None]
@@ -347,7 +369,7 @@ def permutation_distance(
 
 def batch_permutation_distances(queries, release: Release) -> np.ndarray:
     """Distances only, vectorized over many query records."""
-    return release.distances(release.centers(_query_matrix(queries, release)))
+    return release._grid.distances(release.centers(_query_matrix(queries, release)))
 
 
 def window_variance(anonymized_column, ranks, center_rank: int, d: int) -> float:

@@ -11,7 +11,10 @@ then once per perturbation of it:
 - each input file, `--out`, `--truth` and `--config` pointed at a missing
   file, a directory or a malformed file;
 - each config key given each of those values through a `--config` file,
-  and each string config key a surrogate that argv decoding never makes.
+  and each string config key a surrogate that argv decoding never makes;
+- each option with `choices` (`--baseline`, `--baseline-mode`) and the
+  command word itself set to an unknown word, an empty string and a lone
+  surrogate, which argparse refuses with exit 2.
 Huge means 10**15 or more, so an allocation it sizes fails at once.  The
 tables are seeded and hold at most 20 rows.
 """
@@ -38,6 +41,7 @@ CONFIG_VALUES = (-1, 0, 1.5, 10**15, 2**64, float("nan"), float("-inf"), "x", Tr
 STRINGS = ("", "x" * 10**5, "a\nb", 'a"b\\c', "a\udcff")
 # a JSON string may also hold a surrogate that no argv bytes decode to
 CONFIG_STRINGS = (*STRINGS, "a\ud800")
+NOT_A_CHOICE = ("unknown", "", "a\udcff")
 
 BAD_FILES = {
     "empty": b"",
@@ -187,3 +191,28 @@ def test_every_perturbation_exits_0_2_3_or_4_without_a_traceback(
         if code not in CODES or "Traceback" in err:
             escapes.append(f"{label}: {code} {err.strip()[:200]}")
     assert escapes == [], "\n".join(escapes)
+
+
+def choice_options(command: str) -> list[str]:
+    return [a.option_strings[-1] for a in options(command) if a.choices]
+
+
+@pytest.mark.parametrize(
+    "command", [c for c, argv in commands(Path()).items() if choice_options(argv[0])]
+)
+def test_a_value_outside_the_choices_exits_2_without_a_traceback(
+    workspace, tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.chdir(tmp_path)
+    argv = commands(workspace)[command] + ["--out", "out"]
+    for flag in choice_options(argv[0]):
+        for value in NOT_A_CHOICE:
+            code, err = run([*argv, flag, value], capsys)
+            assert code == 2 and "Traceback" not in err, (flag, value, code, err)
+            assert "invalid choice" in err
+
+
+def test_an_unknown_command_exits_2_without_a_traceback(capsys):
+    for word in NOT_A_CHOICE:
+        code, err = run([word], capsys)
+        assert code == 2 and "Traceback" not in err, (word, code, err)

@@ -1,9 +1,23 @@
-"""The block cutter that every budgeted loop shares, against a brute-force cutter."""
+"""The grid's row layout, its block cutter and the closest-rank lookup, against oracles.
+
+The randomized cases draw through `helpers.seeded`, so
+PERMPRIV_TEST_SEED_OFFSET draws fresh ones.
+"""
 
 import numpy as np
 import pytest
 
-from permpriv.grid import cuts
+from helpers import (
+    brute_search,
+    match_sets,
+    oracle_closest_ranks,
+    random_table,
+    random_tied_table,
+    seeded,
+)
+from permpriv import grid
+from permpriv.grid import Grid, cuts
+from permpriv.privacy import Release, _closest_ranks
 
 
 def brute_cuts(sizes: list[int], cap: int) -> list[tuple[int, int]]:
@@ -55,7 +69,137 @@ def test_a_block_fills_exactly_to_the_cap():
 
 @pytest.mark.parametrize("cap", [0, 1, 5, 17, 100])
 def test_random_sizes(cap):
-    rng = np.random.default_rng(cap)
+    rng = seeded(cap)
     for n in range(60):
         check(rng.integers(1, 20, size=n), cap)
         check(rng.integers(0, 4, size=n), cap)  # zero-size items join a block
+
+
+def test_rows_are_int32_while_every_rank_fits():
+    # decided from n alone, so n = 2**31 is tested without a table of that size
+    assert Grid.layout(2**31 - 1, 3) == (np.dtype(np.int32), 4)
+    assert Grid.layout(2**31, 3) == (np.dtype(np.int64), 4)
+    assert Grid.layout(1, 1) == (np.dtype(np.int32), 1)
+
+
+def _queries(rng, table, count):
+    """Table rows, draws near the data, tie levels and far outliers."""
+    m = table.m
+    return np.vstack([
+        table.values[rng.integers(0, table.n, size=count)],
+        rng.normal(table.values.mean(axis=0), table.values.std(axis=0) + 1.0, size=(count, m)),
+        rng.integers(-1, 4, size=(count, m)).astype(float),
+        rng.choice([-1e12, 1e12], size=(count, m)),
+    ])
+
+
+def _check_rows_and_search(table, rng):
+    """The grid's padded rows hold the ranks, and the search agrees with the brute scan."""
+    release = Release(table, tie_seed=int(rng.integers(0, 1000)))
+    cells = release._grid
+    dtype, width = Grid.layout(table.n, table.m)
+    assert cells.ranks.dtype == dtype and cells.ranks.shape == (table.n, width)
+    assert np.array_equal(cells.ranks[:, : table.m], release.profile.ranks[cells.records])
+    assert not cells.ranks[:, table.m :].any()
+    queries = _queries(rng, table, 15)
+    distances, centers, matches = brute_search(table.values, release.profile.ranks, queries)
+    evidence = release.search(queries)
+    assert evidence.distances.dtype == np.int64
+    assert evidence.distances.tolist() == distances.tolist()
+    assert evidence.closest_ranks.tolist() == centers.tolist()
+    assert list(match_sets(evidence)) == matches
+    again = release.distances(centers)
+    assert again.dtype == np.int64 and again.tolist() == distances.tolist()
+
+
+@pytest.mark.parametrize("m,width", zip(range(1, 10), [1, 2, 4, 4, 8, 8, 8, 8, 16]))
+def test_padded_rows_match_the_brute_scan_at_every_width(m, width):
+    rng = seeded(120 + m)
+    assert Grid.layout(300, m)[1] == width
+    for table in (
+        random_tied_table(rng, 300, m, levels=3),
+        random_tied_table(rng, 300, m, levels=1),  # one value per column
+        random_table(rng, 300, m),
+        random_table(rng, 1, m),
+        random_tied_table(rng, 1, m, levels=1),
+    ):
+        _check_rows_and_search(table, rng)
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 5])
+def test_int64_rows_match_the_brute_scan(monkeypatch, m):
+    # the rows of a release of 2**31 or more records, on a small one
+    width = Grid.layout(1, m)[1]
+    monkeypatch.setattr(Grid, "layout", staticmethod(lambda n, m: (np.dtype(np.int64), width)))
+    rng = seeded(130 + m)
+    for table in (random_tied_table(rng, 200, m, levels=4), random_table(rng, 200, m)):
+        _check_rows_and_search(table, rng)
+
+
+def _check_closest(values, xs):
+    got = _closest_ranks(np.asarray(values, dtype=float), np.asarray(xs, dtype=float))
+    assert got.dtype == np.int64
+    assert got.tolist() == oracle_closest_ranks(values, xs)
+
+
+def test_a_query_equidistant_from_two_values_takes_the_smaller_rank():
+    _check_closest([1.0, 3.0], [2.0])
+    assert _closest_ranks(np.array([1.0, 3.0]), np.array([2.0])).tolist() == [1]
+    # between two runs: the last rank of the lower run
+    assert _closest_ranks(np.array([1.0, 1.0, 3.0, 3.0]), np.array([2.0])).tolist() == [2]
+    _check_closest([1.0, 1.0, 3.0, 3.0], [2.0, 1.0, 3.0, 0.0, 4.0])
+
+
+def test_a_tie_of_rounded_distances_takes_the_lower_neighbour():
+    # the float64 distances to both neighbours round to 12.587624472377332,
+    # though the upper one is nearer by 2**-50: the lookup compares the
+    # rounded distances, which the exact oracle does not
+    below, above, x = -22.1449398058493, 3.030309138905362, -9.55731533347197
+    assert abs(x - below) == abs(above - x)
+    assert oracle_closest_ranks([below, above], [x]) == [2]
+    assert _closest_ranks(np.array([below, above]), np.array([x])).tolist() == [1]
+
+
+def test_closest_ranks_on_signed_zeros_and_far_queries():
+    values = [-1.0, -0.0, 0.0, 0.0, 2.0]
+    xs = [0.0, -0.0, 1.0, -0.5, 1e300, -1e300, 1e15, -1e15, 5e-324, -5e-324]
+    _check_closest(values, xs)
+    assert _closest_ranks(np.array(values), np.array([0.0, -0.0])).tolist() == [2, 2]
+    _check_closest([7.0], xs)
+
+
+def test_closest_ranks_match_the_oracle_on_random_columns():
+    for case in range(100):
+        rng = seeded(9000 + case)
+        n = int(rng.integers(1, 40))
+        if case % 2:
+            values = np.sort(rng.normal(0.0, 100.0, n))
+            middle = []
+        else:  # repeated values, zeros of both signs among them
+            values = np.sort(rng.integers(-3, 4, n) * rng.choice([-1.0, 1.0], n))
+            middle = (values[:-1] + values[1:]) / 2  # exactly midway between neighbours
+        xs = np.concatenate([
+            rng.normal(0.0, 100.0, 15),  # unsorted
+            rng.choice(values, 10),  # on the values, repeated
+            middle,
+            [0.0, -0.0, 1e300, -1e300, 1e15, -1e15],
+        ])
+        rng.shuffle(xs)
+        _check_closest(values, xs)
+        # a strided column, as a query matrix's attribute is read
+        matrix = np.column_stack([xs, -xs])
+        assert _closest_ranks(values, matrix[:, 0]).tolist() == oracle_closest_ranks(values, xs)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_block_budgets_count_eight_bytes_a_rank(monkeypatch, m):
+    # a block of pairs holds _BLOCK_BYTES // (8 * m) entries, whatever the row width
+    monkeypatch.setattr(grid, "_BLOCK_BYTES", 5 * 8 * m)
+    rng = seeded(140 + m)
+    release = Release(random_table(rng, 64, m))
+    cells = release._grid
+    centers = release.centers(_queries(rng, release.table, 10))
+    queries, first, size = np.arange(12), np.zeros(12, dtype=np.int64), np.full(12, 1)
+    centers = grid._padded(centers, cells.ranks.dtype, cells.ranks.shape[1])
+    blocks = [owner.size for owner, _, _ in cells.read(queries, first, size, centers)]
+    assert blocks == [5, 5, 2]

@@ -23,6 +23,7 @@ from permpriv.baseline import (
     distance_distribution,
     subject_safety_check,
 )
+from permpriv.errors import RankOutOfRangeError, ShapeMismatchError
 from permpriv.linkage import link_records
 from permpriv.privacy import (
     Release,
@@ -166,12 +167,27 @@ def test_search_reaches_the_first_grid_row_across_a_cell_edge():
 
 
 def _first_block(table):
-    """Queries whose box bounds the grid takes at once (cap // p)."""
+    """Queries whose box bounds the grid takes at once (cap // p), at 8 * m bytes an entry."""
     p, _ = grid.Grid.shape(table.n, table.m)
     return grid._BLOCK_BYTES // (table.m * 8) // p
 
 
-def test_queries_just_over_one_block():
+def _box_blocks(monkeypatch, release, queries):
+    """The (first, stop) queries of each block of `Grid.boxes` in a distance search."""
+    blocks = []
+    boxes = grid.Grid.boxes
+
+    def recording(self, centers, radius):
+        for block, slices, gap in boxes(self, centers, radius):
+            blocks.append((block.start, block.stop))
+            yield block, slices, gap
+
+    monkeypatch.setattr(grid.Grid, "boxes", recording)
+    release.distances(release.centers(queries))
+    return blocks
+
+
+def test_queries_just_over_one_block(monkeypatch):
     rng = np.random.default_rng(13)
     table = random_tied_table(rng, 30, 2, levels=8)
     count = _first_block(table) + 1
@@ -180,6 +196,8 @@ def test_queries_just_over_one_block():
     distances, centers, matches = brute_search(table.values, release.profile.ranks, queries)
     assert release.distances(release.centers(queries)).tolist() == distances.tolist()
     _check_csr(release.search(queries), matches)
+    # the last query's box bounds are taken on their own
+    assert (count - 1, count) in _box_blocks(monkeypatch, release, queries)
 
 
 def test_one_query_per_block(monkeypatch):
@@ -240,15 +258,18 @@ def test_the_grid_never_has_more_cells_than_records():
             assert 1 <= k**p <= n < (k + 1) ** p
 
 
-def test_the_grid_of_a_large_release_holds_what_a_three_axis_grid_held():
-    # 4 779 072 bytes is what the grid over the first three axes held at
-    # n = 100 000, m = 4: fence, cell starts, records and row-ordered ranks
+@pytest.mark.parametrize("m,k,bound", [(3, 46, 3_179_072), (4, 17, 3_068_320)], ids=["m3", "m4"])
+def test_the_grid_of_a_large_release_holds_int32_rows(m, k, bound):
+    # at n = 100 000: fence, cell starts, records and row-ordered ranks, the
+    # ranks as 16-byte int32 rows; with int64 rows of m ranks the grid held
+    # 3 979 072 bytes at m = 3 and 4 779 072 over three axes at m = 4
     rng = np.random.default_rng(110)
-    ranks = np.column_stack([rng.permutation(100_000) + 1 for _ in range(4)])
+    ranks = np.column_stack([rng.permutation(100_000) + 1 for _ in range(m)])
     cells = grid.Grid.of(ranks)
     held = sum(a.nbytes for a in (cells.fence, cells.starts, cells.records, cells.ranks))
-    assert (cells.p, cells.k) == (4, 17)
-    assert held <= 4_779_072
+    assert (cells.p, cells.k) == (min(m, 4), k)
+    assert cells.ranks.dtype == np.int32 and cells.ranks.shape == (100_000, 4)
+    assert held <= bound
 
 
 @pytest.mark.parametrize("levels", [1, 2, 4])
@@ -325,7 +346,11 @@ def test_blocks_that_split_a_step_of_box_bounds(monkeypatch, pairs):
     monkeypatch.setattr(grid, "_BLOCK_BYTES", pairs * 3 * 8)
     rng = np.random.default_rng(90 + pairs)
     table = _clustered_table(rng, 400)
-    _check_against_brute(table, _far_queries(rng, table, 20))
+    queries = _far_queries(rng, table, 20)
+    release = _check_against_brute(table, queries)
+    step = pairs // 3
+    assert _first_block(table) == step
+    assert any(first % step for first, _ in _box_blocks(monkeypatch, release, queries))
 
 
 def test_entry_points_take_a_release(original, masked, permuted):
@@ -440,3 +465,25 @@ def test_full_size_search_memory_is_bounded_in_bytes():
     )
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) < 8.0
+
+
+def test_distances_checks_its_centers_as_window_variances_does():
+    # unchecked, a center of 0 or n + 1 read as a rank past the grid, a huge
+    # or fractional one failed inside numpy, and one of 2**31 or more would
+    # wrap in the int32 rows
+    release = Release(random_table(np.random.default_rng(15), 50, 3))
+    good = [[1, 25, 50], [50, 1, 2]]
+    assert release.distances(good).tolist() == release.distances(np.array(good)).tolist()
+    out_of_range = (0, 51, -1, 2**31, 2**32 + 1, 2**40, 2**63 - 1)
+    for value in out_of_range:
+        for call in (release.distances, lambda c: release.window_variances(c, 1)):
+            with pytest.raises(RankOutOfRangeError, match="outside 1..50"):
+                call([[1, 2, 3], [1, value, 3]])
+    for bad in ([[1.5, 2, 3]], np.array([[2**63, 1, 1]], dtype=np.uint64), [[2**64, 1, 1]]):
+        with pytest.raises(RankOutOfRangeError, match="center ranks"):
+            release.distances(bad)
+    for shape in ([[1, 2]], [1, 2, 3], [[[1, 2, 3]]], np.ones((2, 4), dtype=np.int64)):
+        with pytest.raises(ShapeMismatchError):
+            release.distances(shape)
+    empty = release.distances(np.zeros((0, 3), dtype=np.int64))
+    assert empty.shape == (0,) and empty.dtype == np.int64
