@@ -117,7 +117,13 @@ class DistanceDistribution:
         return self.frequencies.get(int(distance), 0.0)
 
     def cumulative(self, distance: float) -> float:
-        """P(D <= distance); accepts non-integer thresholds."""
+        """P(D <= distance); accepts non-integer thresholds.
+
+        Exactly 1.0 from the largest distance in the support on, where a sum
+        of the rounded frequencies can land an ulp off.
+        """
+        if distance >= self.support[-1]:
+            return 1.0
         return float(sum(f for d, f in self.frequencies.items() if d <= distance))
 
 

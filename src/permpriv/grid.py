@@ -50,8 +50,9 @@ class Grid:
     Only the first p = min(m, 4) rank axes are gridded, each cut into k runs
     of about n / k ranks (`shape`).  Cells are numbered with the last gridded
     axis fastest, so each row of cells along that axis is one contiguous
-    slice of grid rows.  The rank rows are laid out by `layout`, and the
-    centers a search takes are cast and padded to match once per call.
+    slice of grid rows.  The rank rows are laid out by `layout`; every
+    method that takes centers takes them as `pad` returns them, so a search
+    pads its centers once for both passes.
     """
 
     p: int
@@ -108,14 +109,18 @@ class Grid:
         rows = np.take(_padded(ranks, *cls.layout(n, m)), records, axis=0)
         return cls(p, k, m, fence, starts, records, rows)
 
+    def pad(self, centers: np.ndarray) -> np.ndarray:
+        """(q, m) 1-based centers as (q, width) rows laid out as the grid's."""
+        return _padded(centers, self.ranks.dtype, self.ranks.shape[1])
+
     def read(self, query: np.ndarray, first: np.ndarray, size: np.ndarray, centers: np.ndarray):
         """Yield (query, grid rows, deviations) for the rows of many grid slices.
 
         Slice i holds grid rows first[i] .. first[i] + size[i] - 1, read for
-        query[i] with 1-based center centers[query[i]], a row padded as the
-        grid's are.  The rows go out in chunks of at most _BLOCK_BYTES (or
-        one slice), each row with its query and its largest rank deviation
-        from that center over the m attributes, in the rows' dtype.
+        query[i] with center centers[query[i]].  The rows go out in chunks
+        of at most _BLOCK_BYTES (or one slice), each row with its query and
+        its largest rank deviation from that center over the m attributes, in
+        the rows' dtype.
         """
         keep = size > 0
         query, first, size = query[keep], first[keep], size[keep]
@@ -179,7 +184,7 @@ class Grid:
                 yield slice(start + a, start + b), (query, first, size), gap[a:b]
 
     def distances(self, centers: np.ndarray) -> np.ndarray:
-        """(q,) min-max rank deviation for each row of (q, m) 1-based centers.
+        """(q,) min-max rank deviation for each center row from `pad`.
 
         Reads whole boxes of cells around each query's center (`boxes`):
         first the cells within half a run of it, then every cell within
@@ -193,7 +198,6 @@ class Grid:
         `np.minimum.at` mixes no types, and returned as int64.
         """
         n = self.records.size
-        centers = _padded(centers, self.ranks.dtype, self.ranks.shape[1])
         best = np.full(centers.shape[0], n, dtype=self.ranks.dtype)
         active = np.arange(centers.shape[0])
         radius = np.broadcast_to(n // (2 * self.k), active.shape)
@@ -219,7 +223,6 @@ class Grid:
         sorted by (query, record) as it is read.
         """
         n = self.records.size
-        centers = _padded(centers, self.ranks.dtype, self.ranks.shape[1])
         parts = [np.empty(0, dtype=np.int64)]
         offsets = np.zeros(distances.size + 1, dtype=np.int64)
         for _, slices, _ in self.boxes(centers, distances):

@@ -228,13 +228,14 @@ class Release:
         and `batch_permutation_distances` hand the ranks from `centers`,
         which need no check, to the grid directly.
         """
-        return self._grid.distances(self._check_centers(centers))
+        return self._grid.distances(self._grid.pad(self._check_centers(centers)))
 
     def search(self, queries) -> Evidence:
         """Full distance evidence for every query record, row i numbered i + 1."""
         centers = self.centers(_query_matrix(queries, self))
-        distances = self._grid.distances(centers)
-        offsets, matches = self._grid.match_sets(centers, distances)
+        rows = self._grid.pad(centers)
+        distances = self._grid.distances(rows)
+        offsets, matches = self._grid.match_sets(rows, distances)
         values = [v[c - 1] for v, c in zip(self.values_by_rank, centers.T)]
         return Evidence(
             closest_values=np.column_stack(values),
@@ -369,7 +370,8 @@ def permutation_distance(
 
 def batch_permutation_distances(queries, release: Release) -> np.ndarray:
     """Distances only, vectorized over many query records."""
-    return release._grid.distances(release.centers(_query_matrix(queries, release)))
+    centers = release.centers(_query_matrix(queries, release))
+    return release._grid.distances(release._grid.pad(centers))
 
 
 def window_variance(anonymized_column, ranks, center_rank: int, d: int) -> float:

@@ -175,6 +175,16 @@ def test_plausibility_is_monotone_and_reaches_one(baseline_dist):
     assert plausibility(19, baseline_dist) == pytest.approx(1.0)
 
 
+def test_plausibility_is_exactly_one_where_the_frequencies_sum_short():
+    # 1/6 + 4/6 + 1/6 sums to 0.9999999999999999 in floats
+    dist = DistanceDistribution({0: 1 / 6, 1: 4 / 6, 2: 1 / 6}, 6, "baseline")
+    assert sum(dist.frequencies.values()) < 1.0
+    assert [dist.cumulative(d) for d in (2, 2.5, 7)] == [1.0, 1.0, 1.0]
+    # below the top, the running sum of the frequencies as before
+    assert dist.cumulative(1) == 1 / 6 + 4 / 6
+    assert dist.cumulative(-0.5) == 0.0
+
+
 def test_small_noise_reference_plausibility():
     dist = DistanceDistribution(fixtures.SMALL_NOISE_FREQ_BASELINE, 8000, "baseline")
     assert dist.cumulative(5) == pytest.approx(0.0011, abs=0.00005)

@@ -200,6 +200,6 @@ def test_block_budgets_count_eight_bytes_a_rank(monkeypatch, m):
     cells = release._grid
     centers = release.centers(_queries(rng, release.table, 10))
     queries, first, size = np.arange(12), np.zeros(12, dtype=np.int64), np.full(12, 1)
-    centers = grid._padded(centers, cells.ranks.dtype, cells.ranks.shape[1])
+    centers = cells.pad(centers)
     blocks = [owner.size for owner, _, _ in cells.read(queries, first, size, centers)]
     assert blocks == [5, 5, 2]
