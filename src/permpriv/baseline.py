@@ -213,7 +213,7 @@ def baseline_distribution(
             f"exhaustive baseline needs {total} records, cap is "
             f"{spec.exhaustive_cap}; use sampled mode"
         )
-    centers = release.centers(source.values) - 1
+    centers = release.centers(source) - 1
     first, *rest = [np.bincount(c, minlength=n) for c in centers.T]
     dist = _chessboard_transform(release.profile.ranks - 1)
     rest_weight = reduce(np.multiply.outer, rest, np.ones(())).ravel()

@@ -59,7 +59,13 @@ from .masking import (
     gaussian_mask,
     synth_original,
 )
-from .privacy import Release, certify_dataset, check_targets, permutation_distance
+from .privacy import (
+    RecordVerification,
+    Release,
+    certify_dataset,
+    check_targets,
+    permutation_distance,
+)
 from .reverse_map import reverse_map_table
 from .table import DEFAULT_TIE_SEED, MicrodataTable, Role
 
@@ -198,12 +204,14 @@ def cmd_subject(args) -> int:
 
     if targets is not None:
         d_t, v_t = targets
-        outcome = release.verify(evidence, d_t, v_t)
+        # judged as `certify --d/--v` judges every record
+        passed, at_d = release.verdicts([evidence.closest_ranks], [evidence.distance], d_t, v_t)
+        outcome = RecordVerification(bool(passed[0]), evidence, tuple(at_d[0].tolist()), d_t, v_t)
         payload["verification"] = to_payload(outcome)
         verdict = "met" if outcome.passed else "NOT met"
         lines.append(
             f"targets (d={d_t}, v={_fmt_vector(v_t)}) {verdict}: distance "
-            f"{outcome.result.distance}, variances {_fmt_vector(outcome.window_variances)}"
+            f"{evidence.distance}, variances {_fmt_vector(outcome.window_variances)}"
         )
         failed = failed or not outcome.passed
 

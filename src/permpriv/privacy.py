@@ -130,22 +130,6 @@ def check_targets(d_target, v_target, m: int) -> tuple[int, tuple[float, ...]]:
     return d, v
 
 
-def _query_matrix(queries, release: Release) -> np.ndarray:
-    """(q, m) query records; a table must name the release's attributes in order."""
-    if isinstance(queries, MicrodataTable):
-        check_same_attributes(queries, release.table)
-        return queries.values
-    m = release.m
-    q = np.asarray(queries, dtype=float)
-    if q.ndim == 1:
-        q = q.reshape(1, -1)
-    if q.ndim != 2 or q.shape[1] != m:
-        raise ShapeMismatchError(f"queries have shape {q.shape}, expected (*, {m})")
-    if not np.all(np.isfinite(q)):
-        raise InvalidValueError("query records contain NaN or infinite values")
-    return q
-
-
 class Release:
     """One released table, ranked once and indexed for permutation distances.
 
@@ -198,11 +182,24 @@ class Release:
     def tie_seed(self) -> int:
         return self.profile.tie_seed
 
-    def centers(self, queries: np.ndarray) -> np.ndarray:
-        """(q, m) nearest-value ranks for a block of query records."""
-        return np.column_stack(
-            [_closest_ranks(self.values_by_rank[j], queries[:, j]) for j in range(self.m)]
-        )
+    def centers(self, queries) -> np.ndarray:
+        """(q, m) nearest-value ranks for query records, checked here for every search.
+
+        `queries` is a table naming the release's attributes in order (else
+        ShapeMismatchError), or a (q, m) or (m,) array: ShapeMismatchError
+        for another width, InvalidValueError for NaN or infinite values.
+        """
+        if isinstance(queries, MicrodataTable):
+            check_same_attributes(queries, self.table)
+            x = queries.values
+        else:
+            x = np.asarray(queries, dtype=float)
+            x = x.reshape(1, -1) if x.ndim == 1 else x
+            if x.ndim != 2 or x.shape[1] != self.m:
+                raise ShapeMismatchError(f"queries have shape {x.shape}, expected (*, {self.m})")
+            if not np.all(np.isfinite(x)):
+                raise InvalidValueError("query records contain NaN or infinite values")
+        return np.column_stack([_closest_ranks(v, c) for v, c in zip(self.values_by_rank, x.T)])
 
     @cached_property
     def _grid(self) -> grid.Grid:
@@ -224,15 +221,14 @@ class Release:
     def distances(self, centers) -> np.ndarray:
         """(q,) min-max rank deviation for each row of (q, m) 1-based centers.
 
-        The centers are checked as `window_variances` checks them.  `search`
-        and `batch_permutation_distances` hand the ranks from `centers`,
-        which need no check, to the grid directly.
+        The centers are checked as `window_variances` checks them; `search`
+        hands its own centers to the grid unchecked.
         """
         return self._grid.distances(self._grid.pad(self._check_centers(centers)))
 
     def search(self, queries) -> Evidence:
         """Full distance evidence for every query record, row i numbered i + 1."""
-        centers = self.centers(_query_matrix(queries, self))
+        centers = self.centers(queries)
         rows = self._grid.pad(centers)
         distances = self._grid.distances(rows)
         offsets, matches = self._grid.match_sets(rows, distances)
@@ -258,7 +254,10 @@ class Release:
         """
         n, m = self.n, self.m
         centers = self._check_centers(centers)
-        radius = np.broadcast_to(_rank_array(d, "window radius"), centers.shape[:1])
+        radius = _rank_array(d, "window radius")
+        if radius.ndim > 1 or radius.size not in (1, len(centers)):
+            raise ShapeMismatchError(f"radius of shape {radius.shape} for {len(centers)} centers")
+        radius = np.broadcast_to(radius, centers.shape[:1])
         if np.any(radius < 0):
             raise RankOutOfRangeError("window radius must be nonnegative")
         if not centers.size:
@@ -276,31 +275,21 @@ class Release:
     def verdicts(
         self, centers, distances, d_target: int, v_target: Sequence[float]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Pass mask and (q, m) window variances of many records at the targets.
+        """Pass mask and (q, m) window variances of q records at the targets.
 
-        A record passes when its distance is at least d_target and every
-        window variance at radius d_target is strictly above v_target[j].
+        A record passes when its integer distance is at least d_target and
+        every window variance at radius d_target is strictly above
+        v_target[j].  This is the one place that rule is applied.
         """
         d_target, v_target = check_targets(d_target, v_target, self.m)
         variances = self.window_variances(centers, d_target)
-        passed = (np.asarray(distances) >= d_target) & np.all(
-            variances > np.asarray(v_target), axis=1
-        )
+        distances = _rank_array(distances, "distances")
+        if distances.shape != variances.shape[:1]:
+            raise ShapeMismatchError(
+                f"distances of shape {distances.shape} for {len(variances)} records"
+            )
+        passed = (distances >= d_target) & np.all(variances > np.asarray(v_target), axis=1)
         return passed, variances
-
-    def verify(
-        self, result: RecordDistanceResult, d_target: int, v_target: Sequence[float]
-    ) -> RecordVerification:
-        """Check a record's evidence against (d_target, v_target), as `verdicts` does."""
-        d_target, v_target = check_targets(d_target, v_target, self.m)
-        variances = self.window_variances([result.closest_ranks], d_target)[0]
-        return RecordVerification(
-            passed=bool(result.distance >= d_target and np.all(variances > v_target)),
-            result=result,
-            window_variances=tuple(variances.tolist()),
-            d_target=d_target,
-            v_target=v_target,
-        )
 
 
 @dataclass(frozen=True)
@@ -362,16 +351,15 @@ def permutation_distance(
     x, release: Release, *, record_index: int | None = None
 ) -> RecordDistanceResult:
     """Distance evidence for a single record against a release."""
-    q = _query_matrix(x, release)
-    if q.shape[0] != 1:
-        raise ShapeMismatchError("expected a single record; use batch_permutation_distances")
-    return replace(release.search(q)[0], record_index=record_index)
+    evidence = release.search(x)
+    if len(evidence) != 1:
+        raise ShapeMismatchError(f"expected one record, got {len(evidence)}; use Release.search")
+    return replace(evidence[0], record_index=record_index)
 
 
 def batch_permutation_distances(queries, release: Release) -> np.ndarray:
     """Distances only, vectorized over many query records."""
-    centers = release.centers(_query_matrix(queries, release))
-    return release._grid.distances(release._grid.pad(centers))
+    return release.distances(release.centers(queries))
 
 
 def window_variance(anonymized_column, ranks, center_rank: int, d: int) -> float:
@@ -415,9 +403,12 @@ def verify_record(x, release: Release, d_target: int, v_target) -> RecordVerific
     at (d_target, v_target) implies the distance clause passes at any smaller
     d', but the variance clause must be re-evaluated there.  `x` is one
     record; several records raise ShapeMismatchError, as in
-    `permutation_distance`.
+    `permutation_distance`.  `Release.verdicts` judges it.
     """
-    return release.verify(permutation_distance(x, release), d_target, v_target)
+    result = permutation_distance(x, release)
+    d, v = check_targets(d_target, v_target, release.m)
+    passed, variances = release.verdicts([result.closest_ranks], [result.distance], d, v)
+    return RecordVerification(bool(passed[0]), result, tuple(variances[0].tolist()), d, v)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import load_report, random_table
+from helpers import load_report, random_table, random_tied_table
 from permpriv import fixtures
 from permpriv.cli import build_parser, main
 from permpriv.io_report import load_csv, write_csv
@@ -216,6 +216,42 @@ def test_subject_verification_verdict(workspace, capsys, original):
         "--d", "5", "--v", "24", "890", "20000", "--out", workspace,
     )
     assert bad == 4
+
+
+@pytest.mark.parametrize("case", ["running example", "ties"])
+def test_subject_and_certify_agree_on_every_record(tmp_path, capsys, original, masked, case):
+    # each subject's check of their own record and the protector's check of
+    # the whole data set apply one rule to the same evidence
+    if case == "ties":
+        rng = np.random.default_rng(41)
+        original = random_tied_table(rng, 10, 3, levels=3)
+        masked = random_tied_table(rng, 10, 3, role=Role.ANONYMIZED, levels=3)
+    write_csv(original, tmp_path / "original.csv")
+    write_csv(masked, tmp_path / "masked.csv")
+    release = Release(masked)
+    evidence = release.search(original)
+    # targets that some records meet, and that others miss on each clause
+    d = 2
+    v = np.percentile(release.window_variances(evidence.closest_ranks, d), 10, axis=0)
+    targets = ["--d", d, "--v", *map(repr, v.tolist())]
+    passed, at_d = release.verdicts(evidence.closest_ranks, evidence.distances, d, v)
+    assert 0 < np.count_nonzero(evidence.distances < d) < np.count_nonzero(~passed) <= 10
+
+    code, out, _ = run(capsys, "certify", tmp_path / "original.csv", tmp_path / "masked.csv",
+                       *targets, "--out", tmp_path)
+    assert code == 4
+    listed = out.split("NOT met: records ")[1].split()
+    failed = {int(i.rstrip(",")) for i in listed}
+    assert failed == set((np.flatnonzero(~passed) + 1).tolist())
+    for i in range(original.n):
+        write_csv(MicrodataTable(original.values[i : i + 1], original.attribute_names),
+                  tmp_path / "rec.csv")
+        code, _, _ = run(capsys, "subject", tmp_path / "rec.csv", tmp_path / "masked.csv",
+                         *targets, "--out", tmp_path / "subject")
+        assert code == (4 if i + 1 in failed else 0)
+        verification = load_report(tmp_path / "subject" / "subject.json")["payload"]["verification"]
+        assert verification["passed"] == (i + 1 not in failed)
+        assert verification["window_variances"] == at_d[i].tolist()
 
 
 def test_subject_safety_verdicts(workspace, capsys):

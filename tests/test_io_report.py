@@ -55,6 +55,7 @@ from permpriv.privacy import (
     Release,
     certify_dataset,
     permutation_distance,
+    verify_record,
 )
 from permpriv.reverse_map import reverse_map_table
 from permpriv.table import MicrodataTable, Role
@@ -510,7 +511,7 @@ def _analyses(rng):
     release = Release(y)
     evidence = permutation_distance(x.values[7], release)
     safety = subject_safety_check(evidence, release, BaselineSpec(mode="sampled", sample_size=300))
-    verification = release.verify(evidence, 1, (0.5, 0.5, 0.5))
+    verification = verify_record(x.values[7], release, 1, (0.5, 0.5, 0.5))
     subject = {
         "evidence": evidence, "variances_at_distance": [1.25, 0.0, 3e-300],
         "verification": verification, "safety": safety,

@@ -265,30 +265,33 @@ def test_verify_rejects_wrong_target_length(masked):
     with pytest.raises(ShapeMismatchError, match="2 variance targets for 3 attributes"):
         verify_record(record, release, 1, (0.0, 0.0))
     with pytest.raises(ShapeMismatchError, match="1 variance targets for 3 attributes"):
-        release.verify(evidence, 1, [0.0])
+        release.verdicts([evidence.closest_ranks], [evidence.distance], 1, [0.0])
     with pytest.raises(ShapeMismatchError, match="2 variance targets for 3 attributes"):
         release.verdicts([evidence.closest_ranks], [evidence.distance], 1, [0.0, 0.0])
 
 
-def test_verify_checks_its_targets_once(masked, monkeypatch):
-    # and judges a record as `verdicts` judges the same evidence
-    checks = []
-    check = privacy.check_targets
+def test_verify_record_is_judged_by_verdicts(masked, monkeypatch):
+    # one record's verdict comes from the rule that judges every record
+    calls = []
+    verdicts = Release.verdicts
 
-    def counting(*args):
-        checks.append(args)
-        return check(*args)
+    def counting(self, *args):
+        calls.append(args)
+        return verdicts(self, *args)
 
-    monkeypatch.setattr(privacy, "check_targets", counting)
+    monkeypatch.setattr(Release, "verdicts", counting)
     release = Release(masked)
-    evidence = permutation_distance(fixtures.RECORD3["record"], release)
-    for d, v in [(4, (24.0, 890.0, 20000.0)), (4, (25.0, 0.0, 0.0)), (5, (0.0, 0.0, 0.0))]:
-        checks.clear()
-        outcome = release.verify(evidence, d, v)
-        assert len(checks) == 1
-        passed, variances = release.verdicts([evidence.closest_ranks], [evidence.distance], d, v)
+    record = fixtures.RECORD3["record"]
+    evidence = permutation_distance(record, release)
+    for d, v in [(4, (24.0, 890.0, 20000.0)), (np.int64(4), (25, 0, 0)), (5, (0.0, 0.0, 0.0))]:
+        calls.clear()
+        outcome = verify_record(record, release, d, v)
+        assert len(calls) == 1
+        passed, variances = verdicts(release, [evidence.closest_ranks], [evidence.distance], d, v)
         assert outcome.passed == passed[0]
         assert outcome.window_variances == tuple(variances[0].tolist())
+        assert outcome.result == evidence
+        assert (outcome.d_target, outcome.v_target) == privacy.check_targets(d, v, 3)
 
 
 def test_verification_round_trip(masked):

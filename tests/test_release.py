@@ -23,7 +23,7 @@ from permpriv.baseline import (
     distance_distribution,
     subject_safety_check,
 )
-from permpriv.errors import RankOutOfRangeError, ShapeMismatchError
+from permpriv.errors import InvalidValueError, RankOutOfRangeError, ShapeMismatchError
 from permpriv.linkage import link_records
 from permpriv.privacy import (
     Release,
@@ -487,3 +487,22 @@ def test_distances_checks_its_centers_as_window_variances_does():
             release.distances(shape)
     empty = release.distances(np.zeros((0, 3), dtype=np.int64))
     assert empty.shape == (0,) and empty.dtype == np.int64
+
+
+@pytest.mark.parametrize("method", ["centers", "search"])
+def test_centers_checks_its_queries_as_search_does(method):
+    # a NaN or infinite query would otherwise take rank n, and a wider query
+    # would lose its extra columns
+    table = random_table(np.random.default_rng(16), 40, 3)
+    query = getattr(Release(table), method)
+    for bad in ([[1.0, np.nan, 2.0]], [[np.inf, 1.0, 2.0]], [0.0, 0.0, -np.inf]):
+        with pytest.raises(InvalidValueError, match="NaN or infinite"):
+            query(bad)
+    for bad in (np.ones((1, 5)), np.ones((2, 2)), [1.0, 2.0], np.ones(4), np.ones((1, 1, 3))):
+        with pytest.raises(ShapeMismatchError, match="queries have shape"):
+            query(bad)
+    other = MicrodataTable(table.values, ("b1", "b2", "b3"))
+    with pytest.raises(ShapeMismatchError, match="attribute names or order differ"):
+        query(other)
+    # a table of the release's attributes, a (q, m) and an (m,) array
+    assert [len(query(x)) for x in (table, table.values[:5], table.values[0])] == [40, 5, 1]

@@ -134,6 +134,20 @@ def test_verdicts_apply_both_clauses():
     assert _same_bits(variances, want_variances)
 
 
+def test_verdicts_take_one_integer_distance_per_record():
+    # a lone distance would otherwise judge every record, and 5.5 would be
+    # compared as it stands
+    release = Release(random_table(np.random.default_rng(34), 10, 2))
+    centers = [[1, 1], [5, 5]]
+    assert release.verdicts(centers, [3, 0], 1, [-1.0, -1.0])[0].tolist() == [True, False]
+    for distances in ([3], [3, 0, 1], [], [[3, 0]], 3):
+        with pytest.raises(ShapeMismatchError, match="distances of shape"):
+            release.verdicts(centers, distances, 1, [-1.0, -1.0])
+    for distances in ([5.5, 3.0], [3, 2**64], np.array([1, 2**63], dtype=np.uint64)):
+        with pytest.raises(RankOutOfRangeError, match="distances must be integers"):
+            release.verdicts(centers, distances, 1, [-1.0, -1.0])
+
+
 def test_kernel_rejects_bad_radii_centers_and_shapes():
     release = Release(random_table(np.random.default_rng(25), 10, 2))
     with pytest.raises(RankOutOfRangeError):
@@ -148,6 +162,14 @@ def test_kernel_rejects_bad_radii_centers_and_shapes():
         release.window_variances([[1, 1, 1]], 1)
     with pytest.raises(ShapeMismatchError):
         release.window_variances([1, 1], 1)
+    # one radius, or one per row
+    centers = [[1, 1], [5, 5], [9, 9]]
+    for radius in ([1, 2], [1, 2, 3, 4], [[1, 2, 3]], np.zeros(0, dtype=np.int64)):
+        with pytest.raises(ShapeMismatchError, match="radius of shape"):
+            release.window_variances(centers, radius)
+    one = release.window_variances(centers, 2)
+    assert _same_bits(release.window_variances(centers, [2]), one)
+    assert _same_bits(release.window_variances(centers, [2, 2, 2]), one)
 
 
 def test_precision_near_1e15():
