@@ -14,6 +14,7 @@ from .baseline import (
     BaselineSpec,
     DistanceDistribution,
     DivergenceSummary,
+    SubjectReport,
     SubjectSafety,
     assess_tables,
     baseline_distribution,
@@ -42,7 +43,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .io_report import emit_histogram, load_csv, write_csv, write_report
-from .linkage import LinkageResult, LinkageScore, link_records, score_linkage
+from .linkage import LinkageResult, LinkageScore, ScoredLinkage, link_records, score_linkage
 from .masking import (
     NoiseSpec,
     SynthSpec,
@@ -103,7 +104,9 @@ __all__ = [
     "Release",
     "ResidualDecomposition",
     "Role",
+    "ScoredLinkage",
     "ShapeMismatchError",
+    "SubjectReport",
     "SubjectSafety",
     "SynthSpec",
     "assess_tables",

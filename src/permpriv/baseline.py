@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapExceededError, InvalidSpecError
-from .privacy import Release, RecordDistanceResult, batch_permutation_distances
+from .privacy import RecordDistanceResult, RecordVerification, Release, batch_permutation_distances
 from .reverse_map import reverse_map_table
 from .table import (
     MicrodataTable,
@@ -262,8 +262,6 @@ class SubjectSafety:
     safe: bool
     threshold: float
 
-    report_kind = "subject_safety"
-
 
 def subject_safety_check(
     evidence: RecordDistanceResult, release: Release, spec: BaselineSpec, *,
@@ -282,6 +280,20 @@ def subject_safety_check(
     d = evidence.distance
     p = plausibility(d, base)
     return SubjectSafety(distance=d, plausibility=p, safe=bool(p >= threshold), threshold=threshold)
+
+
+@dataclass(frozen=True)
+class SubjectReport:
+    """What `subject.json` holds: a subject's own evidence, the window variances
+    at its distance, and the `verification` (--d/--v) and `safety`
+    (--baseline) checks, each None when not asked for."""
+
+    evidence: RecordDistanceResult
+    variances_at_distance: tuple[float, ...]
+    verification: RecordVerification | None
+    safety: SubjectSafety | None
+
+    report_kind = "subject"
 
 
 @dataclass(frozen=True)

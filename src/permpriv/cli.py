@@ -27,6 +27,7 @@ from .baseline import (
     DEFAULT_EXHAUSTIVE_CAP,
     DEFAULT_SAMPLE_SIZE,
     BaselineSpec,
+    SubjectReport,
     assess_tables,
     subject_safety_check,
 )
@@ -42,15 +43,8 @@ from .errors import (
     RaggedRowError,
     ShapeMismatchError,
 )
-from .io_report import (
-    emit_histogram,
-    load_csv,
-    read_utf8,
-    to_payload,
-    write_csv,
-    write_report,
-)
-from .linkage import link_records, score_linkage
+from .io_report import emit_histogram, load_csv, read_utf8, write_csv, write_report
+from .linkage import ScoredLinkage, link_records, score_linkage
 from .masking import (
     DEFAULT_MASK_SEED,
     DEFAULT_SYNTH_SEED,
@@ -88,11 +82,10 @@ def _shown(path) -> str:
     return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
-def _write_report(obj, path, args, seeds: dict, kind: str | None = None) -> None:
+def _write_report(obj, path, args, seeds: dict) -> None:
     """Write a report under the command's --disclosure and --withhold-seeds."""
     write_report(
-        obj, path, kind=kind, seeds=seeds,
-        disclosure=args.disclosure, withhold_seeds=args.withhold_seeds,
+        obj, path, seeds=seeds, disclosure=args.disclosure, withhold_seeds=args.withhold_seeds
     )
 
 
@@ -193,44 +186,34 @@ def cmd_subject(args) -> int:
         f"distance {evidence.distance}; matched records {evidence.matched_indices}; "
         f"window variances {_fmt_vector(variances)}"
     ]
-    payload: dict = {
-        "evidence": to_payload(evidence),
-        "variances_at_distance": variances,
-        "verification": None,
-        "safety": None,
-    }
+    outcome = safety = None
     seeds: dict[str, int] = {"tie_seed": args.tie_seed}
-    failed = False
 
     if targets is not None:
         d_t, v_t = targets
         # judged as `certify --d/--v` judges every record
-        passed, at_d = release.verdicts([evidence.closest_ranks], [evidence.distance], d_t, v_t)
-        outcome = RecordVerification(bool(passed[0]), evidence, tuple(at_d[0].tolist()), d_t, v_t)
-        payload["verification"] = to_payload(outcome)
+        outcome = RecordVerification.of(release, evidence, d_t, v_t)
         verdict = "met" if outcome.passed else "NOT met"
         lines.append(
             f"targets (d={d_t}, v={_fmt_vector(v_t)}) {verdict}: distance "
             f"{evidence.distance}, variances {_fmt_vector(outcome.window_variances)}"
         )
-        failed = failed or not outcome.passed
 
     if args.baseline is not None:
         spec = _baseline_spec(args, args.baseline)
         safety = subject_safety_check(evidence, release, spec, threshold=args.threshold)
-        payload["safety"] = to_payload(safety)
         seeds["baseline_seed"] = spec.seed
         lines.append(
             f"plausibility P(D <= {safety.distance}) = {safety.plausibility:.4f} "
             f"({'safe' if safety.safe else 'UNSAFE'} at threshold {safety.threshold})"
         )
-        failed = failed or not safety.safe
 
     # printed once every check has passed, so a usage error prints nothing
     print("\n".join(lines))
     path = _out_dir(args) / "subject.json"
-    _write_report(payload, path, args, seeds, kind="subject")
+    _write_report(SubjectReport(evidence, tuple(variances), outcome, safety), path, args, seeds)
     print(f"wrote {_shown(path)}")
+    failed = (outcome and not outcome.passed) or (safety and not safety.safe)
     return EXIT_VERDICT if failed else EXIT_OK
 
 
@@ -238,7 +221,6 @@ def cmd_link(args) -> int:
     original = load_csv(args.original, role=Role.ORIGINAL)
     permuted = load_csv(args.permuted, role=Role.REVERSE_MAPPED)
     result = link_records(original, Release(permuted, tie_seed=args.tie_seed))
-    payload = to_payload(result)
     multiple = np.count_nonzero(np.diff(result.per_record.offsets) > 1)
     unmatched = result.unmatched_targets
     summary = (
@@ -250,13 +232,13 @@ def cmd_link(args) -> int:
     if args.truth is not None:
         truth = _read_truth(args.truth, original.n)
         score = score_linkage(result, truth)
-        payload["score"] = to_payload(score)
+        result = ScoredLinkage(**vars(result), score=score)
         summary += (
             f"; score {score.correct} correct / {score.multiple} multiple / "
             f"{score.misidentified} misidentified"
         )
     path = _out_dir(args) / "linkage.json"
-    _write_report(payload, path, args, {"tie_seed": args.tie_seed}, kind="linkage")
+    _write_report(result, path, args, {"tie_seed": args.tie_seed})
     print(summary)
     print(f"wrote {_shown(path)}")
     return EXIT_OK

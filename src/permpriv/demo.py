@@ -17,7 +17,7 @@ from .baseline import BaselineSpec, baseline_distribution, distance_distribution
 from .decompose import decompose, spearman_rho
 from .io_report import emit_histogram, write_csv, write_report
 from .linkage import link_records, score_linkage
-from .privacy import Release, certify_dataset, permutation_distance
+from .privacy import Release, certify_dataset
 from .table import DEFAULT_TIE_SEED, MicrodataTable, Role
 
 __all__ = ["regenerate", "diff_against_reference", "export_artifacts", "run_demo"]
@@ -36,13 +36,9 @@ def regenerate(tie_seed: int = DEFAULT_TIE_SEED) -> dict:
         for j in range(original.m)
     )
 
-    record3 = np.asarray(fixtures.RECORD3["record"], dtype=np.float64)
-    evidence = permutation_distance(record3, masked_release, record_index=3)
-    evidence_variances = masked_release.window_variances(
-        [evidence.closest_ranks], evidence.distance
-    )[0].tolist()
-
     certificate = certify_dataset(original, masked_release, disclosure=fixtures.DISCLOSURE)
+    evidence = certificate.per_record[2]  # the original's row 3 is fixtures.RECORD3
+    evidence_variances = certificate.variances_at_record_distance[2].tolist()
     linkage = link_records(original, permuted_release)
     score = score_linkage(linkage, list(range(1, original.n + 1)))
 

@@ -300,15 +300,14 @@ def write_report(
     obj,
     path,
     *,
-    kind: str | None = None,
     seeds: Mapping[str, int] | None = None,
     disclosure: str | None = None,
     withhold_seeds: bool = False,
 ) -> None:
-    """Serialize an analysis object to a versioned JSON report.
+    """Serialize an analysis dataclass to a versioned JSON report.
 
-    Accepts an analysis dataclass carrying `report_kind`, whose payload is
-    `to_payload(obj)`, or a plain mapping when `kind` is given explicitly.
+    The report's kind is `obj.report_kind` and its payload `to_payload(obj)`;
+    anything but a dataclass with a `report_kind` raises EmptyReportError.
     Seeds marked withheld are reported by name with a null value, so the
     report still shows what was randomized while revealing nothing; a payload
     field of the same name is nulled too.  The bytes are those of
@@ -316,18 +315,10 @@ def write_report(
     of the payload (per-record evidence and long tuples) is written by
     `_write_rows` in blocks, so memory does not grow with it.
     """
-    if obj is None:
-        raise EmptyReportError("nothing to report")
-    if kind is None:
-        kind = getattr(obj, "report_kind", None)
-    if is_dataclass(obj):
-        payload = to_payload(obj)
-    elif isinstance(obj, Mapping):
-        payload = dict(obj)
-    else:
-        payload = None
-    if payload is None or kind is None:
+    kind = getattr(obj, "report_kind", None)
+    if kind is None or not is_dataclass(obj):
         raise EmptyReportError(f"{type(obj).__name__} is not a reportable analysis")
+    payload = to_payload(obj)
     if not payload:
         raise EmptyReportError("analysis payload is empty")
     seed_block = None

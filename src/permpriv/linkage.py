@@ -79,6 +79,13 @@ class LinkageScore:
         object.__setattr__(self, "correct_fraction", self.correct / len(self.classes))
 
 
+@dataclass(frozen=True, eq=False)
+class ScoredLinkage(LinkageResult):
+    """A linkage with its score under the protector's true assignment."""
+
+    score: LinkageScore
+
+
 def score_linkage(result: LinkageResult, truth: Sequence[int]) -> LinkageScore:
     """Score a linkage against the protector's true record assignment.
 

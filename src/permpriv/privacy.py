@@ -277,9 +277,9 @@ class Release:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Pass mask and (q, m) window variances of q records at the targets.
 
-        A record passes when its integer distance is at least d_target and
-        every window variance at radius d_target is strictly above
-        v_target[j].  This is the one place that rule is applied.
+        A record passes when its distance, a nonnegative integer, is at least
+        d_target and every window variance at radius d_target is strictly
+        above v_target[j].  This is the one place that rule is applied.
         """
         d_target, v_target = check_targets(d_target, v_target, self.m)
         variances = self.window_variances(centers, d_target)
@@ -288,6 +288,8 @@ class Release:
             raise ShapeMismatchError(
                 f"distances of shape {distances.shape} for {len(variances)} records"
             )
+        if np.any(distances < 0):
+            raise RankOutOfRangeError("distances must be nonnegative")
         passed = (distances >= d_target) & np.all(variances > np.asarray(v_target), axis=1)
         return passed, variances
 
@@ -393,7 +395,12 @@ class RecordVerification:
     d_target: int
     v_target: tuple[float, ...]
 
-    report_kind = "record_verification"
+    @classmethod
+    def of(cls, release: Release, result: RecordDistanceResult, d_target: int, v_target):
+        """`result` judged by `Release.verdicts`: the one place a verification is built."""
+        d, v = check_targets(d_target, v_target, release.m)
+        passed, variances = release.verdicts([result.closest_ranks], [result.distance], d, v)
+        return cls(bool(passed[0]), result, tuple(variances[0].tolist()), d, v)
 
 
 def verify_record(x, release: Release, d_target: int, v_target) -> RecordVerification:
@@ -403,12 +410,9 @@ def verify_record(x, release: Release, d_target: int, v_target) -> RecordVerific
     at (d_target, v_target) implies the distance clause passes at any smaller
     d', but the variance clause must be re-evaluated there.  `x` is one
     record; several records raise ShapeMismatchError, as in
-    `permutation_distance`.  `Release.verdicts` judges it.
+    `permutation_distance`.
     """
-    result = permutation_distance(x, release)
-    d, v = check_targets(d_target, v_target, release.m)
-    passed, variances = release.verdicts([result.closest_ranks], [result.distance], d, v)
-    return RecordVerification(bool(passed[0]), result, tuple(variances[0].tolist()), d, v)
+    return RecordVerification.of(release, permutation_distance(x, release), d_target, v_target)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,7 @@ import math
 import os
 import re
 import tempfile
+import types
 import typing
 from fractions import Fraction
 
@@ -456,6 +457,10 @@ def _evidence(rows):
 
 
 def _decode(hint, value):
+    if value is None:  # an optional part left out, such as a subject's safety
+        return None
+    if isinstance(hint, types.UnionType):  # `Part | None`, present
+        hint = typing.get_args(hint)[0]
     if dataclasses.is_dataclass(hint):
         return from_payload(hint, value)
     if typing.get_origin(hint) is tuple:
@@ -470,10 +475,10 @@ def load_report(path) -> dict:
 
 
 def json_round_trip(obj):
-    """`obj` written by `write_report`, read back by `load_report` and rebuilt."""
+    """An analysis written by `write_report`, read back by `load_report` and rebuilt."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
-        write_report(obj, path, kind="round_trip")
+        write_report(obj, path)
         return from_payload(type(obj), load_report(path)["payload"])
 
 
@@ -533,17 +538,9 @@ def _evidence_rows(evidence, columns):
     return rows
 
 
-def oracle_write_report(obj, path, *, kind=None, seeds=None, disclosure=None,
-                        withhold_seeds=False):
-    """A report as `json.dump(indent=2)` writes the whole document.
-
-    `obj` is an analysis dataclass or a mapping of `oracle_payload` values.
-    """
-    if dataclasses.is_dataclass(obj):
-        kind = kind or obj.report_kind
-        payload = oracle_payload(obj)
-    else:
-        payload = dict(obj)
+def oracle_write_report(obj, path, *, seeds=None, disclosure=None, withhold_seeds=False):
+    """An analysis dataclass's report as `json.dump(indent=2)` writes the whole document."""
+    payload = oracle_payload(obj)
     seed_block = None
     if seeds is not None:
         seed_block = {str(k): None if withhold_seeds else int(v) for k, v in seeds.items()}
@@ -552,7 +549,7 @@ def oracle_write_report(obj, path, *, kind=None, seeds=None, disclosure=None,
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "permpriv", "version": __version__},
-        "kind": kind,
+        "kind": obj.report_kind,
         "seeds": seed_block,
         "disclosure": disclosure,
         "payload": payload,

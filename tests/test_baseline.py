@@ -23,7 +23,8 @@ from permpriv.baseline import (
     plausibility,
     subject_safety_check,
 )
-from permpriv.errors import CapExceededError, InvalidSpecError
+from permpriv.errors import CapExceededError, EmptyReportError, InvalidSpecError
+from permpriv.io_report import write_report
 from permpriv.privacy import Release, batch_permutation_distances, permutation_distance
 from permpriv.reverse_map import reverse_map_table
 from permpriv.table import MicrodataTable, Role
@@ -233,8 +234,14 @@ def test_distribution_validation():
         DistanceDistribution({0: 0.5, 1: 0.5}, -3, "baseline")
 
 
-def test_distribution_round_trip(baseline_dist):
-    assert json_round_trip(baseline_dist) == baseline_dist
+def test_distribution_round_trip(original, masked, tmp_path):
+    # a distribution is written as part of an assessment, not alone
+    report = assess_tables(original, Release(masked), BaselineSpec(mode="exhaustive"))
+    with pytest.raises(EmptyReportError):
+        write_report(report.baseline, tmp_path / "baseline.json")
+    assert not (tmp_path / "baseline.json").exists()
+    rebuilt = json_round_trip(report)
+    assert (rebuilt.original, rebuilt.baseline) == (report.original, report.baseline)
 
 
 def test_subject_safety_for_the_synthetic_probe(permuted, baseline_dist):

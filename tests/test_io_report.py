@@ -29,10 +29,11 @@ from permpriv import __version__, io_report
 from permpriv.baseline import (
     BaselineSpec,
     DistanceDistribution,
+    SubjectReport,
     assess_tables,
     subject_safety_check,
 )
-from permpriv.decompose import decompose
+from permpriv.decompose import ResidualDecomposition, decompose
 from permpriv.errors import (
     EmptyInputError,
     EmptyReportError,
@@ -42,14 +43,8 @@ from permpriv.errors import (
     PermprivError,
     RaggedRowError,
 )
-from permpriv.io_report import (
-    emit_histogram,
-    load_csv,
-    to_payload,
-    write_csv,
-    write_report,
-)
-from permpriv.linkage import LinkageResult, link_records, score_linkage
+from permpriv.io_report import emit_histogram, load_csv, write_csv, write_report
+from permpriv.linkage import LinkageResult, ScoredLinkage, link_records, score_linkage
 from permpriv.privacy import (
     PrivacyCertificate,
     Release,
@@ -463,40 +458,29 @@ def test_report_round_trip(tmp_path, certificate):
 
 
 def _analyses(rng):
-    """(label, analysis, its oracle payload, write_report keywords) to write both ways.
-
-    A dataclass is its own oracle payload; a mapping payload is built from
-    `to_payload` for the package and from `oracle_payload` for the oracle.
-    """
+    """(label, analysis, write_report keywords) to write both ways."""
     tied = random_tied_table(rng, 80, 4, levels=3)
     tied_y = MicrodataTable(
         tied.values + rng.integers(-1, 2, size=tied.values.shape),
         tied.attribute_names, role=Role.ANONYMIZED,
     )
     certificate = certify_dataset(tied, Release(tied_y))
-    yield "tied certificate", certificate, certificate, {"seeds": {"tie_seed": 3}}
+    yield "tied certificate", certificate, {"seeds": {"tie_seed": 3}}
     linkage = link_records(tied, Release(reverse_map_table(tied, Release(tied_y))))
-    yield "tied linkage", linkage, linkage, {}
+    yield "tied linkage", linkage, {}
     score = score_linkage(linkage, range(1, tied.n + 1))
-    yield (
-        "tied linkage with score",
-        {**to_payload(linkage), "score": to_payload(score)},
-        {**oracle_payload(linkage), "score": oracle_payload(score)},
-        {"kind": "linkage"},
-    )
+    yield "tied linkage with score", ScoredLinkage(**vars(linkage), score=score), {}
     for label, (n, m) in {"n = 1": (1, 3), "m = 1": (30, 1), "m = 8": (40, 8)}.items():
         x, y = random_pair(rng, n, m, sigma=10.0)
-        certificate = certify_dataset(x, Release(y))
-        yield label, certificate, certificate, {}
-    empty = LinkageResult(Release(tied_y).search(np.empty((0, 4))), (), (), 101)
-    yield "no records", empty, empty, {}
+        yield label, certify_dataset(x, Release(y)), {}
+    yield "no records", LinkageResult(Release(tied_y).search(np.empty((0, 4))), (), (), 101), {}
     # windows of values near 1e200 have variances that overflow to inf
     x, y = random_pair(rng, 30, 3, sigma=3e200, scale=1e200)
     with np.errstate(over="ignore"):
         certificate = certify_dataset(x, Release(y))
     assert np.isinf(certificate.variances_at_record_distance).any()
     assert np.isinf(certificate.dataset_variances).any()
-    yield "infinite variances", certificate, certificate, {}
+    yield "infinite variances", certificate, {}
     edges = np.array([[-0.0, 5e-324, 1e16], [1e16, -0.0, 5e-324], [5e-324, 1e16, -0.0],
                       [1.5, 2.5, 3.5]])
     y = MicrodataTable(edges, ("a1", "a2", "a3"), role=Role.ANONYMIZED)
@@ -505,27 +489,21 @@ def _analyses(rng):
     assert {"-0.0", "5e-324", "1e+16"} <= set(map(repr, closest))
     disclosure = 'noise σ = "5"; ünïcode\tand a\nsecond line \\ /'
     keywords = {"disclosure": disclosure, "seeds": {"tie_seed": 9, "baseline_seed": 2}}
-    yield "edge values and disclosure", certificate, certificate, keywords
-    yield "withheld seeds", certificate, certificate, {**keywords, "withhold_seeds": True}
+    yield "edge values and disclosure", certificate, keywords
+    yield "withheld seeds", certificate, {**keywords, "withhold_seeds": True}
     x, y = random_pair(rng, 50, 3, sigma=10.0)
     release = Release(y)
     evidence = permutation_distance(x.values[7], release)
     safety = subject_safety_check(evidence, release, BaselineSpec(mode="sampled", sample_size=300))
     verification = verify_record(x.values[7], release, 1, (0.5, 0.5, 0.5))
-    subject = {
-        "evidence": evidence, "variances_at_distance": [1.25, 0.0, 3e-300],
-        "verification": verification, "safety": safety,
-    }
-    yield (
-        "subject",
-        {k: to_payload(v) if k in ("evidence", "verification", "safety") else v
-         for k, v in subject.items()},
-        {k: oracle_payload(v) if k in ("evidence", "verification", "safety") else v
-         for k, v in subject.items()},
-        {"kind": "subject", "seeds": {"tie_seed": 1, "baseline_seed": 4}},
-    )
+    seeds = {"seeds": {"tie_seed": 1, "baseline_seed": 4}}
+    for shown in ("neither", "verification", "safety", "both"):
+        parts = {k: v if shown in (k, "both") else None for k, v in
+                 (("verification", verification), ("safety", safety))}
+        subject = SubjectReport(evidence, (1.25, 0.0, 3e-300), **parts)
+        yield f"subject with {shown}", subject, seeds
     assessment = assess_tables(x, Release(y), BaselineSpec(mode="sampled", sample_size=500))
-    yield "assessment", assessment, assessment, {"seeds": {"tie_seed": 1}}
+    yield "assessment", assessment, {"seeds": {"tie_seed": 1}}
 
 
 # a certificate row of m = 3 holds 17 numbers and a match set of one or more
@@ -536,10 +514,10 @@ def test_report_bytes_match_the_json_dump_oracle(tmp_path, monkeypatch, budget):
     if budget is not None:
         monkeypatch.setattr(io_report, "_WRITE_BLOCK_BYTES", budget)
     rng = np.random.default_rng(31)
-    for i, (label, analysis, oracle, keywords) in enumerate(_analyses(rng)):
+    for i, (label, analysis, keywords) in enumerate(_analyses(rng)):
         ours, expected = tmp_path / f"ours{i}.json", tmp_path / f"oracle{i}.json"
         write_report(analysis, ours, **keywords)
-        oracle_write_report(oracle, expected, **keywords)
+        oracle_write_report(analysis, expected, **keywords)
         assert ours.read_bytes() == expected.read_bytes(), label
 
 
@@ -567,12 +545,12 @@ def test_a_linkage_writes_its_long_tuples_in_blocks(tmp_path, monkeypatch, budge
     rng = np.random.default_rng(33)
     x, y = random_pair(rng, 300, 3, sigma=40.0)
     linkage = link_records(x, Release(reverse_map_table(x, Release(y))))
-    score = score_linkage(linkage, range(1, x.n + 1))
+    scored = ScoredLinkage(**vars(linkage), score=score_linkage(linkage, range(1, x.n + 1)))
     assert min(len(linkage.unmatched_targets), len(linkage.multiply_matched_targets)) >= 32
     ours, expected = tmp_path / "ours.json", tmp_path / "oracle.json"
-    write_report({**to_payload(linkage), "score": to_payload(score)}, ours, kind="linkage")
-    payload = {**oracle_payload(linkage), "score": oracle_payload(score)}
-    oracle_write_report(payload, expected, kind="linkage")
+    write_report(scored, ours)
+    oracle_write_report(scored, expected)
+    payload = oracle_payload(scored)
     assert ours.read_bytes() == expected.read_bytes()
     arrays = [
         (2, payload["per_record"]),
@@ -681,28 +659,36 @@ def test_withheld_seeds_keep_names_but_lose_values(tmp_path, certificate):
     assert "101" not in json.dumps(report["seeds"])
 
 
-def test_mapping_payloads_need_an_explicit_kind(tmp_path):
-    path = tmp_path / "r.json"
-    write_report({"answer": 42}, path, kind="subject")
-    assert json.loads(path.read_text())["kind"] == "subject"
-    with pytest.raises(EmptyReportError):
-        write_report({"answer": 42}, tmp_path / "nope.json")
-    with pytest.raises(EmptyReportError):
-        write_report({}, tmp_path / "nope.json", kind="subject")
-    with pytest.raises(EmptyReportError):
-        write_report(None, tmp_path / "nope.json")
-    with pytest.raises(EmptyReportError):
-        write_report(object(), tmp_path / "nope.json")
-    with pytest.raises(TypeError, match="Object of type ndarray is not JSON serializable"):
-        write_report({"answer": np.arange(2)}, tmp_path / "nope.json", kind="subject")
+@dataclasses.dataclass(frozen=True)
+class _Nothing:
+    report_kind = "nothing"
+
+
+def test_only_analyses_with_a_report_kind_are_written(tmp_path, original, permuted):
+    # an analysis names its kind; a mapping, a part of an analysis (a
+    # linkage's score) or an analysis without fields is no report
+    path = tmp_path / "nope.json"
+    score = score_linkage(link_records(original, Release(permuted)), range(1, original.n + 1))
+    for obj in (None, object(), {"answer": 42}, {"report_kind": "subject"}, score):
+        with pytest.raises(EmptyReportError, match="is not a reportable analysis"):
+            write_report(obj, path)
+    with pytest.raises(EmptyReportError, match="payload is empty"):
+        write_report(_Nothing(), path)
+    assert not path.exists()
+
+
+@dataclasses.dataclass(frozen=True)
+class _ReportedDecomposition(ResidualDecomposition):
+    report_kind = "decomposition"
 
 
 def test_arrays_without_evidence_are_refused_not_dropped(tmp_path, original, masked):
     # only an Evidence carries array fields beside it; a decomposition's
     # noise arrays and its table's values must not vanish from the payload
     path = tmp_path / "decomposition.json"
+    decomposition = _ReportedDecomposition(**vars(decompose(original, Release(masked))))
     with pytest.raises(TypeError, match="Object of type ndarray is not JSON serializable"):
-        write_report(decompose(original, Release(masked)), path, kind="decomposition")
+        write_report(decomposition, path)
     assert not path.exists()
 
 

@@ -15,7 +15,7 @@ from helpers import (
 )
 from permpriv import fixtures
 from permpriv.errors import InvalidTruthMappingError, ShapeMismatchError
-from permpriv.linkage import link_records, score_linkage
+from permpriv.linkage import ScoredLinkage, link_records, score_linkage
 from permpriv.privacy import Release, batch_permutation_distances
 from permpriv.table import RankProfile, Role
 
@@ -170,7 +170,10 @@ def test_linkage_against_brute_force_oracle():
 def test_linkage_round_trip(linkage):
     assert report_bytes(json_round_trip(linkage)) == report_bytes(linkage)
     score = score_linkage(linkage, range(1, len(linkage.per_record) + 1))
-    assert json_round_trip(score) == score
+    scored = ScoredLinkage(**vars(linkage), score=score)
+    rebuilt = json_round_trip(scored)
+    assert rebuilt.score == score
+    assert report_bytes(rebuilt) == report_bytes(scored)
 
 
 def test_linkage_distances_aggregate_to_the_reference_histogram(linkage):

@@ -12,7 +12,14 @@ from helpers import (
     report_bytes,
 )
 from permpriv import fixtures, privacy
-from permpriv.errors import InvalidValueError, RankOutOfRangeError, ShapeMismatchError
+from permpriv.baseline import SubjectReport
+from permpriv.errors import (
+    EmptyReportError,
+    InvalidValueError,
+    RankOutOfRangeError,
+    ShapeMismatchError,
+)
+from permpriv.io_report import write_report
 from permpriv.privacy import (
     Release,
     batch_permutation_distances,
@@ -294,11 +301,16 @@ def test_verify_record_is_judged_by_verdicts(masked, monkeypatch):
         assert (outcome.d_target, outcome.v_target) == privacy.check_targets(d, v, 3)
 
 
-def test_verification_round_trip(masked):
+def test_verification_round_trip(masked, tmp_path):
+    # a verification is written as the block of a subject's report, not alone
     verdict = verify_record(
         fixtures.RECORD3["record"], Release(masked), 4, (24.0, 890.0, 20000.0)
     )
-    assert json_round_trip(verdict) == verdict
+    with pytest.raises(EmptyReportError):
+        write_report(verdict, tmp_path / "verdict.json")
+    assert not (tmp_path / "verdict.json").exists()
+    report = SubjectReport(verdict.result, verdict.window_variances, verdict, None)
+    assert json_round_trip(report) == report
 
 
 def test_certificate_golden_summary(certificate):

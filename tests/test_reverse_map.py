@@ -147,3 +147,18 @@ def test_the_demo_ranks_each_table_once(monkeypatch):
     monkeypatch.setattr(RankProfile, "of", classmethod(recorded))
     regenerate()
     assert ranked == [Role.ANONYMIZED, Role.REVERSE_MAPPED]
+
+
+def test_the_demo_searches_twice(monkeypatch):
+    # once for the certificate, whose row 3 is record 3's evidence, and once
+    # for the linkage
+    searched = []
+    search = Release.search
+
+    def recorded(self, queries):
+        searched.append(self.table.role)
+        return search(self, queries)
+
+    monkeypatch.setattr(Release, "search", recorded)
+    regenerate()
+    assert searched == [Role.ANONYMIZED, Role.REVERSE_MAPPED]

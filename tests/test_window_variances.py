@@ -146,6 +146,9 @@ def test_verdicts_take_one_integer_distance_per_record():
     for distances in ([5.5, 3.0], [3, 2**64], np.array([1, 2**63], dtype=np.uint64)):
         with pytest.raises(RankOutOfRangeError, match="distances must be integers"):
             release.verdicts(centers, distances, 1, [-1.0, -1.0])
+    # no permutation distance is negative, as no window radius is
+    with pytest.raises(RankOutOfRangeError, match="distances must be nonnegative"):
+        release.verdicts(centers, [3, -3], 0, [-1.0, -1.0])
 
 
 def test_kernel_rejects_bad_radii_centers_and_shapes():
