@@ -43,7 +43,7 @@ from .errors import (
     RaggedRowError,
     ShapeMismatchError,
 )
-from .io_report import emit_histogram, load_csv, read_utf8, write_csv, write_report
+from .io_report import emit_histogram, load_csv, read_utf8, write_columns, write_csv, write_report
 from .linkage import ScoredLinkage, link_records, score_linkage
 from .masking import (
     DEFAULT_MASK_SEED,
@@ -163,11 +163,14 @@ def cmd_certify(args) -> int:
     if targets is None:
         return EXIT_OK
     # Joint per-record check at the requested targets, on the certificate's
-    # own evidence.
+    # own evidence; every record's verdict goes to verdicts.csv.
     d_t, v_t = targets
     evidence = certificate.per_record
     passed, _ = release.verdicts(evidence.closest_ranks, evidence.distances, d_t, v_t)
-    failures = (np.flatnonzero(~passed) + 1).tolist()
+    records = np.arange(1, original.n + 1, dtype=np.int64)
+    verdicts = [records, passed.astype(np.int64)]
+    write_columns(path.parent / "verdicts.csv", ["record", "passed"], verdicts)
+    failures = records[~passed].tolist()
     if failures:
         print(f"targets (d={d_t}, v={_fmt_vector(v_t)}) NOT met: records {_fmt_records(failures)}")
         return EXIT_VERDICT

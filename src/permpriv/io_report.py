@@ -186,20 +186,24 @@ _WRITE_BLOCK_BYTES = 1 << 17
 
 
 def write_csv(table: MicrodataTable, path) -> None:
-    """Write a table; cells use shortest-round-trip float formatting.
+    """Write a table, one float64 column per attribute, by `write_columns`."""
+    write_columns(path, table.attribute_names, table.values.T)
 
-    The body goes out in row blocks of at most _WRITE_BLOCK_BYTES of cells,
-    each block spelled at once by `_spell`.  No `repr` of a finite float
-    holds a comma, quote or line end, so the body needs no quoting and
-    matches `csv.writer` byte for byte; only the header, whose names may need
-    quoting, goes through `csv.writer`.
+
+def write_columns(path, header, columns) -> None:
+    """Write a CSV of a header row and equal-length int64 or float64 columns.
+
+    Rows go out in blocks of at most _WRITE_BLOCK_BYTES of cells, 8 bytes a
+    cell; `_spell` spells each column of a block once, ints as integers and
+    finite floats by shortest round-trip `repr`.  Neither needs quoting, so
+    only the header goes through `csv.writer`, and the body matches its bytes.
     """
-    step = max(1, _WRITE_BLOCK_BYTES // (8 * table.m))
+    step = max(1, _WRITE_BLOCK_BYTES // (8 * len(columns)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(table.attribute_names)
-        for lo in range(0, table.n, step):
-            columns = _spell(table.values[lo : lo + step].T)
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(columns[0]), step):
+            cells = [_spell(column[lo : lo + step]) for column in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,11 +389,7 @@ def emit_histogram(
 ) -> None:
     """Write both distance distributions over the zero-filled union support."""
     support = sorted(set(original.frequencies) | set(baseline.frequencies))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["distance", "frequency_original", "frequency_baseline"])
-        for d in support:
-            writer.writerow(
-                [d, repr(original.frequency(d)), repr(baseline.frequency(d))]
-            )
+    frequencies = [np.array([dist.frequency(d) for d in support]) for dist in (original, baseline)]
+    header = ["distance", "frequency_original", "frequency_baseline"]
+    write_columns(path, header, [np.array(support, dtype=np.int64), *frequencies])
 

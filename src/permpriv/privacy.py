@@ -59,7 +59,10 @@ def _closest_ranks(values_by_rank: np.ndarray, xs: np.ndarray) -> np.ndarray:
     The queries are looked up in ascending order, where numpy's binary
     search starts from the previous key's bounds, and the positions are
     scattered back.  A position depends only on its key, so the ranks are
-    those of a lookup in query order.
+    those of a lookup in query order.  Nearness is exact: rounding is
+    monotonic, so the rounded distances to a query's two neighbours decide
+    unless they are equal.  Then Knuth's TwoSum writes each distance as s + e
+    exactly; the s are equal, so the errors e decide.
     """
     n = values_by_rank.size
     order = np.argsort(xs)
@@ -68,8 +71,27 @@ def _closest_ranks(values_by_rank: np.ndarray, xs: np.ndarray) -> np.ndarray:
     # 0 <= pos <= n; np.clip takes a slow path for integer arrays
     left = np.maximum(pos - 1, 0)
     right = np.minimum(pos, n - 1)
-    take_right = np.abs(values_by_rank[right] - xs) < np.abs(xs - values_by_rank[left])
+    below, above = values_by_rank[left], values_by_rank[right]
+    with np.errstate(over="ignore"):  # a distance over 1.8e308 is inf, and compares as one
+        up, down = above - xs, xs - below
+        take_right = up < down
+        tied = np.flatnonzero(up == down)
+        tied = tied[left[tied] < right[tied]]  # a query on the lowest value has one neighbour
+        if tied.size:
+            lo, hi, x = below[tied], above[tied], xs[tied]
+            take_right[tied] = _two_sum(hi, -x) < _two_sum(-lo, x)
     return np.where(take_right, right, left) + 1
+
+
+def _two_sum(a, b):
+    """The error e of s = fl(a + b), with s + e = a + b exactly (Knuth's TwoSum).
+
+    An intermediate overflows only where s does or |b| is the largest float;
+    the query, b in both of the lookup's calls, is never that in a tie.
+    """
+    s = a + b
+    bb = s - a
+    return (a - (s - bb)) + (b - bb)
 
 
 def _window_variances(flat: np.ndarray, first: np.ndarray, width: np.ndarray) -> np.ndarray:

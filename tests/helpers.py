@@ -2,19 +2,20 @@
 
 The oracle functions below are deliberate reimplementations in plain Python
 loops, `oracle_closest_ranks` in exact rationals, apart from `brute_search`,
-the full numpy scan the package replaced with its projection search, `oracle_window_variances`, the per-window
-`ndarray.var` loop the package replaced with a batched kernel,
-`enumerate_baseline`, the n**m table the package's distance transform
-replaced, `dilation_baseline_counts`, the per-distance dilation that transform
-replaced, `oracle_reverse_map`, the per-column reverse map the package
-replaced with one ranking through `Release`, `oracle_load_csv`, the
-cell-by-cell CSV reader the package keeps only for bodies numpy's reader
-does not take, `oracle_write_csv`, the per-cell `csv.writer` the
-package replaced with one `repr` per distinct value, and
-`oracle_write_report`, the per-record dicts through `json.dump(indent=2)`
-the package replaced with a row-block writer.  They share no code with the
-package, so agreement between the two routes is meaningful evidence rather
-than a tautology.
+the full numpy scan the package replaced with its projection search,
+`oracle_window_variances`, the per-window `ndarray.var` loop the package
+replaced with a batched kernel, `enumerate_baseline`, the n**m table the
+package's distance transform replaced, `dilation_baseline_counts`, the
+per-distance dilation that transform replaced, `oracle_reverse_map`, the
+per-column reverse map the package replaced with one ranking through
+`Release`, `oracle_load_csv`, the cell-by-cell CSV reader the package keeps
+only for bodies numpy's reader does not take, `oracle_write_csv`, the
+per-cell `csv.writer` the package replaced with one `repr` per distinct
+value, `oracle_emit_histogram`, the per-row `csv.writer` the package
+replaced with its typed-column writer, and `oracle_write_report`, the
+per-record dicts through `json.dump(indent=2)` the package replaced with a
+row-block writer.  They share no code with the package, so agreement
+between the two routes is meaningful evidence rather than a tautology.
 """
 
 import collections
@@ -144,9 +145,7 @@ def oracle_closest_ranks(values_by_rank, xs):
     Distances are exact rationals.  A query equidistant from two values takes
     the smaller value.  Among equal values it takes the first rank when the
     query is at most that value and the last otherwise: the rank next to
-    where the query would be inserted.  The package compares float64
-    distances, so where those round to a tie and exact ones do not, it takes
-    the lower neighbour and this oracle the nearer one.
+    where the query would be inserted.
     """
     column = [Fraction(float(y)) for y in values_by_rank]
     out = []
@@ -386,6 +385,16 @@ def oracle_write_csv(table, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(table.attribute_names)
         writer.writerows([repr(v) for v in row] for row in table.values.tolist())
+
+
+def oracle_emit_histogram(original, baseline, path) -> None:
+    """Write both distributions through `csv.writer`, one row and two `repr`s per distance."""
+    support = sorted(set(original.frequencies) | set(baseline.frequencies))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["distance", "frequency_original", "frequency_baseline"])
+        for d in support:
+            writer.writerow([d, repr(original.frequency(d)), repr(baseline.frequency(d))])
 
 
 def oracle_spearman(a, b):

@@ -75,6 +75,7 @@ def test_certify_reports_the_floor(workspace, capsys):
     assert report["kind"] == "privacy_certificate"
     assert report["payload"]["dataset_distance"] == 1
     assert report["seeds"] == {"tie_seed": 101}
+    assert not (workspace / "verdicts.csv").exists()  # written only under --d/--v
 
 
 def test_certify_verdict_success(workspace, capsys):
@@ -218,7 +219,7 @@ def test_subject_verification_verdict(workspace, capsys, original):
     assert bad == 4
 
 
-@pytest.mark.parametrize("case", ["running example", "ties"])
+@pytest.mark.parametrize("case", ["running example", "ties", "more than 10 failing"])
 def test_subject_and_certify_agree_on_every_record(tmp_path, capsys, original, masked, case):
     # each subject's check of their own record and the protector's check of
     # the whole data set apply one rule to the same evidence
@@ -232,25 +233,31 @@ def test_subject_and_certify_agree_on_every_record(tmp_path, capsys, original, m
     evidence = release.search(original)
     # targets that some records meet, and that others miss on each clause
     d = 2
-    v = np.percentile(release.window_variances(evidence.closest_ranks, d), 10, axis=0)
+    percentile = 30 if case == "more than 10 failing" else 10
+    v = np.percentile(release.window_variances(evidence.closest_ranks, d), percentile, axis=0)
     targets = ["--d", d, "--v", *map(repr, v.tolist())]
     passed, at_d = release.verdicts(evidence.closest_ranks, evidence.distances, d, v)
-    assert 0 < np.count_nonzero(evidence.distances < d) < np.count_nonzero(~passed) <= 10
+    failing = np.count_nonzero(~passed)
+    assert 0 < np.count_nonzero(evidence.distances < d) < failing < original.n
+    assert (failing > 10) == (case == "more than 10 failing")
 
-    code, out, _ = run(capsys, "certify", tmp_path / "original.csv", tmp_path / "masked.csv",
-                       *targets, "--out", tmp_path)
+    code, _, _ = run(capsys, "certify", tmp_path / "original.csv", tmp_path / "masked.csv",
+                     *targets, "--out", tmp_path)
     assert code == 4
-    listed = out.split("NOT met: records ")[1].split()
-    failed = {int(i.rstrip(",")) for i in listed}
-    assert failed == set((np.flatnonzero(~passed) + 1).tolist())
+    rows = (tmp_path / "verdicts.csv").read_bytes().decode("utf-8").split("\r\n")
+    assert rows[0] == "record,passed" and rows[-1] == ""
+    cells = [row.split(",") for row in rows[1:-1]]
+    assert [record for record, _ in cells] == [str(i) for i in range(1, original.n + 1)]
+    verdicts = [{"1": True, "0": False}[cell] for _, cell in cells]
+    assert verdicts == passed.tolist()
     for i in range(original.n):
         write_csv(MicrodataTable(original.values[i : i + 1], original.attribute_names),
                   tmp_path / "rec.csv")
         code, _, _ = run(capsys, "subject", tmp_path / "rec.csv", tmp_path / "masked.csv",
                          *targets, "--out", tmp_path / "subject")
-        assert code == (4 if i + 1 in failed else 0)
+        assert code == (0 if verdicts[i] else 4)
         verification = load_report(tmp_path / "subject" / "subject.json")["payload"]["verification"]
-        assert verification["passed"] == (i + 1 not in failed)
+        assert verification["passed"] == verdicts[i]
         assert verification["window_variances"] == at_d[i].tolist()
 
 

@@ -1,11 +1,12 @@
 """Golden report and table bytes: the CLI on the bundled running example.
 
 Reports are read off the analysis dataclasses by `io_report.to_payload`, so
-a renamed, reordered or dropped field changes a report's bytes.  Tables are
-written by `io_report.write_csv`, so a change to its formatting, quoting or
-line ends changes a table's bytes.  Each artifact's SHA-256 is pinned here; a
-report digest changes legitimately only when a report gains or loses a field
-on purpose, or the package version changes, and a table digest never does.
+a renamed, reordered or dropped field changes a report's bytes.  Tables, the
+histogram and the verdicts are written by `io_report.write_columns`, so a
+change to its formatting, quoting or line ends changes a table's bytes.  Each
+artifact's SHA-256 is pinned here; a report digest changes legitimately only
+when a report gains or loses a field on purpose, or the package version
+changes, and a table digest never does.
 """
 
 import contextlib
@@ -24,6 +25,7 @@ from permpriv.table import MicrodataTable, Role
 
 GOLDEN = {
     "certify/certificate.json": "717054b9bdb3f356ff79c3c4d7531f45c693c7a1700ae80e7c26fbdcc50f68b9",
+    "certify/verdicts.csv": "b6d545b48c4bbe051a2167c10d6701bf4b3bc25c323383ee741423238994ccf7",
     "subject/subject.json": "5eb818e3856c8b8900b7cac28e6438ae6d4955888d32c271efae8037f57f5953",
     "link/linkage.json": "3dd3a612fae0154c232c466b4a055e380e6590a0741fa58a174cfd20f67d9b43",
     "link-truth/linkage.json": "b140217a270e7dc537a3d8ce32c472690bed4e9f8c5afc1b3ee5be8c52333233",

@@ -15,7 +15,7 @@ from helpers import (
     random_tied_table,
     seeded,
 )
-from permpriv import grid
+from permpriv import grid, privacy
 from permpriv.grid import Grid, cuts
 from permpriv.privacy import Release, _closest_ranks
 
@@ -150,14 +150,44 @@ def test_a_query_equidistant_from_two_values_takes_the_smaller_rank():
     _check_closest([1.0, 1.0, 3.0, 3.0], [2.0, 1.0, 3.0, 0.0, 4.0])
 
 
-def test_a_tie_of_rounded_distances_takes_the_lower_neighbour():
+def test_a_tie_of_rounded_distances_takes_the_exactly_nearer_neighbour():
     # the float64 distances to both neighbours round to 12.587624472377332,
-    # though the upper one is nearer by 2**-50: the lookup compares the
-    # rounded distances, which the exact oracle does not
+    # though the upper one is nearer by 2**-50
     below, above, x = -22.1449398058493, 3.030309138905362, -9.55731533347197
     assert abs(x - below) == abs(above - x)
     assert oracle_closest_ranks([below, above], [x]) == [2]
-    assert _closest_ranks(np.array([below, above]), np.array([x])).tolist() == [1]
+    assert _closest_ranks(np.array([below, above]), np.array([x])).tolist() == [2]
+    # mirrored, the lower one is nearer
+    _check_closest([-above, -below], [-x])
+    assert _closest_ranks(np.array([-above, -below]), np.array([-x])).tolist() == [1]
+
+
+def test_closest_ranks_near_the_float_range_ends():
+    big, ulp = np.finfo(float).max, 2.0**971  # the spacing of the top binade
+    # both rounded distances tie, and a TwoSum of x - below that took the
+    # largest float second would overflow inside; the lookup takes x second
+    values, x = [-big, big - 2 * ulp], -1.5 * ulp
+    assert values[1] - x == x - values[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(privacy._two_sum(np.array([x]), np.array([big]))).all()
+    assert privacy._two_sum(np.array([big]), np.array([x])).tolist() == [-ulp / 2]
+    _check_closest(values, [x, -x, 0.0])
+    # a ±1e308 pair, whose differences overflow for queries near either end
+    _check_closest([-1e308, 1e308], [0.0, -1e308, 1e308, 1.7e308, -1.7e308, 5e-324, -big, big])
+    _check_closest([-big, big], [0.0, 5e-324, -5e-324, big, -big, 1e308])
+    _check_closest([-(big - 2 * ulp), big], [1.5 * ulp, -1.5 * ulp, 0.0])
+
+
+def test_closest_ranks_at_generated_midpoints_across_zero():
+    rng = seeded(9500)
+    for _ in range(300):
+        scale = 10.0 ** float(rng.integers(-300, 308))
+        below, above = np.sort(rng.normal(0.0, scale, 2))
+        if below == above:
+            continue
+        middle = below / 2 + above / 2
+        xs = [middle, np.nextafter(middle, np.inf), np.nextafter(middle, -np.inf), (below + above) / 2]
+        _check_closest([below, above], xs)
 
 
 def test_closest_ranks_on_signed_zeros_and_far_queries():

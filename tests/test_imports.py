@@ -1,5 +1,6 @@
 """Every name a package module imports is used in it, no check is an `assert`,
-every name the benchmark traces exists, and every public name has a reader.
+every name the benchmark traces exists, every public name has a reader, and
+one function per file format writes files.
 
 `__init__.py` is exempt from the import rule: its imports are its public
 names.  `python -O` strips asserts, so a check written as one vanishes.
@@ -57,6 +58,73 @@ def test_the_walk_finds_an_assert():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_assert(module):
     assert asserts((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def file_writers(source: str) -> list[tuple[str, str]]:
+    """(function, call) for each call that writes files: `open`, unless its
+    mode is a string holding none of w, a, x and +, `.write_text`,
+    `.write_bytes` and `csv.writer`.  A nested function counts as the
+    outermost one that holds it."""
+    found = []
+
+    def mode(call):
+        if isinstance(call.func, ast.Name):  # the builtin takes the mode second
+            given = call.args[1:2]
+        else:  # Path.open takes it first
+            given = call.args[:1]
+        given = given or [k.value for k in call.keywords if k.arg == "mode"]
+        return given[0] if given else ast.Constant("r")
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner or child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("write_text", "write_bytes") or (
+                    name == "writer" and getattr(func.value, "id", None) == "csv"
+                ):
+                    found.append((owner, name))
+                elif name == "open":
+                    m = mode(child)
+                    if not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or (
+                        set(m.value) & set("wax+")
+                    ):
+                        found.append((owner, name))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_walk_finds_every_file_writer():
+    source = (
+        "import csv\n"
+        "def a(p):\n    return open(p, 'rb').read()\n"
+        "def b(p):\n    def inner():\n        return open(p, mode='a')\n    return inner\n"
+        "def c(p, m):\n    p.open('w+').close()\n    open(p, m)\n    p.open()\n"
+        "def d(p, fh):\n    p.write_text('x')\n    csv.writer(fh)\n    csv.reader(fh)\n"
+    )
+    assert file_writers(source) == [
+        ("b", "open"), ("c", "open"), ("c", "open"), ("d", "write_text"), ("d", "writer"),
+    ]
+
+
+def test_one_function_per_file_format_writes_files():
+    # CSV through write_columns, whose csv.writer writes only its header
+    # row, and JSON through write_report
+    found = {
+        (module, owner, call)
+        for module in [*MODULES, "__init__.py"]
+        for owner, call in file_writers((PACKAGE / module).read_text(encoding="utf-8"))
+    }
+    assert found == {
+        ("io_report.py", "write_columns", "open"),
+        ("io_report.py", "write_columns", "writer"),
+        ("io_report.py", "write_report", "open"),
+    }
 
 
 def traced_points():

@@ -15,6 +15,7 @@ import pytest
 from helpers import (
     from_payload,
     load_report,
+    oracle_emit_histogram,
     oracle_load_csv,
     oracle_payload,
     oracle_plain_body,
@@ -696,13 +697,21 @@ def _fixture_distribution(freqs, size, tag):
     return DistanceDistribution({d: f for d, f in freqs.items() if f > 0}, size, tag)
 
 
+def _written_histogram(tmp_path, original, baseline):
+    """The path `emit_histogram` wrote, its bytes checked against the per-row oracle's."""
+    path, oracle = tmp_path / "hist.csv", tmp_path / "oracle.csv"
+    emit_histogram(original, baseline, path)
+    oracle_emit_histogram(original, baseline, oracle)
+    assert path.read_bytes() == oracle.read_bytes()
+    return path
+
+
 def test_histogram_covers_the_union_support(tmp_path, original, permuted):
     from permpriv.baseline import BaselineSpec, baseline_distribution, distance_distribution
 
     dist_x = distance_distribution(original, Release(permuted))
     dist_a = baseline_distribution(original, Release(permuted), BaselineSpec(mode="exhaustive"))
-    path = tmp_path / "hist.csv"
-    emit_histogram(dist_x, dist_a, path)
+    path = _written_histogram(tmp_path, dist_x, dist_a)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "distance,frequency_original,frequency_baseline"
     rows = [line.split(",") for line in lines[1:]]
@@ -731,8 +740,7 @@ def test_histogram_with_reference_zero_bins(tmp_path, original, permuted):
     padded_a = DistanceDistribution(
         {**{d: 0.0 for d in range(11)}, **dist_a.frequencies}, 8000, "baseline"
     )
-    path = tmp_path / "hist.csv"
-    emit_histogram(padded_x, padded_a, path)
+    path = _written_histogram(tmp_path, padded_x, padded_a)
     rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
     assert [int(r[0]) for r in rows] == list(range(11))
     for r in rows:
@@ -748,8 +756,37 @@ def test_histogram_with_reference_zero_bins(tmp_path, original, permuted):
 def test_histogram_of_identical_distributions(tmp_path):
     dist = _fixture_distribution({0: 0.25, 2: 0.75}, 4, "original")
     other = _fixture_distribution({0: 0.25, 2: 0.75}, 4, "baseline")
-    path = tmp_path / "same.csv"
-    emit_histogram(dist, other, path)
+    path = _written_histogram(tmp_path, dist, other)
     rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
     assert all(r[1] == r[2] for r in rows)
 
+
+def _histograms():
+    """(original, baseline) distribution pairs, a label for each."""
+    def pair(original, baseline, size=10):
+        return (DistanceDistribution(original, size, "original"),
+                DistanceDistribution(baseline, size, "baseline"))
+
+    yield "zero-frequency padded bins", pair(
+        {0: 0.0, 1: 0.5, 2: 0.0, 3: 0.5, 4: 0.0}, {0: 0.0, 2: 0.25, 5: 0.75, 6: 0.0}
+    )
+    yield "disjoint supports", pair({0: 1 / 3, 1: 2 / 3}, {5: 0.1, 9: 0.9})
+    yield "a single distance", pair({7: 1.0}, {7: 1.0})
+    yield "thirds and tenths", pair({d: 1 / 3 for d in (0, 2, 4)}, {d: 0.1 for d in range(10)})
+    # 6 000 rows, more than one block at the default budget
+    yield "a long support", pair(
+        {d: 1 / 6000 for d in range(6000)}, {2 * d: 1 / 3000 for d in range(3000)}, 6000
+    )
+
+
+@pytest.mark.parametrize("budget", ["one row", "half the support", "default"])
+def test_histograms_are_written_like_the_csv_writer_oracle(tmp_path, monkeypatch, budget):
+    for label, (original, baseline) in _histograms():
+        rows = len(set(original.support) | set(baseline.support))
+        if budget == "one row":
+            monkeypatch.setattr(io_report, "_WRITE_BLOCK_BYTES", 8 * 3)
+        elif budget == "half the support":
+            monkeypatch.setattr(io_report, "_WRITE_BLOCK_BYTES", 8 * 3 * max(1, (rows + 1) // 2))
+        (tmp_path / label).mkdir()
+        path = _written_histogram(tmp_path / label, original, baseline)
+        assert path.read_bytes().count(b"\r\n") == rows + 1, label
