@@ -74,11 +74,11 @@ def generate_baseline(source: MicrodataTable, spec: BaselineSpec) -> MicrodataTa
             "generate_baseline draws sampled baselines only; "
             "use baseline_distribution for an exhaustive one"
         )
-    n, m = source.n, source.m
-    rngs = [np.random.default_rng(derive_column_seed(spec.seed, j)) for j in range(m)]
-    # drawn as each column is gathered, so one index array is alive at a time
-    picks = (rng.integers(0, n, size=spec.sample_size) for rng in rngs)
-    values = np.column_stack([source.column(j)[p] for j, p in enumerate(picks)])
+    values = np.empty((spec.sample_size, source.m), order="F")
+    for j in range(source.m):
+        rng = np.random.default_rng(derive_column_seed(spec.seed, j))
+        # drawn as the column is gathered, so one index array is alive at a time
+        values[:, j] = source.column(j)[rng.integers(0, source.n, size=spec.sample_size)]
     return MicrodataTable(values, source.attribute_names, role=Role.BASELINE)
 
 

@@ -65,9 +65,11 @@ class SynthSpec:
 
 def synth_original(spec: SynthSpec) -> MicrodataTable:
     """Draw a synthetic original table of independent normal columns."""
-    rngs = [np.random.default_rng(derive_column_seed(spec.seed, j)) for j in range(len(spec.stds))]
-    cols = [rng.normal(mu, sd, size=spec.n) for rng, mu, sd in zip(rngs, spec.means, spec.stds)]
-    return MicrodataTable(np.column_stack(cols), spec.names, role=Role.ORIGINAL)
+    values = np.empty((spec.n, len(spec.stds)), order="F")
+    for j, (mu, sd) in enumerate(zip(spec.means, spec.stds)):
+        rng = np.random.default_rng(derive_column_seed(spec.seed, j))
+        values[:, j] = rng.normal(mu, sd, size=spec.n)
+    return MicrodataTable(values, spec.names, role=Role.ORIGINAL)
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,8 @@ def gaussian_mask(table: MicrodataTable, spec: NoiseSpec) -> MicrodataTable:
         raise ShapeMismatchError(
             f"{len(spec.sigmas)} sigmas for {table.m} attributes"
         )
-    cols = []
+    values = np.empty((table.n, table.m), order="F")
     for j, sigma in enumerate(spec.sigmas):
         rng = np.random.default_rng(derive_column_seed(spec.seed, j))
-        cols.append(table.column(j) + rng.normal(0.0, sigma, size=table.n))
-    return MicrodataTable(np.column_stack(cols), table.attribute_names, role=Role.ANONYMIZED)
+        np.add(table.column(j), rng.normal(0.0, sigma, size=table.n), out=values[:, j])
+    return MicrodataTable(values, table.attribute_names, role=Role.ANONYMIZED)

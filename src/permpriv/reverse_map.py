@@ -25,8 +25,7 @@ def reverse_map_table(original: MicrodataTable, anonymized: Release) -> Microdat
     """
     check_same_layout(original, anonymized.table)
     anonymized.check_order()
-    ranks = anonymized.profile.ranks
-    z = np.empty((original.n, original.m))
+    z = np.empty((original.n, original.m), order="F")
     for j in range(original.m):
         x = original.column(j)
         x_sorted = np.sort(x)
@@ -35,5 +34,5 @@ def reverse_map_table(original: MicrodataTable, anonymized: Release) -> Microdat
         zeros = x[x == 0]
         start = np.searchsorted(x_sorted, 0.0)
         x_sorted[start : start + zeros.size] = zeros
-        z[:, j] = x_sorted[ranks[:, j] - 1]
+        z[:, j] = x_sorted[anonymized.profile.vector(j) - 1]
     return MicrodataTable(z, original.attribute_names, role=Role.REVERSE_MAPPED)

@@ -88,24 +88,38 @@ def compute_ranks(column, tie_seed: int = DEFAULT_TIE_SEED) -> np.ndarray:
     """
     col = _as_column(column)
     rng = np.random.default_rng(check_seed(tie_seed, "tie_seed"))
-    n = col.size
     order = np.argsort(col)
+    _order_ties(col, order, rng)
+    ranks = np.empty(col.size, dtype=np.int64)
+    ranks[order] = np.arange(1, col.size + 1)
+    return ranks
+
+
+def _order_ties(col: np.ndarray, order: np.ndarray, rng: np.random.Generator) -> None:
+    """Shuffle each run of equal values in `order`, an argsort of `col`, in place.
+
+    Each run, -0.0 and 0.0 together, is first put in position order, as a
+    stable sort leaves it, so the shuffle's draws depend on nothing but the
+    column and the generator.  Each temporary is dropped once used, and all
+    are gone on return, before the caller scatters ranks.
+    """
+    n = col.size
     svals = col[order]
     # runs of equal values; np.concatenate, as np.r_'s parsing costs more on a small column
     starts = np.flatnonzero(np.concatenate(([True], svals[1:] != svals[:-1])))
-    stops = np.concatenate((starts[1:], [n]))
-    # equal values (-0.0 and 0.0 among them) in position order, as a stable
-    # sort leaves them: sort run * n + position and take the run back off
-    offset = np.repeat(np.arange(starts.size) * n, stops - starts)
+    if starts.size == n:
+        return  # no two values are equal
+    del svals
+    sizes = np.diff(starts, append=n)
+    # position order within runs: sort run * n + position, take the run back off
+    offset = np.repeat(np.arange(starts.size) * n, sizes)
     order += offset
     order.sort()
     order -= offset
-    tied = stops - starts > 1
-    for start, stop in zip(starts[tied].tolist(), stops[tied].tolist()):
-        rng.shuffle(order[start:stop])
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(1, n + 1)
-    return ranks
+    del offset
+    tied = sizes > 1
+    for start, size in zip(starts[tied].tolist(), sizes[tied].tolist()):
+        rng.shuffle(order[start : start + size])
 
 
 def _is_permutation(ranks: np.ndarray) -> bool:
@@ -142,8 +156,9 @@ class MicrodataTable:
 
     One container serves original, anonymized, reverse-mapped, and baseline
     data; the role tag says which.  `values` is an immutable float array of
-    shape (n, m).  Every table, whatever produced it, is built and checked by
-    this constructor.
+    shape (n, m), column-major, so each attribute's column is contiguous and
+    every per-attribute pass reads it in place.  Every table, whatever
+    produced it, is built and checked by this constructor.
     """
 
     values: np.ndarray
@@ -152,7 +167,7 @@ class MicrodataTable:
 
     def __post_init__(self):
         try:
-            arr = np.array(self.values, dtype=float)
+            arr = np.array(self.values, dtype=float, order="F")
         except ValueError as exc:
             # numpy names rows of unequal length an "inhomogeneous shape"
             if "inhomogeneous" in str(exc):
@@ -200,35 +215,47 @@ class RankProfile:
     """Per-attribute 1-based rank vectors for one table, plus the tie seed.
 
     `ranks[i, j]` is the rank of record i within attribute j.  Each column is
-    validated to be an exact permutation of 1..n.
+    validated to be an exact permutation of 1..n.  `ranks` is a read-only
+    column-major int64 array, so each attribute's ranks are contiguous.
     """
 
     ranks: np.ndarray
     tie_seed: int
 
     def __post_init__(self):
-        arr = np.array(self.ranks, dtype=np.int64)
+        # a matrix from outside is copied, so no caller holds a writable view of it
+        arr = np.asarray(self.ranks)
         if arr.ndim != 2:
             raise ShapeMismatchError(f"expected 2-d rank matrix, got {arr.shape}")
-        n = arr.shape[0]
-        for j in range(arr.shape[1]):
-            if not _is_permutation(arr[:, j]):
+        if arr.size and arr.dtype.kind not in "iu":
+            raise InvalidValueError(f"ranks must be integers, got dtype {arr.dtype}")
+        self._adopt(arr.astype(np.int64, order="F"), self.tie_seed)
+
+    def _adopt(self, ranks: np.ndarray, tie_seed: int) -> None:
+        """Check each column of an (n, m) int64 matrix, then hold it read-only."""
+        n = ranks.shape[0]
+        for j in range(ranks.shape[1]):
+            if not _is_permutation(ranks[:, j]):
                 raise InvalidValueError(
                     f"rank vector for attribute {j} is not a permutation of 1..{n}"
                 )
-        arr.setflags(write=False)
-        object.__setattr__(self, "ranks", arr)
-        seed = check_seed(self.tie_seed, "tie_seed")
-        object.__setattr__(self, "tie_seed", seed)
+        ranks.setflags(write=False)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "tie_seed", check_seed(tie_seed, "tie_seed"))
 
     @classmethod
     def of(cls, table: MicrodataTable, tie_seed: int = DEFAULT_TIE_SEED) -> "RankProfile":
-        """Rank every attribute of a table under per-column derived seeds."""
-        cols = [
-            compute_ranks(table.column(j), derive_column_seed(tie_seed, j))
-            for j in range(table.m)
-        ]
-        return cls(np.column_stack(cols), tie_seed)
+        """Rank every attribute of a table under per-column derived seeds.
+
+        Each column is ranked into its contiguous column of one column-major
+        buffer, which the profile holds without a second copy.
+        """
+        ranks = np.empty((table.n, table.m), dtype=np.int64, order="F")
+        for j in range(table.m):
+            ranks[:, j] = compute_ranks(table.column(j), derive_column_seed(tie_seed, j))
+        profile = cls.__new__(cls)
+        profile._adopt(ranks, tie_seed)
+        return profile
 
     def vector(self, j: int) -> np.ndarray:
         return self.ranks[:, j]

@@ -132,6 +132,9 @@ def test_window_variance_errors():
     for bad in ([1, 1, 1], [1, 2, 7]):
         with pytest.raises(InvalidValueError, match="not a permutation"):
             window_variance(col, bad, 1, 1)
+    # fractional ranks are refused, not truncated to a permutation
+    with pytest.raises(InvalidValueError, match="ranks must be integers, got dtype float64"):
+        window_variance([1.0, 2.0], [1.9, 2.2], 1, 1)
 
 
 def test_window_variance_refuses_fractional_ranks():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -465,6 +466,37 @@ def test_full_size_search_memory_is_bounded_in_bytes():
     )
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) < 8.0
+
+
+def _peak_growth(build):
+    """`build()`, and the peak traced bytes while it ran above those traced before."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    result = build()
+    return result, tracemalloc.get_traced_memory()[1] - before
+
+
+@pytest.mark.parametrize("m", [1, 4, 6])
+def test_building_a_release_grows_peak_memory_by_bytes_per_record(m):
+    # Per record at n = 100 000, on tie-free columns, where ranking holds the
+    # most.  Ranking keeps 8m bytes of ranks and holds at most 32 more while
+    # a column is ranked, a bound that stacking the m rank vectors and
+    # copying the stack (24m) exceeds.  Values by rank keep 8m and hold one
+    # column more.  The grid keeps its rank rows, record order and cell
+    # starts, and holds a second copy of the rows while it gathers them.
+    n = 100_000
+    table = random_table(np.random.default_rng(29), n, m)
+    dtype, width = grid.Grid.layout(n, m)
+    tracemalloc.start()
+    try:
+        release, ranking = _peak_growth(lambda: Release(table))
+        _, by_rank = _peak_growth(lambda: release.values_by_rank)
+        _, cells = _peak_growth(lambda: release._grid)
+    finally:
+        tracemalloc.stop()
+    assert ranking <= (8 * m + 32) * n
+    assert by_rank <= (8 * m + 12) * n
+    assert cells <= (2 * dtype.itemsize * width + 32) * n
 
 
 def test_distances_checks_its_centers_as_window_variances_does():

@@ -240,6 +240,12 @@ def test_rank_profile_rejects_non_permutations():
         RankProfile(np.array([[1, 4, 2], [2, 3, 1], [3, 2, 3], [4, 1, 1]]), tie_seed=0)
     with pytest.raises(ShapeMismatchError):
         RankProfile(np.array([1, 2, 3]), tie_seed=0)
+    # refused by dtype, never truncated: [[1.9], [2.2]] would become [[1], [2]]
+    for bad, dtype in (([[1.9], [2.2]], "float64"), ([[1.0], [2.0]], "float64"),
+                       (np.array([[1], [2]], dtype=np.float32), "float32"),
+                       ([[True], [False]], "bool"), ([[2**64], [1]], "object")):
+        with pytest.raises(InvalidValueError, match=f"ranks must be integers, got dtype {dtype}"):
+            RankProfile(bad, tie_seed=0)
 
 
 def test_rank_profile_refuses_a_fractional_tie_seed(masked):
