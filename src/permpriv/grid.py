@@ -1,8 +1,9 @@
 """The permutation-distance search, a Chebyshev nearest-neighbour search over ranks.
 
-`Grid` runs both passes of a search, `distances` and then `match_sets`,
-with the cell method of Bentley, Stanat & Williams 1977.  `cuts` cuts the
-search's and the report writer's budgeted loops into blocks.
+`scan` reads a search whose q * n candidate rows fit one block in one
+pass.  `Grid` runs both passes of a larger search, `distances` and then
+`match_sets`, with the cell method of Bentley, Stanat & Williams 1977.
+`cuts` cuts the search's and the report writer's budgeted loops into blocks.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import numpy as np
 
 # Bytes one search block may hold, 8 * m for each entry: a (query, grid
 # slice) pair, or a candidate row with its m rank deviations from its query's
-# center, whatever width `Grid.layout` pads a row to.  Bounds the search's
+# center, whatever width `Grid.layout` pads a row to.  A search whose q * n
+# candidate rows fit one block is read whole by `scan`.  Bounds the search's
 # peak memory whatever n and the number of queries; the grid's runs bound a
 # slice to about n ** (1 - 1 / p) rows.
 # A window-variance gather, from one run of equal widths, holds 8 bytes a value.
@@ -33,6 +35,40 @@ def cuts(ends: np.ndarray, cap: int):
         b = max(a + 1, int(np.searchsorted(ends, start + cap, side="right")))
         yield a, b
         a, start = b, ends[b - 1]
+
+
+def scan(ranks: np.ndarray, centers: np.ndarray, match_sets: bool = True) -> tuple:
+    """(distances,), or (distances, offsets, matches), of (q, m) centers against every record.
+
+    `ranks` is the release's (n, m) rank matrix, read a column at a time,
+    and the outputs are those of `Grid.distances` and `Grid.match_sets`.
+    Each (query, record) deviation is written in place into one (q, n)
+    int64 array, the first attribute's straight into it and each other's
+    through a second one into the running maximum: q * n * 8 bytes at
+    m = 1, twice that from m = 2, within the q * n * 8m the caller keeps
+    under _BLOCK_BYTES.  The match sets are read off a (q, n) mask.
+    """
+    q, (n, m) = centers.shape[0], ranks.shape
+    dev = np.empty((q, n), dtype=np.int64)
+    gap = np.empty_like(dev) if m > 1 else dev
+    for j in range(m):
+        out = gap if j else dev
+        np.subtract(ranks[:, j], centers[:, j, None], out=out)
+        np.abs(out, out=out)
+        if j:
+            np.maximum(dev, gap, out=dev)
+    del gap
+    distances = dev.min(axis=1)
+    if not match_sets:
+        return (distances,)
+    hit = dev == distances[:, None]
+    del dev
+    offsets = np.zeros(q + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(hit, axis=1), out=offsets[1:])
+    matches = np.flatnonzero(hit)  # row-major: ascending within each query
+    matches %= n
+    matches += 1
+    return distances, offsets, matches
 
 
 def _padded(matrix: np.ndarray, dtype: np.dtype, width: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -194,15 +195,18 @@ def write_columns(path, header, columns) -> None:
     """Write a CSV of a header row and equal-length int64 or float64 columns.
 
     Rows go out in blocks of at most _WRITE_BLOCK_BYTES of cells, 8 bytes a
-    cell; `_spell` spells each column of a block once, ints as integers and
-    finite floats by shortest round-trip `repr`.  Neither needs quoting, so
-    only the header goes through `csv.writer`, and the body matches its bytes.
+    cell.  Each run of adjacent columns of one dtype is stacked and spelled
+    by one `_spell` per block, so a value the run's columns share is spelled
+    once; ints as integers and finite floats by shortest round-trip `repr`.
+    Neither needs quoting, so only the header goes through `csv.writer`, and
+    the body matches its bytes.
     """
+    runs = [list(run) for _, run in itertools.groupby(columns, key=lambda c: c.dtype)]
     step = max(1, _WRITE_BLOCK_BYTES // (8 * len(columns)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for lo in range(0, len(columns[0]), step):
-            cells = [_spell(column[lo : lo + step]) for column in columns]
+            cells = [t for run in runs for t in _spell(np.stack([c[lo : lo + step] for c in run]))]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 

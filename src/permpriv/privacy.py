@@ -159,8 +159,10 @@ class Release:
     `tie_seed`, so anyone holding the table and the disclosed seed rebuilds
     the same ranks.  Each attribute's values in rank order, which check that
     the profile orders the table, and the search grid (`grid.Grid`) are
-    built on first use, so a release that is only ranked keeps neither.  The
-    grid runs both passes of a search, `distances` and then the match sets.
+    built on first use, so a release that is only ranked keeps neither.  A
+    search that fits one block reads every pair at once (`grid.scan`); the
+    grid runs both passes of a larger one, `distances` and then the match
+    sets, and is built by the first such search.
     Every distance entry point takes a Release, and this is the only place a
     table is ranked and indexed for a search.
     """
@@ -240,20 +242,33 @@ class Release:
             raise RankOutOfRangeError(f"center ranks outside 1..{self.n}")
         return centers
 
+    def _search(self, centers: np.ndarray, match_sets: bool = True) -> tuple:
+        """(distances,), or (distances, offsets, matches), of (q, m) 1-based centers.
+
+        The one place a search picks its path: `grid.scan` when its q * n
+        candidate rows fit one block, q * n * 8m <= `grid._BLOCK_BYTES`,
+        else the grid, which the first such search builds.
+        """
+        if len(centers) * self.n * 8 * self.m <= grid._BLOCK_BYTES:
+            return grid.scan(self.profile.ranks, centers, match_sets)
+        rows = self._grid.pad(centers)
+        distances = self._grid.distances(rows)
+        if not match_sets:
+            return (distances,)
+        return (distances, *self._grid.match_sets(rows, distances))
+
     def distances(self, centers) -> np.ndarray:
         """(q,) min-max rank deviation for each row of (q, m) 1-based centers.
 
         The centers are checked as `window_variances` checks them; `search`
-        hands its own centers to the grid unchecked.
+        hands its own centers on unchecked.
         """
-        return self._grid.distances(self._grid.pad(self._check_centers(centers)))
+        return self._search(self._check_centers(centers), match_sets=False)[0]
 
     def search(self, queries) -> Evidence:
         """Full distance evidence for every query record, row i numbered i + 1."""
         centers = self.centers(queries)
-        rows = self._grid.pad(centers)
-        distances = self._grid.distances(rows)
-        offsets, matches = self._grid.match_sets(rows, distances)
+        distances, offsets, matches = self._search(centers)
         values = [v[c - 1] for v, c in zip(self.values_by_rank, centers.T)]
         return Evidence(
             closest_values=np.column_stack(values),

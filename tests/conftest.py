@@ -1,5 +1,8 @@
 import pytest
 
+# the shared checks in helpers.py assert too; rewritten, they also hold under -O
+pytest.register_assert_rewrite("helpers")
+
 from permpriv import fixtures
 from permpriv.privacy import Release, certify_dataset
 from permpriv.reverse_map import reverse_map_table

@@ -32,8 +32,9 @@ import typing
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from permpriv import __version__
+from permpriv import __version__, grid
 from permpriv.errors import EmptyInputError, ParseError, RaggedRowError
 from permpriv.io_report import SCHEMA_VERSION, write_report
 from permpriv.privacy import Evidence, RecordDistanceResult
@@ -190,7 +191,8 @@ def brute_search(values, rank_matrix, queries, block=64):
     values = np.asarray(values, dtype=float)
     ranks = np.asarray(rank_matrix, dtype=np.int64)
     queries = np.asarray(queries, dtype=float)
-    distances, centers, matches = [], [], []
+    m = values.shape[1]
+    distances, centers, matches = [np.empty(0, np.int64)], [np.empty((0, m), np.int64)], []
     for lo in range(0, len(queries), block):
         x = queries[lo : lo + block]
         c = np.empty(x.shape, dtype=np.int64)
@@ -208,6 +210,73 @@ def brute_search(values, rank_matrix, queries, block=64):
         centers.append(c)
         matches.extend(tuple((np.flatnonzero(row == k) + 1).tolist()) for row, k in zip(dev, d))
     return np.concatenate(distances), np.concatenate(centers), matches
+
+
+def search_paths(release, queries, budgets):
+    """[(path, evidence, distances)]: `release.search(queries)` and
+    `release.distances` of the same centers, with `grid._BLOCK_BYTES` set to
+    each of `budgets` in turn (None keeps it).
+
+    `path` is "grid" or "block" (the one-block read, `grid.scan`), the one
+    both calls took, else the test fails.
+    """
+    centers = release.centers(queries)
+    taken = []
+
+    def recording(path, method):
+        def call(*args, **kwargs):
+            taken.append(path)
+            return method(*args, **kwargs)
+
+        return call
+
+    results = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid, "scan", recording("block", grid.scan))
+        patch.setattr(grid.Grid, "distances", recording("grid", grid.Grid.distances))
+        for budget in budgets:
+            if budget is not None:
+                patch.setattr(grid, "_BLOCK_BYTES", budget)
+            taken.clear()
+            evidence, distances = release.search(queries), release.distances(centers)
+            assert len(set(taken)) == 1, taken
+            results.append((taken[0], evidence, distances))
+    return results
+
+
+def check_search_against_brute(release, queries):
+    """Both search paths agree with `brute_search` on every `Evidence` column
+    and on `Release.distances`, and with each other bit for bit.
+
+    The grid searches with `grid._BLOCK_BYTES` one byte under the search's
+    q * n * 8m, or as it is where it is already under; the one-block read
+    with at least those bytes.  Returns [(path, evidence)] for each.
+    """
+    values, ranks = release.table.values, release.profile.ranks
+    distances, centers, matches = brute_search(values, ranks, queries)
+    q, (n, m) = len(distances), values.shape
+    closest = np.sort(values, axis=0)[centers - 1, np.arange(m)]
+    deviations = np.abs(ranks[[s[0] - 1 for s in matches]] - centers).reshape(q, m)
+    budget, need = grid._BLOCK_BYTES, q * n * 8 * m
+    paths = search_paths(release, queries, [min(budget, need - 1), max(budget, need)])
+    for (path, evidence, again), expected in zip(paths, ["grid", "block"]):
+        assert path == expected
+        assert again.dtype == evidence.distances.dtype == np.int64
+        assert again.tolist() == evidence.distances.tolist() == distances.tolist()
+        assert evidence.closest_ranks.tolist() == centers.tolist()
+        assert evidence.closest_values.tolist() == closest.tolist()
+        assert evidence.matched_deviations.tolist() == deviations.tolist()
+        offsets = evidence.offsets
+        assert offsets.shape == (q + 1,) and offsets[0] == 0
+        assert offsets[-1] == evidence.matches.size
+        assert np.all(np.diff(offsets) > 0)  # no set is empty
+        assert list(match_sets(evidence)) == matches
+    (_, on_grid, _), (_, in_block, _) = paths
+    for name, column in vars(on_grid).items():
+        other = getattr(in_block, name)
+        assert column.dtype == other.dtype and column.shape == other.shape, name
+        assert column.tobytes() == other.tobytes(), name
+    return [(path, evidence) for path, evidence, _ in paths]
 
 
 def enumerate_baseline(source):

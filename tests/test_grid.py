@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
-    brute_search,
-    match_sets,
+    check_search_against_brute,
     oracle_closest_ranks,
     random_table,
     random_tied_table,
@@ -94,22 +93,15 @@ def _queries(rng, table, count):
 
 
 def _check_rows_and_search(table, rng):
-    """The grid's padded rows hold the ranks, and the search agrees with the brute scan."""
+    """The grid's padded rows hold the ranks, and the search agrees with the
+    brute scan on the grid and by the one-block read."""
     release = Release(table, tie_seed=int(rng.integers(0, 1000)))
     cells = release._grid
     dtype, width = Grid.layout(table.n, table.m)
     assert cells.ranks.dtype == dtype and cells.ranks.shape == (table.n, width)
     assert np.array_equal(cells.ranks[:, : table.m], release.profile.ranks[cells.records])
     assert not cells.ranks[:, table.m :].any()
-    queries = _queries(rng, table, 15)
-    distances, centers, matches = brute_search(table.values, release.profile.ranks, queries)
-    evidence = release.search(queries)
-    assert evidence.distances.dtype == np.int64
-    assert evidence.distances.tolist() == distances.tolist()
-    assert evidence.closest_ranks.tolist() == centers.tolist()
-    assert list(match_sets(evidence)) == matches
-    again = release.distances(centers)
-    assert again.dtype == np.int64 and again.tolist() == distances.tolist()
+    check_search_against_brute(release, _queries(rng, table, 15))
 
 
 @pytest.mark.parametrize("m,width", zip(range(1, 10), [1, 2, 4, 4, 8, 8, 8, 8, 16]))

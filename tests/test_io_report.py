@@ -404,6 +404,30 @@ def test_a_large_table_is_written_like_the_oracle(tmp_path):
     assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
+@pytest.mark.parametrize("budget", [None, 8 * 4 * 50])
+def test_columns_that_share_values_spell_each_value_once_a_block(tmp_path, monkeypatch, budget):
+    # m identical columns: one `repr` per distinct value of each row block,
+    # where spelling column by column called it m times
+    if budget is not None:
+        monkeypatch.setattr(io_report, "_WRITE_BLOCK_BYTES", budget)
+    spelled = []
+
+    def counting(value):
+        spelled.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(io_report, "repr", counting, raising=False)
+    rng = np.random.default_rng(31)
+    column = rng.integers(0, 7, size=1000) * 1.5
+    table = MicrodataTable(np.column_stack([column] * 4), ("a", "b", "c", "d"))
+    write_csv(table, tmp_path / "ours.csv")
+    step = max(1, io_report._WRITE_BLOCK_BYTES // (8 * 4))
+    distinct = [np.unique(column[lo : lo + step]).size for lo in range(0, column.size, step)]
+    assert len(spelled) == sum(distinct)
+    oracle_write_csv(table, tmp_path / "oracle.csv")
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
 def test_writing_a_large_table_keeps_memory_bounded(tmp_path):
     # 200 000 x 4 distinct values; one `repr` per cell through `csv.writer`
     # grows the peak RSS by about 44 MiB here, the block writer by about 5

@@ -1,5 +1,6 @@
-"""The Release grid and its search against the brute-force oracles."""
+"""The Release search, on the grid and by the one-block read, against the brute-force oracles."""
 
+import math
 import os
 import subprocess
 import sys
@@ -12,10 +13,13 @@ import pytest
 
 from helpers import (
     brute_search,
+    check_search_against_brute,
     oracle_distance,
     random_pair,
     random_table,
     random_tied_table,
+    search_paths,
+    seeded,
 )
 from permpriv import grid, privacy
 from permpriv.baseline import (
@@ -160,9 +164,10 @@ def test_search_reaches_the_first_grid_row_across_a_cell_edge():
     )
     table = MicrodataTable(ranks.astype(float), ("a1", "a2", "a3", "a4"))
     release = Release(table)
-    result = permutation_distance([9.0, 1.0, 16.0, 1.0], release)
-    assert result.closest_ranks == (9, 1, 16, 1)
-    assert (result.distance, result.matched_indices) == (4, (1,))
+    for _, evidence in check_search_against_brute(release, [[9.0, 1.0, 16.0, 1.0]]):
+        result = evidence[0]
+        assert result.closest_ranks == (9, 1, 16, 1)
+        assert (result.distance, result.matched_indices) == (4, (1,))
     cells = release._grid
     assert (cells.p, cells.k, cells.records[0]) == (4, 2, 0)
 
@@ -209,12 +214,9 @@ def test_one_query_per_block(monkeypatch):
 
 
 def _check_against_brute(table, queries, tie_seed=101):
+    """The search on the grid and by the one-block read, against the brute scan."""
     release = Release(table, tie_seed=tie_seed)
-    distances, centers, matches = brute_search(table.values, release.profile.ranks, queries)
-    evidence = release.search(queries)
-    assert evidence.distances.tolist() == distances.tolist()
-    assert evidence.closest_ranks.tolist() == centers.tolist()
-    _check_csr(evidence, matches)
+    check_search_against_brute(release, queries)
     return release
 
 
@@ -286,6 +288,44 @@ def test_a_one_cell_grid_reads_every_record(n, m):
     for table in (random_table(rng, n, m), random_tied_table(rng, n, m, levels=2)):
         release = _check_against_brute(table, _queries(rng, table, 4))
         assert release._grid.k == 1
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 8), (40, 1), (40, 8), (300, 3)])
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_both_search_paths_match_the_brute_scan(n, m, count):
+    # no queries, one record, one attribute, eight, and heavy ties
+    rng = seeded(150 + 10 * n + m + count)
+    for table in (
+        random_table(rng, n, m),
+        random_tied_table(rng, n, m, levels=1),
+        random_tied_table(rng, n, m, levels=3),
+    ):
+        queries = _queries(rng, table, count)
+        _check_against_brute(table, queries, tie_seed=int(rng.integers(0, 1000)))
+
+
+def _factors(pairs):
+    """(q, n) with q * n == pairs: q the largest divisor up to its square root."""
+    q = max(d for d in range(1, math.isqrt(pairs) + 1) if pairs % d == 0)
+    return q, pairs // q
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize(
+    "extra,path", [(-1, "block"), (0, "block"), (1, "grid")], ids=["under", "at", "over"]
+)
+def test_a_search_walks_the_grid_only_past_one_block(m, extra, path):
+    # q * n candidate rows of 8m bytes each, one pair under, at and over the
+    # budget; the grid is built only by a search that takes it
+    q, n = _factors(grid._BLOCK_BYTES // (8 * m) + extra)
+    rng = seeded(160 + m + extra)
+    table = random_tied_table(rng, n, m, levels=max(2, n // 4))
+    queries = rng.normal(table.values.mean(axis=0), table.values.std(axis=0) + 1.0, (q, m))
+    release = Release(table)
+    [(taken, _, _)] = search_paths(release, queries, [None])
+    assert taken == path
+    assert ("_grid" in release.__dict__) == (path == "grid")
+    check_search_against_brute(release, queries)
 
 
 def _clustered_table(rng, n):
@@ -497,6 +537,31 @@ def test_building_a_release_grows_peak_memory_by_bytes_per_record(m):
     assert ranking <= (8 * m + 32) * n
     assert by_rank <= (8 * m + 12) * n
     assert cells <= (2 * dtype.itemsize * width + 32) * n
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_a_search_of_one_block_grows_peak_memory_by_one_block(m):
+    # q * n * 8m bytes exactly at the budget.  The deviations hold one
+    # _BLOCK_BYTES at m = 1 (half of it from m = 2), and the match mask one
+    # byte a pair; numpy's ufunc iterator holds a buffer of np.getbufsize()
+    # items, 8 bytes each, for each of at most two broadcast operands.
+    # Deviations taken out of place would hold a second block at m = 1.
+    pairs = grid._BLOCK_BYTES // (8 * m)
+    q, n = _factors(pairs)
+    rng = seeded(170 + m)
+    table = random_table(rng, n, m)
+    queries = rng.normal(0.0, 100.0, (q, m))
+    release = Release(table)
+    release.values_by_rank  # built before, as a release's first search builds it
+    tracemalloc.start()
+    try:
+        evidence, growth = _peak_growth(lambda: release.search(queries))
+    finally:
+        tracemalloc.stop()
+    assert "_grid" not in release.__dict__
+    outputs = sum(column.nbytes for column in vars(evidence).values())
+    buffers = 2 * 8 * np.getbufsize()
+    assert q * n == pairs and growth <= grid._BLOCK_BYTES + q * n + buffers + outputs
 
 
 def test_distances_checks_its_centers_as_window_variances_does():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import oracle_reverse_map, random_pair, random_table, random_tied_table
-from permpriv import fixtures
+from permpriv import fixtures, grid
 from permpriv.decompose import decompose
 from permpriv.demo import regenerate
 from permpriv.errors import ShapeMismatchError
@@ -125,15 +125,30 @@ def test_shape_and_name_mismatches_rejected(original):
         reverse_map_table(original, Release(renamed))
 
 
-def test_reverse_mapping_builds_no_search_index(original, masked):
+def test_reverse_mapping_builds_no_search_index(monkeypatch, original, masked):
+    built = []
+    of = grid.Grid.of.__func__
+
+    def recorded(cls, ranks):
+        built.append(ranks.shape)
+        return of(cls, ranks)
+
+    monkeypatch.setattr(grid.Grid, "of", classmethod(recorded))
     release = Release(masked)
     reverse_map_table(original, release)
     decompose(original, release)
     # the rank order is checked one column at a time, and no column is kept
     assert not {"values_by_rank", "_grid"} & release.__dict__.keys()
-    # the first search builds the columns and the grid, once
+    # a one-record search fits one block: it builds the columns, not the grid
     permutation_distance(original.values[0], release)
-    assert {"values_by_rank", "_grid"} <= release.__dict__.keys()
+    assert {"values_by_rank", "_grid"} & release.__dict__.keys() == {"values_by_rank"}
+    # the first search too large for one block builds the grid, once
+    count = grid._BLOCK_BYTES // (release.n * 8 * release.m) + 1
+    queries = np.resize(original.values, (count, release.m))
+    release.search(queries)
+    release.search(queries)
+    assert built == [(release.n, release.m)]
+    assert "_grid" in release.__dict__
 
 
 def test_the_demo_ranks_each_table_once(monkeypatch):
