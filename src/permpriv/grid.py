@@ -1,9 +1,8 @@
 """The permutation-distance search, a Chebyshev nearest-neighbour search over ranks.
 
-`scan` reads a search whose q * n candidate rows fit one block in one
-pass.  `Grid` runs both passes of a larger search, `distances` and then
-`match_sets`, with the cell method of Bentley, Stanat & Williams 1977.
-`cuts` cuts the search's and the report writer's budgeted loops into blocks.
+`scan` reads every record, in record blocks; `Grid.search` walks the cells
+near each query once for its distance and match set (the cell method of
+Bentley, Stanat & Williams 1977).  `cuts` cuts budgeted loops into blocks.
 """
 
 from __future__ import annotations
@@ -14,21 +13,21 @@ import numpy as np
 
 # Bytes one search block may hold, 8 * m for each entry: a (query, grid
 # slice) pair, or a candidate row with its m rank deviations from its query's
-# center, whatever width `Grid.layout` pads a row to.  A search whose q * n
-# candidate rows fit one block is read whole by `scan`.  Bounds the search's
-# peak memory whatever n and the number of queries; the grid's runs bound a
-# slice to about n ** (1 - 1 / p) rows.
-# A window-variance gather, from one run of equal widths, holds 8 bytes a value.
+# center, whatever width `Grid.layout` pads a row to.  Bounds the search's
+# peak memory whatever n and q; the grid's runs bound a slice to about
+# n ** (1 - 1 / p) rows.  A window-variance gather holds 8 bytes a value.
 _BLOCK_BYTES = 1 << 19
+
+# A search of at most this many queries is thin: `scan` reads it in record
+# blocks, faster than building the grid (the README's crossover table).
+_THIN_QUERIES = 6
 
 
 def cuts(ends: np.ndarray, cap: int):
     """Yield (a, b) for each block of items a .. b - 1, in order.
 
-    `ends` is the running total of the items' sizes, so item i spans
-    ends[i - 1] .. ends[i] and item 0 starts at 0.  Each block takes the
-    most items whose sizes sum to at most `cap`, or one item when that item
-    alone is larger.
+    `ends` is the running total of the items' sizes.  Each block takes the
+    most items whose sizes sum to at most `cap`, or one larger item.
     """
     a = start = 0
     while a < ends.size:
@@ -37,38 +36,60 @@ def cuts(ends: np.ndarray, cap: int):
         a, start = b, ends[b - 1]
 
 
+def _pruned(kept: list, best: np.ndarray, n: int, cap: int = -1) -> list:
+    """(keys, deviations) parts of (query, record) pairs, key query * n + record,
+    as one part of those at their query's `best`, once the parts after the
+    first hold more than `cap` pairs.  At most 2m records lie at any one
+    deviation from a center, one rank either side of it on each axis."""
+    if sum(dev.size for _, dev in kept[1:]) <= cap:
+        return kept
+    key, dev = (np.concatenate(part) for part in zip(*kept))
+    at = dev == best[key // n]
+    return [(key[at], dev[at])]
+
+
+def _csr(keys: np.ndarray, q: int, n: int) -> tuple:
+    """Offsets and ascending 1-based records: the match sets of keys query * n + record."""
+    keys.sort()
+    offsets = np.searchsorted(keys, np.arange(q + 1) * n)
+    np.remainder(keys, n, out=keys)
+    keys += 1
+    return offsets, keys
+
+
 def scan(ranks: np.ndarray, centers: np.ndarray, match_sets: bool = True) -> tuple:
     """(distances,), or (distances, offsets, matches), of (q, m) centers against every record.
 
-    `ranks` is the release's (n, m) rank matrix, read a column at a time,
-    and the outputs are those of `Grid.distances` and `Grid.match_sets`.
-    Each (query, record) deviation is written in place into one (q, n)
-    int64 array, the first attribute's straight into it and each other's
-    through a second one into the running maximum: q * n * 8 bytes at
-    m = 1, twice that from m = 2, within the q * n * 8m the caller keeps
-    under _BLOCK_BYTES.  The match sets are read off a (q, n) mask.
+    `ranks` (n, m) is read a column at a time in blocks of
+    _BLOCK_BYTES // (8 * m * q) records, all n where they fit.  A block's
+    deviations are written in place into one (q, rows) int64 array, the first
+    attribute's straight into it and each other's through a second one into
+    the running maximum.  A distance is the minimum over the blocks; the
+    records at or under the running minima are held, off a (q, rows) mask,
+    and pruned to them after each block.
     """
     q, (n, m) = centers.shape[0], ranks.shape
-    dev = np.empty((q, n), dtype=np.int64)
-    gap = np.empty_like(dev) if m > 1 else dev
-    for j in range(m):
-        out = gap if j else dev
-        np.subtract(ranks[:, j], centers[:, j, None], out=out)
-        np.abs(out, out=out)
-        if j:
-            np.maximum(dev, gap, out=dev)
-    del gap
-    distances = dev.min(axis=1)
-    if not match_sets:
-        return (distances,)
-    hit = dev == distances[:, None]
-    del dev
-    offsets = np.zeros(q + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(hit, axis=1), out=offsets[1:])
-    matches = np.flatnonzero(hit)  # row-major: ascending within each query
-    matches %= n
-    matches += 1
-    return distances, offsets, matches
+    step = max(1, _BLOCK_BYTES // (8 * m * q)) if q else n
+    best = np.full(q, n, dtype=np.int64)  # past every deviation
+    held = (np.empty(0, dtype=np.int64),) * 2
+    for a in range(0, n, step):
+        dev = np.empty((q, min(step, n - a)), dtype=np.int64)
+        gap = np.empty_like(dev) if m > 1 else dev
+        for j in range(m):
+            out = gap if j else dev
+            np.subtract(ranks[a : a + step, j], centers[:, j, None], out=out)
+            np.abs(out, out=out)
+            if j:
+                np.maximum(dev, gap, out=dev)
+        del gap, out
+        np.minimum(best, dev.min(axis=1), out=best)
+        width, hit = dev.shape[1], dev <= best[:, None] if match_sets else None
+        del dev
+        if match_sets:  # keys of records a .. a + width - 1, held at their query's best
+            hit = np.flatnonzero(hit)
+            query = hit // width
+            [held] = _pruned([held, (hit + query * (n - width) + a, best[query])], best, n)
+    return (best, *_csr(held[0], q, n)) if match_sets else (best,)
 
 
 def _padded(matrix: np.ndarray, dtype: np.dtype, width: int) -> np.ndarray:
@@ -86,9 +107,8 @@ class Grid:
     Only the first p = min(m, 4) rank axes are gridded, each cut into k runs
     of about n / k ranks (`shape`).  Cells are numbered with the last gridded
     axis fastest, so each row of cells along that axis is one contiguous
-    slice of grid rows.  The rank rows are laid out by `layout`; every
-    method that takes centers takes them as `pad` returns them, so a search
-    pads its centers once for both passes.
+    slice of grid rows.  The rank rows are laid out by `layout`; `read` and
+    `boxes` take centers as `pad` returns them, padded once by `search`.
     """
 
     p: int
@@ -101,11 +121,8 @@ class Grid:
 
     @staticmethod
     def shape(n: int, m: int) -> tuple[int, int]:
-        """(p, k): the first p = min(m, 4) rank axes, each cut into k runs.
-
-        k is the most runs with k**p <= n, so the grid never has more cells
-        than records.
-        """
+        """(p, k): the first p = min(m, 4) rank axes, each cut into the most k
+        runs with k**p <= n, so the grid never has more cells than records."""
         p = min(m, 4)
         # the integer p-th root or one more, also where the float root of an
         # exact power falls just short (64 ** (1 / 3) < 4)
@@ -115,11 +132,8 @@ class Grid:
     @staticmethod
     def layout(n: int, m: int) -> tuple[np.dtype, int]:
         """(dtype, width) of the rank rows: int32 while every rank fits, else
-        int64, and m columns padded with zeros to the next power of two.
-
-        A row of 4, 8 or 16 bytes takes numpy's fixed-size copy when the
-        search gathers rows; m = 3 and m = 4 both give 16-byte rows.
-        """
+        int64, and m columns padded with zeros to the next power of two, so
+        a gather of 4, 8 or 16-byte rows takes numpy's fixed-size copy."""
         return np.dtype(np.int32 if n < 2**31 else np.int64), 1 << (m - 1).bit_length()
 
     @classmethod
@@ -135,13 +149,11 @@ class Grid:
         starts = np.zeros(k**p + 1, dtype=np.intp)
         np.cumsum(np.bincount(cell, minlength=k**p), out=starts[1:])
         del cell
-        # run i holds 0-based ranks -(-i * n // k) up to the next run's first;
-        # 0 and n move to -n and 2n, so an edge of the grid lies farther from
-        # any center than any deviation reaches
+        # run i holds 0-based ranks from -(-i * n // k); 0 and n move to -n and
+        # 2n, so an edge of the grid lies farther than any deviation reaches
         fence = -(-np.arange(k + 1) * n // k)
         fence[[0, -1]] = -n, 2 * n
-        # cast and padded in record order, then gathered once in grid order,
-        # so no int64 copy of the gathered rows is made
+        # cast and padded in record order, then gathered: no int64 copy is made
         rows = np.take(_padded(ranks, *cls.layout(n, m)), records, axis=0)
         return cls(p, k, m, fence, starts, records, rows)
 
@@ -153,10 +165,9 @@ class Grid:
         """Yield (query, grid rows, deviations) for the rows of many grid slices.
 
         Slice i holds grid rows first[i] .. first[i] + size[i] - 1, read for
-        query[i] with center centers[query[i]].  The rows go out in chunks
-        of at most _BLOCK_BYTES (or one slice), each row with its query and
-        its largest rank deviation from that center over the m attributes, in
-        the rows' dtype.
+        query[i].  The rows go out in chunks of at most _BLOCK_BYTES (or one
+        slice), each with its query and its largest rank deviation from that
+        query's center over the m attributes, in the rows' dtype.
         """
         keep = size > 0
         query, first, size = query[keep], first[keep], size[keep]
@@ -181,12 +192,10 @@ class Grid:
         A query's box is one slice of grid rows per cell of its first p - 1
         gridded axes; `slices` are (query, first, size) as `read` takes them.
         `gap` is each query's distance from its center to the nearest rank
-        outside its box on any gridded axis; past an edge of the grid it
-        exceeds n, which no deviation reaches.  Each yield holds the whole
-        queries in the slice `queries`, at most _BLOCK_BYTES of (query, slice)
-        pairs (or one query).  Bounds and gaps are taken for cap // p queries
-        at a time, so each of their arrays holds at most as many entries as a
-        block of pairs.
+        outside its box on any gridded axis, past n at an edge of the grid.
+        Each yield holds the whole queries in the slice `queries`, at most
+        _BLOCK_BYTES of (query, slice) pairs (or one query).  Bounds and gaps
+        are taken for cap // p queries at a time, no more entries than a block.
         """
         p, k, n, fence = self.p, self.k, self.starts[-1], self.fence
         cap = max(1, _BLOCK_BYTES // (self.m * 8))
@@ -219,55 +228,46 @@ class Grid:
                 query += start
                 yield slice(start + a, start + b), (query, first, size), gap[a:b]
 
-    def distances(self, centers: np.ndarray) -> np.ndarray:
-        """(q,) min-max rank deviation for each center row from `pad`.
+    def search(self, centers: np.ndarray, match_sets: bool = True) -> tuple:
+        """(distances,), or (distances, offsets, matches), of (q, m) 1-based centers, as `scan`.
 
-        Reads whole boxes of cells around each query's center (`boxes`):
-        first the cells within half a run of it, then every cell within
-        min(best - 1, 2 * gap), where best is the smallest deviation found
-        so far and gap the distance from the center to the nearest rank
-        outside the last box on any gridded axis.  Every unseen record lies
-        outside the box on some gridded axis, so a query leaves once
-        best <= gap.  Otherwise the next box reaches best - 1, after which it
-        leaves, or at least twice as far as the last, so a query reads
-        O(log n) boxes.  The minima are kept in the rows' dtype, so
-        `np.minimum.at` mixes no types, and returned as int64.
+        Reads boxes of cells around each center (`boxes`): the cells within
+        half a run, then within min(best - 1, 2 * gap), best the smallest
+        deviation so far (in the rows' dtype) and gap the distance to the
+        nearest rank outside the box on a gridded axis, which every unseen
+        record lies beyond; O(log n) boxes until best <= gap.  Rows read at
+        or under the running best are held, so a query leaving at best < gap
+        holds its match set; one at best = gap first reads the box of radius
+        best.  A search for distances alone leaves at best = gap too.
         """
-        n = self.records.size
-        best = np.full(centers.shape[0], n, dtype=self.ranks.dtype)
-        active = np.arange(centers.shape[0])
+        centers = self.pad(centers)
+        n, q, cap = self.records.size, centers.shape[0], max(1, _BLOCK_BYTES // (self.m * 8))
+        best = np.full(q, n, dtype=self.ranks.dtype)
+        final = np.full_like(best, -1)  # a query's best once it leaves
+        found = [np.empty(0, dtype=np.int64)]
+        active = np.arange(q)
         radius = np.broadcast_to(n // (2 * self.k), active.shape)
         while active.size:
             keep, grow = [], []
             for block, slices, gap in self.boxes(centers, radius):
-                for owner, _, dev in self.read(*slices, centers):
-                    np.minimum.at(best, active[owner], dev)
+                held = [(found[0],) * 2]
+                for owner, rows, dev in self.read(*slices, centers):
+                    owner = active[owner]
+                    np.minimum.at(best, owner, dev)
+                    if match_sets:
+                        hit = dev <= best[owner]
+                        held.append((owner[hit] * n + self.records[rows[hit]], dev[hit]))
+                        held = _pruned(held, best, n, cap)
                 near = best[active[block]]
-                stay = np.flatnonzero(near > gap)
+                stay = near >= gap if match_sets else near > gap
+                if match_sets:  # the rows held for a query that stays are read again
+                    final[active[block]] = np.where(stay, -1, near)
+                    found.append(_pruned(held, final, n)[0][0])
+                stay = np.flatnonzero(stay)
+                near, gap = near[stay], gap[stay]
                 keep.append(stay + block.start)
-                grow.append(np.minimum(near[stay] - 1, 2 * gap[stay]))
+                grow.append(np.minimum(near - (near > gap), 2 * gap))
             keep = np.concatenate(keep)
             active, centers, radius = active[keep], centers[keep], np.concatenate(grow)
-        return best.astype(np.int64)
-
-    def match_sets(self, centers: np.ndarray, distances: np.ndarray):
-        """Match sets in CSR form: offsets (q + 1,) and ascending 1-based records.
-
-        A record at distance d lies within d of the center on every axis, so
-        the box of cells that covers each center +- d on the gridded axes
-        holds every match.  Each block of whole queries from `boxes` is
-        sorted by (query, record) as it is read.
-        """
-        n = self.records.size
-        parts = [np.empty(0, dtype=np.int64)]
-        offsets = np.zeros(distances.size + 1, dtype=np.int64)
-        for _, slices, _ in self.boxes(centers, distances):
-            keys = [np.empty(0, dtype=np.int64)]
-            for owner, rows, dev in self.read(*slices, centers):
-                hit = dev == distances[owner]
-                keys.append(owner[hit] * n + self.records[rows[hit]])
-            key = np.sort(np.concatenate(keys))
-            owner = key // n
-            np.add.at(offsets, owner + 1, 1)
-            parts.append(key - owner * n + 1)
-        return np.cumsum(offsets, out=offsets), np.concatenate(parts)
+        found = _csr(np.concatenate(found), q, n) if match_sets else ()
+        return (best.astype(np.int64), *found)

@@ -160,9 +160,9 @@ class Release:
     the same ranks.  Each attribute's values in rank order, which check that
     the profile orders the table, and the search grid (`grid.Grid`) are
     built on first use, so a release that is only ranked keeps neither.  A
-    search that fits one block reads every pair at once (`grid.scan`); the
-    grid runs both passes of a larger one, `distances` and then the match
-    sets, and is built by the first such search.
+    search that fits one block reads every pair at once (`grid.scan`), and a
+    thin one reads the release in record blocks; the grid walks any other
+    search once for its distances and match sets, and is built by the first.
     Every distance entry point takes a Release, and this is the only place a
     table is ranked and indexed for a search.
     """
@@ -245,17 +245,15 @@ class Release:
     def _search(self, centers: np.ndarray, match_sets: bool = True) -> tuple:
         """(distances,), or (distances, offsets, matches), of (q, m) 1-based centers.
 
-        The one place a search picks its path: `grid.scan` when its q * n
-        candidate rows fit one block, q * n * 8m <= `grid._BLOCK_BYTES`,
-        else the grid, which the first such search builds.
+        The one place a search picks its read: `grid.scan` when its q * n
+        candidate rows fit one block, q * n * 8m <= `grid._BLOCK_BYTES`, or
+        when it is thin, q <= `grid._THIN_QUERIES`, which it reads in record
+        blocks; else the grid, which the first such search builds.
         """
-        if len(centers) * self.n * 8 * self.m <= grid._BLOCK_BYTES:
+        q = len(centers)
+        if q <= grid._THIN_QUERIES or q * self.n * 8 * self.m <= grid._BLOCK_BYTES:
             return grid.scan(self.profile.ranks, centers, match_sets)
-        rows = self._grid.pad(centers)
-        distances = self._grid.distances(rows)
-        if not match_sets:
-            return (distances,)
-        return (distances, *self._grid.match_sets(rows, distances))
+        return self._grid.search(centers, match_sets)
 
     def distances(self, centers) -> np.ndarray:
         """(q,) min-max rank deviation for each row of (q, m) 1-based centers.

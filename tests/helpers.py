@@ -212,31 +212,35 @@ def brute_search(values, rank_matrix, queries, block=64):
     return np.concatenate(distances), np.concatenate(centers), matches
 
 
-def search_paths(release, queries, budgets):
+def search_paths(release, queries, settings):
     """[(path, evidence, distances)]: `release.search(queries)` and
-    `release.distances` of the same centers, with `grid._BLOCK_BYTES` set to
-    each of `budgets` in turn (None keeps it).
+    `release.distances` of the same centers, with the `grid` constants in
+    each of `settings` in turn ({} keeps them), each a dict such as
+    {"_BLOCK_BYTES": 64, "_THIN_QUERIES": 0}.
 
-    `path` is "grid" or "block" (the one-block read, `grid.scan`), the one
-    both calls took, else the test fails.
+    `path` is the read both calls took, else the test fails: "block" (the
+    one-block read, `grid.scan` within `grid._BLOCK_BYTES`), "records"
+    (`grid.scan` in record blocks) or "grid".
     """
     centers = release.centers(queries)
-    taken = []
+    taken, results = [], []
+    scan, walk = grid.scan, grid.Grid.search
 
-    def recording(path, method):
-        def call(*args, **kwargs):
-            taken.append(path)
-            return method(*args, **kwargs)
+    def scanning(ranks, rows, *args):
+        fits = rows.shape[0] * ranks.size * 8 <= grid._BLOCK_BYTES
+        taken.append("block" if fits else "records")
+        return scan(ranks, rows, *args)
 
-        return call
+    def walking(self, *args):
+        taken.append("grid")
+        return walk(self, *args)
 
-    results = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grid, "scan", recording("block", grid.scan))
-        patch.setattr(grid.Grid, "distances", recording("grid", grid.Grid.distances))
-        for budget in budgets:
-            if budget is not None:
-                patch.setattr(grid, "_BLOCK_BYTES", budget)
+        patch.setattr(grid, "scan", scanning)
+        patch.setattr(grid.Grid, "search", walking)
+        for setting in settings:
+            for name, value in setting.items():
+                patch.setattr(grid, name, value)
             taken.clear()
             evidence, distances = release.search(queries), release.distances(centers)
             assert len(set(taken)) == 1, taken
@@ -245,21 +249,33 @@ def search_paths(release, queries, budgets):
 
 
 def check_search_against_brute(release, queries):
-    """Both search paths agree with `brute_search` on every `Evidence` column
-    and on `Release.distances`, and with each other bit for bit.
+    """The three reads of a search agree with `brute_search` on every
+    `Evidence` column and on `Release.distances`, and with each other bit
+    for bit.
 
-    The grid searches with `grid._BLOCK_BYTES` one byte under the search's
-    q * n * 8m, or as it is where it is already under; the one-block read
-    with at least those bytes.  Returns [(path, evidence)] for each.
+    Each read is forced through `Release._search`'s rule: the grid with
+    `grid._BLOCK_BYTES` one byte under the search's q * n * 8m (or as it is
+    where it is already under) and `grid._THIN_QUERIES` under q; the record
+    blocks with blocks of about n / 3 records (at least one) and q thin;
+    the one-block read with at least those bytes.  Returns
+    [(path, evidence)] for each.
     """
     values, ranks = release.table.values, release.profile.ranks
     distances, centers, matches = brute_search(values, ranks, queries)
     q, (n, m) = len(distances), values.shape
     closest = np.sort(values, axis=0)[centers - 1, np.arange(m)]
     deviations = np.abs(ranks[[s[0] - 1 for s in matches]] - centers).reshape(q, m)
-    budget, need = grid._BLOCK_BYTES, q * n * 8 * m
-    paths = search_paths(release, queries, [min(budget, need - 1), max(budget, need)])
-    for (path, evidence, again), expected in zip(paths, ["grid", "block"]):
+    budget, thin, need = grid._BLOCK_BYTES, grid._THIN_QUERIES, q * n * 8 * m
+    settings = {
+        "grid": {"_BLOCK_BYTES": min(budget, need - 1), "_THIN_QUERIES": min(thin, q - 1)},
+        "records": {
+            "_BLOCK_BYTES": min(budget, need - 1, 8 * m * q * max(1, n // 3)),
+            "_THIN_QUERIES": max(thin, q),
+        },
+        "block": {"_BLOCK_BYTES": max(budget, need), "_THIN_QUERIES": thin},
+    }
+    paths = search_paths(release, queries, settings.values())
+    for (path, evidence, again), expected in zip(paths, settings):
         assert path == expected
         assert again.dtype == evidence.distances.dtype == np.int64
         assert again.tolist() == evidence.distances.tolist() == distances.tolist()
@@ -271,11 +287,12 @@ def check_search_against_brute(release, queries):
         assert offsets[-1] == evidence.matches.size
         assert np.all(np.diff(offsets) > 0)  # no set is empty
         assert list(match_sets(evidence)) == matches
-    (_, on_grid, _), (_, in_block, _) = paths
-    for name, column in vars(on_grid).items():
-        other = getattr(in_block, name)
-        assert column.dtype == other.dtype and column.shape == other.shape, name
-        assert column.tobytes() == other.tobytes(), name
+    (_, first, _), *others = paths
+    for _, evidence, _ in others:
+        for name, column in vars(first).items():
+            other = getattr(evidence, name)
+            assert column.dtype == other.dtype and column.shape == other.shape, name
+            assert column.tobytes() == other.tobytes(), name
     return [(path, evidence) for path, evidence, _ in paths]
 
 

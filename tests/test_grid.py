@@ -94,7 +94,7 @@ def _queries(rng, table, count):
 
 def _check_rows_and_search(table, rng):
     """The grid's padded rows hold the ranks, and the search agrees with the
-    brute scan on the grid and by the one-block read."""
+    brute scan through all three reads."""
     release = Release(table, tie_seed=int(rng.integers(0, 1000)))
     cells = release._grid
     dtype, width = Grid.layout(table.n, table.m)

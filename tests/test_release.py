@@ -1,4 +1,4 @@
-"""The Release search, on the grid and by the one-block read, against the brute-force oracles."""
+"""The Release search, through each of its three reads, against the brute-force oracles."""
 
 import math
 import os
@@ -214,14 +214,14 @@ def test_one_query_per_block(monkeypatch):
 
 
 def _check_against_brute(table, queries, tie_seed=101):
-    """The search on the grid and by the one-block read, against the brute scan."""
+    """The search through all three reads, against the brute scan."""
     release = Release(table, tie_seed=tie_seed)
     check_search_against_brute(release, queries)
     return release
 
 
-def _box_rounds(monkeypatch, release, queries):
-    """The radii of each round of boxes that `Release.distances` reads, in order."""
+def _box_rounds(monkeypatch, release, queries, match_sets=False):
+    """The radii of each round of boxes that a grid search of `queries` reads, in order."""
     rounds = []
     boxes = grid.Grid.boxes
 
@@ -229,8 +229,9 @@ def _box_rounds(monkeypatch, release, queries):
         rounds.append(np.array(radius))
         return boxes(self, centers, radius)
 
-    monkeypatch.setattr(grid.Grid, "boxes", recording)
-    release.distances(release.centers(queries))
+    with monkeypatch.context() as patch:
+        patch.setattr(grid.Grid, "boxes", recording)
+        release._grid.search(release.centers(queries), match_sets)
     return rounds
 
 
@@ -311,21 +312,121 @@ def _factors(pairs):
 
 
 @pytest.mark.parametrize("m", [1, 4])
-@pytest.mark.parametrize(
-    "extra,path", [(-1, "block"), (0, "block"), (1, "grid")], ids=["under", "at", "over"]
-)
-def test_a_search_walks_the_grid_only_past_one_block(m, extra, path):
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["under", "at", "over"])
+def test_a_search_walks_the_grid_only_past_one_block(m, extra):
     # q * n candidate rows of 8m bytes each, one pair under, at and over the
-    # budget; the grid is built only by a search that takes it
+    # budget.  Within the budget a search is read in one block; past it, a
+    # thin one (q <= _THIN_QUERIES) in record blocks and any other on the
+    # grid, which only a search that takes it builds.  Over the budget,
+    # 65 537 pairs are prime (q = 1, thin) at m = 1, and 16 385 = 113 * 145
+    # at m = 4.
     q, n = _factors(grid._BLOCK_BYTES // (8 * m) + extra)
     rng = seeded(160 + m + extra)
     table = random_tied_table(rng, n, m, levels=max(2, n // 4))
     queries = rng.normal(table.values.mean(axis=0), table.values.std(axis=0) + 1.0, (q, m))
     release = Release(table)
-    [(taken, _, _)] = search_paths(release, queries, [None])
+    [(taken, _, _)] = search_paths(release, queries, [{}])
+    path = "block" if extra <= 0 else "records" if q <= grid._THIN_QUERIES else "grid"
     assert taken == path
     assert ("_grid" in release.__dict__) == (path == "grid")
     check_search_against_brute(release, queries)
+
+
+def test_a_match_exactly_at_gap_outside_the_last_box_takes_one_more_round(monkeypatch):
+    # 16 ranks on two axes, each cut into k = 4 runs of 4.  The query at
+    # ranks (6, 6) first reads runs 0 and 1 (ranks 1..8) on both axes, so
+    # gap = 3: rank 9 starts the next run.  A = (3, 6) in that box gives
+    # best = 3 = gap, so the distance is found, but B = (9, 7) is a match at
+    # deviation 3 just outside the box.  Every other record lies 4 or more
+    # from the center on some axis: each rank within 3 of 6 on one axis is
+    # paired with one at least 4 away on the other.
+    rng = seeded(165)
+    near, far = [4, 5, 6, 7, 8], [1, 2, 10, 11, 12]
+    rows = [(3, 6), (9, 7)]
+    rows += zip(near, rng.permutation(far))
+    rows += zip(rng.permutation(far), [3, 4, 5, 8, 9])
+    rows += zip(rng.permutation(range(13, 17)), range(13, 17))
+    order = rng.permutation(16)
+    release = Release(MicrodataTable(np.array(rows, dtype=float)[order], ("a", "b")))
+    assert release.profile.ranks[np.argsort(order)].tolist() == [list(r) for r in rows]
+    for _, evidence in check_search_against_brute(release, [[6.0, 6.0]]):
+        assert evidence.distances.tolist() == [3]
+        assert evidence.matches.tolist() == sorted(np.flatnonzero(order < 2) + 1)
+    assert (release._grid.p, release._grid.k) == (2, 4)
+    for match_sets, radii in [(False, [[2]]), (True, [[2], [3]])]:
+        rounds = _box_rounds(monkeypatch, release, [[6.0, 6.0]], match_sets)
+        assert [r.tolist() for r in rounds] == radii
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_heavy_ties_hold_hundreds_of_matched_rows_on_every_read(monkeypatch, m):
+    # every attribute holds the same three levels, and 700 queries, 100 of
+    # them one record repeated, share few centers: their match sets hold
+    # hundreds of rows.  One set holds at most 2m, as each rank column is a
+    # permutation: a deviation d is reached on an axis only at ranks c +- d.
+    # Blocks of 4 entries make the grid's held rows pass a block and be
+    # pruned, and the records be read one at a time.
+    monkeypatch.setattr(grid, "_BLOCK_BYTES", 8 * m * 4)
+    rng = seeded(166 + m)
+    levels = rng.integers(0, 3, 1500).astype(float)
+    table = MicrodataTable(np.column_stack([levels] * m), tuple(f"a{j}" for j in range(m)))
+    queries = np.vstack([
+        rng.integers(-1, 4, (300, m)).astype(float),
+        rng.normal(1.0, 3.0, (300, m)),
+        np.repeat(rng.normal(1.0, 1.0, (1, m)), 100, axis=0),
+    ])
+    pruned = []
+    prune = grid._pruned
+
+    def recording(kept, best, n, cap=-1):
+        held = sum(dev.size for _, dev in kept[1:])
+        if cap >= 0 and held > cap:
+            pruned.append(held)
+        return prune(kept, best, n, cap)
+
+    monkeypatch.setattr(grid, "_pruned", recording)
+    for _, evidence in check_search_against_brute(Release(table), queries):
+        assert evidence.matches.size >= 700
+        assert np.diff(evidence.offsets).max() <= 2 * m
+    assert pruned
+
+
+def _two_matches(rng, n, m):
+    """(values, query): a table of ranks on which the query at rank c = n // 2
+    on every axis matches A = (c + 1, c, .., c) and B = (c - 1, c + 1, ..,
+    c + 1) at deviation 1, with A among the first n // 3 records and B among
+    the last, and every other record 2 or more from c on some axis.  C and D
+    take the remaining ranks within 1 of c, each with a far rank beside it."""
+    c = n // 2
+    a, b = [c + 1] + [c] * (m - 1), [c - 1] + [c + 1] * (m - 1)
+    fixed = np.array([a, b, [c] + [1] * (m - 1), [n] + [c - 1] * (m - 1)])
+    rest = [rng.permutation(np.setdiff1d(np.arange(1, n + 1), fixed[:, j])) for j in range(m)]
+    others = np.vstack([fixed[2:], np.column_stack(rest)])[rng.permutation(n - 2)]
+    at = [rng.integers(0, n // 3), n - 2 - rng.integers(0, n // 3)]
+    values = np.insert(others, at, [a, b], axis=0)
+    return values.astype(float), [float(c)] * m
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_a_thin_search_holds_matches_across_record_blocks(m):
+    # the record-block read runs in blocks of n // 3 records.  At m = 1 each
+    # distance is 0 with one match, so there the thin search's one-row sets
+    # lie in different blocks; from m = 2 one query's set of two does.
+    n = 60
+    rng = seeded(170 + m)
+    if m == 1:
+        values = rng.permutation(n).astype(float)[:, None]
+        queries = values[[rng.integers(0, 20), rng.integers(20, 40), rng.integers(40, 60)]]
+    else:
+        values, query = _two_matches(rng, n, m)
+        queries = [query] + rng.normal(n / 2, n / 4, (grid._THIN_QUERIES - 1, m)).tolist()
+    release = Release(MicrodataTable(values, tuple(f"a{j}" for j in range(m))))
+    paths = check_search_against_brute(release, queries)
+    assert [path for path, _ in paths] == ["grid", "records", "block"]
+    evidence = paths[1][1]
+    spans = np.diff(evidence.offsets)
+    blocks = (evidence.matches[: spans[0] if m > 1 else 3] - 1) // (n // 3)
+    assert evidence.distances[0] == (m > 1) and len(set(blocks.tolist())) >= 2
 
 
 def _clustered_table(rng, n):
@@ -562,6 +663,63 @@ def test_a_search_of_one_block_grows_peak_memory_by_one_block(m):
     outputs = sum(column.nbytes for column in vars(evidence).values())
     buffers = 2 * 8 * np.getbufsize()
     assert q * n == pairs and growth <= grid._BLOCK_BYTES + q * n + buffers + outputs
+
+
+@pytest.mark.parametrize("n", [20_000, 200_000])
+@pytest.mark.parametrize("m", [1, 4])
+def test_a_record_block_scan_grows_peak_memory_by_one_block_whatever_n(m, n):
+    # A thin search reads blocks of _BLOCK_BYTES // (8 * m * q) records.
+    # Each block's deviations hold one _BLOCK_BYTES at m = 1 (half of it
+    # from m = 2) and its mask one byte a pair, and are freed before the
+    # next block.  Held pairs, 16 bytes each, are pruned after every block
+    # to those at the running best, at most 2m a query, and a block adds at
+    # most as many.  Buffers as in the one-block search.
+    q = grid._THIN_QUERIES
+    rows = grid._BLOCK_BYTES // (8 * m * q)
+    rng = seeded(180 + m)
+    table = random_table(rng, n, m)
+    queries = rng.normal(0.0, 100.0, (q, m))
+    release = Release(table)
+    release.values_by_rank
+    tracemalloc.start()
+    try:
+        evidence, growth = _peak_growth(lambda: release.search(queries))
+    finally:
+        tracemalloc.stop()
+    assert "_grid" not in release.__dict__
+    outputs = sum(column.nbytes for column in vars(evidence).values())
+    buffers = 2 * 8 * np.getbufsize()
+    held = 16 * 4 * m * q
+    assert n > rows and growth <= grid._BLOCK_BYTES + q * rows + buffers + outputs + held
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_a_grid_search_keeping_match_rows_grows_peak_memory_by_blocks(m):
+    # 10 000 queries against 100 000 records, half of them records of the
+    # table.  Every array the walk holds has at most a block's
+    # _BLOCK_BYTES // 8m entries of 8 bytes or of one padded row (16 bytes
+    # at m = 3 and 4): box bounds, (query, slice) pairs and `read`'s copy of
+    # them, a chunk's rows, owners, gathered ranks and deviations, and the
+    # held rows, pruned once they pass a block.  Two dozen such arrays are
+    # 8 blocks at m = 3.  Per query, the padded centers, the running and
+    # final bests and each round's survivors take under 128 bytes.
+    n, q = 100_000, 10_000
+    rng = seeded(185 + m)
+    table = random_table(rng, n, m)
+    queries = np.vstack([
+        table.values[rng.integers(0, n, q // 2)],
+        rng.normal(table.values.mean(axis=0), table.values.std(axis=0), (q // 2, m)),
+    ])
+    release = Release(table)
+    release.values_by_rank
+    release._grid
+    tracemalloc.start()
+    try:
+        evidence, growth = _peak_growth(lambda: release.search(queries))
+    finally:
+        tracemalloc.stop()
+    outputs = sum(column.nbytes for column in vars(evidence).values())
+    assert growth <= 8 * grid._BLOCK_BYTES + 128 * q + outputs
 
 
 def test_distances_checks_its_centers_as_window_variances_does():
