@@ -57,8 +57,8 @@ def _csr(keys: np.ndarray, q: int, n: int) -> tuple:
     return offsets, keys
 
 
-def scan(ranks: np.ndarray, centers: np.ndarray, match_sets: bool = True) -> tuple:
-    """(distances,), or (distances, offsets, matches), of (q, m) centers against every record.
+def scan(ranks: np.ndarray, centers: np.ndarray) -> tuple:
+    """(distances, offsets, matches) of (q, m) centers against every record.
 
     `ranks` (n, m) is read a column at a time in blocks of
     _BLOCK_BYTES // (8 * m * q) records, all n where they fit.  A block's
@@ -83,13 +83,13 @@ def scan(ranks: np.ndarray, centers: np.ndarray, match_sets: bool = True) -> tup
                 np.maximum(dev, gap, out=dev)
         del gap, out
         np.minimum(best, dev.min(axis=1), out=best)
-        width, hit = dev.shape[1], dev <= best[:, None] if match_sets else None
+        width, hit = dev.shape[1], dev <= best[:, None]
         del dev
-        if match_sets:  # keys of records a .. a + width - 1, held at their query's best
-            hit = np.flatnonzero(hit)
-            query = hit // width
-            [held] = _pruned([held, (hit + query * (n - width) + a, best[query])], best, n)
-    return (best, *_csr(held[0], q, n)) if match_sets else (best,)
+        # keys of records a .. a + width - 1, held at their query's best
+        hit = np.flatnonzero(hit)
+        query = hit // width
+        [held] = _pruned([held, (hit + query * (n - width) + a, best[query])], best, n)
+    return (best, *_csr(held[0], q, n))
 
 
 def _padded(matrix: np.ndarray, dtype: np.dtype, width: int) -> np.ndarray:
@@ -165,12 +165,11 @@ class Grid:
         """Yield (query, grid rows, deviations) for the rows of many grid slices.
 
         Slice i holds grid rows first[i] .. first[i] + size[i] - 1, read for
-        query[i].  The rows go out in chunks of at most _BLOCK_BYTES (or one
-        slice), each with its query and its largest rank deviation from that
-        query's center over the m attributes, in the rows' dtype.
+        query[i], empty or not.  The rows go out in chunks of at most
+        _BLOCK_BYTES (or one slice), each with its query and its largest rank
+        deviation from that query's center over the m attributes, in the rows'
+        dtype: empty arrays for a chunk of empty slices.
         """
-        keep = size > 0
-        query, first, size = query[keep], first[keep], size[keep]
         ends = np.cumsum(size)
         for a, b in cuts(ends, max(1, _BLOCK_BYTES // (self.m * 8))):
             sz = size[a:b]
@@ -229,7 +228,7 @@ class Grid:
                 yield slice(start + a, start + b), (query, first, size), gap[a:b]
 
     def search(self, centers: np.ndarray, match_sets: bool = True) -> tuple:
-        """(distances,), or (distances, offsets, matches), of (q, m) 1-based centers, as `scan`.
+        """(distances, offsets, matches) as `scan`, or (distances,) alone if not `match_sets`.
 
         Reads boxes of cells around each center (`boxes`): the cells within
         half a run, then within min(best - 1, 2 * gap), best the smallest

@@ -243,7 +243,7 @@ class Release:
         return centers
 
     def _search(self, centers: np.ndarray, match_sets: bool = True) -> tuple:
-        """(distances,), or (distances, offsets, matches), of (q, m) 1-based centers.
+        """(distances, offsets, matches), or from the grid (distances,) if not `match_sets`.
 
         The one place a search picks its read: `grid.scan` when its q * n
         candidate rows fit one block, q * n * 8m <= `grid._BLOCK_BYTES`, or
@@ -252,7 +252,7 @@ class Release:
         """
         q = len(centers)
         if q <= grid._THIN_QUERIES or q * self.n * 8 * self.m <= grid._BLOCK_BYTES:
-            return grid.scan(self.profile.ranks, centers, match_sets)
+            return grid.scan(self.profile.ranks, centers)
         return self._grid.search(centers, match_sets)
 
     def distances(self, centers) -> np.ndarray:

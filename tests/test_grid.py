@@ -17,6 +17,7 @@ from helpers import (
 from permpriv import grid, privacy
 from permpriv.grid import Grid, cuts
 from permpriv.privacy import Release, _closest_ranks
+from permpriv.table import MicrodataTable
 
 
 def brute_cuts(sizes: list[int], cap: int) -> list[tuple[int, int]]:
@@ -225,3 +226,65 @@ def test_block_budgets_count_eight_bytes_a_rank(monkeypatch, m):
     centers = cells.pad(centers)
     blocks = [owner.size for owner, _, _ in cells.read(queries, first, size, centers)]
     assert blocks == [5, 5, 2]
+
+
+def _check_read(cells, centers, query, first, size, chunks):
+    """`cells.read` of the slices yields `chunks`, each (a, b) the slices in
+    one chunk, with every slice's rows, its query and the rows' deviations,
+    in the rows' dtype, and empty arrays for a chunk of empty slices."""
+    got = list(cells.read(query, first, size, centers))
+    assert len(got) == len(chunks)
+    for (owner, rows, dev), (a, b) in zip(got, chunks):
+        expected = np.concatenate([np.arange(f, f + s) for f, s in zip(first[a:b], size[a:b])])
+        assert rows.tolist() == expected.tolist()
+        assert owner.tolist() == np.repeat(query[a:b], size[a:b]).tolist()
+        assert dev.dtype == cells.ranks.dtype and dev.shape == rows.shape
+        gaps = cells.ranks[rows, : cells.m].astype(np.int64) - centers[owner, : cells.m]
+        assert dev.tolist() == np.abs(gaps).max(axis=1, initial=0).tolist()
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("m", [1, 3])
+def test_empty_slices_are_read_as_no_rows(monkeypatch, m, wide):
+    if wide:  # the rows of a release of 2**31 or more records
+        width = Grid.layout(1, m)[1]
+        monkeypatch.setattr(Grid, "layout", staticmethod(lambda n, m: (np.dtype(np.int64), width)))
+    rng = seeded(150 + m)
+    release = Release(random_table(rng, 64, m))
+    cells = release._grid
+    centers = cells.pad(release.centers(_queries(rng, release.table, 1)))
+    query, first = np.arange(4), np.array([3, 10, 0, 20])
+    # every slice empty: one chunk, and nothing in it
+    _check_read(cells, centers, query, first, np.zeros(4, dtype=np.intp), [(0, 4)])
+    # a chunk holds 5 rows, so the empty slices make a chunk of their own
+    # before the slice larger than the cap
+    monkeypatch.setattr(grid, "_BLOCK_BYTES", 5 * 8 * m)
+    _check_read(cells, centers, query, first, np.array([0, 0, 0, 8]), [(0, 3), (3, 4)])
+
+
+def _first_box_rows(release, queries) -> np.ndarray:
+    """The grid rows in each query's first box, the cells within n // (2k) of its center."""
+    cells = release._grid
+    centers = cells.pad(release.centers(queries))
+    radius = np.full(len(centers), release.n // (2 * cells.k))
+    total = np.zeros(len(centers), dtype=np.int64)
+    for _, (query, _, size), _ in cells.boxes(centers, radius):
+        np.add.at(total, query, size)
+    return total
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_query_whose_first_box_holds_no_record_matches_the_brute_scan(m):
+    # records on the diagonal of rank space leave the cells off it empty,
+    # so a query near a corner off the diagonal reads only empty slices first
+    n = 64
+    release = Release(MicrodataTable(np.repeat(np.arange(1.0, n + 1)[:, None], m, axis=1),
+                                     tuple(f"a{j + 1}" for j in range(m))))
+    queries = np.array([
+        [1.0] * (m - 1) + [n],
+        [n] + [1.0] * (m - 1),
+        [10.0] * (m - 1) + [50.0],
+        [30.0] * (m - 1) + [31.0],
+    ])
+    assert _first_box_rows(release, queries)[:2].tolist() == [0, 0]
+    check_search_against_brute(release, queries)

@@ -585,13 +585,16 @@ def test_full_size_search_memory_is_bounded_in_bytes():
         """
         import numpy as np
         from helpers import peak_rss_mib
+        from permpriv import grid
         from permpriv.masking import SynthSpec, synth_original
         from permpriv.privacy import Release
 
         table = synth_original(SynthSpec(n=100_000, means=[100.0, 1000.0, 5000.0, 20000.0],
                                          stds=[10.0, 50.0, 200.0, 800.0], seed=5))
         release = Release(table)
-        release.search(table.values[:1])
+        # too many queries to be thin, so the grid is built before `before`
+        release.search(table.values[: grid._THIN_QUERIES + 1])
+        assert "_grid" in vars(release)
         queries = np.random.default_rng(6).choice([-1e12, 1e12], size=(10_000, 4))
         before = peak_rss_mib()
         evidence = release.search(queries)
