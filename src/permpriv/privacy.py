@@ -184,16 +184,6 @@ class Release:
         out.setflags(write=False)
         return out
 
-    def check_order(self) -> None:
-        """Raise InvalidValueError unless the rank profile orders the table.
-
-        Unless `values_by_rank` is built, each column is built, checked and
-        dropped in turn, so a release that is only ranked keeps none.
-        """
-        if "values_by_rank" not in self.__dict__:
-            for column, ranks in zip(self.table.values.T, self.profile.ranks.T):
-                _values_by_rank(column, ranks)
-
     @property
     def n(self) -> int:
         return self.table.n
@@ -295,8 +285,6 @@ class Release:
         radius = np.broadcast_to(radius, centers.shape[:1])
         if np.any(radius < 0):
             raise RankOutOfRangeError("window radius must be nonnegative")
-        if not centers.size:
-            return np.empty(centers.shape)
         radius = np.minimum(radius, n)[:, None]
         first = np.maximum(centers - radius, 1) - 1
         width = np.minimum(centers + radius, n) - first

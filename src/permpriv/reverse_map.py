@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .privacy import Release
+from .privacy import Release, _values_by_rank
 from .table import MicrodataTable, Role, check_same_layout
 
 
@@ -19,14 +19,15 @@ def reverse_map_table(original: MicrodataTable, anonymized: Release) -> Microdat
     """Reverse-map every attribute: z_ij is the original value of rank r_ij.
 
     r is the anonymized release's rank profile, which `RankProfile` checks
-    to be a permutation and `Release.check_order` to order the anonymized
-    table; so z keeps each original multiset and is ordered like it.  The
+    to be a permutation.  As each column is mapped, its ranks are checked to
+    order the anonymized column (`_values_by_rank`, whose result is dropped);
+    so z keeps each original multiset and is ordered like it.  The
     result carries role ``reverse_mapped`` and the original's attribute names.
     """
     check_same_layout(original, anonymized.table)
-    anonymized.check_order()
     z = np.empty((original.n, original.m), order="F")
     for j in range(original.m):
+        _values_by_rank(anonymized.table.column(j), anonymized.profile.vector(j))
         x = original.column(j)
         x_sorted = np.sort(x)
         # -0.0 and 0.0 are the only equal values that differ, so writing the

@@ -234,6 +234,11 @@ def test_distribution_validation():
         DistanceDistribution({0: 0.5, 1: 0.5}, -3, "baseline")
 
 
+def test_distribution_refuses_negative_frequencies_that_sum_to_one():
+    with pytest.raises(InvalidSpecError, match="frequencies must be nonnegative"):
+        DistanceDistribution({0: 1.5, 1: -0.5}, 10, "original")
+
+
 def test_distribution_round_trip(original, masked, tmp_path):
     # a distribution is written as part of an assessment, not alone
     report = assess_tables(original, Release(masked), BaselineSpec(mode="exhaustive"))

@@ -104,6 +104,19 @@ def test_replay_is_bit_identical(original, masked):
     assert np.array_equal(a.values, b.values)
 
 
+def test_a_searched_release_maps_as_a_fresh_one(original, masked):
+    # the first search builds the values in rank order; the reverse map
+    # checks each column's order all the same, and gives the same bytes
+    rng = np.random.default_rng(23)
+    tied = random_tied_table(rng, 300, 3), random_tied_table(rng, 300, 3, role=Role.ANONYMIZED)
+    for x, y in ((original, masked), tied):
+        searched = Release(y)
+        searched.search(x)
+        assert "values_by_rank" in searched.__dict__
+        z = reverse_map_table(x, searched)
+        assert z.values.tobytes() == reverse_map_table(x, Release(y)).values.tobytes()
+
+
 def test_role_and_provenance(permuted):
     assert permuted.role is Role.REVERSE_MAPPED
     # how the table was made, tie seed included, is not carried with it

@@ -175,6 +175,11 @@ def test_table_validation():
         MicrodataTable([[1.0, 2.0]], ("a", "a"))
 
 
+def test_three_dimensional_values_are_a_shape_mismatch():
+    with pytest.raises(ShapeMismatchError, match="expected a 2-d table"):
+        MicrodataTable(np.zeros((2, 3, 1)), ("a", "b", "c"))
+
+
 def test_attribute_names_must_be_utf8_text():
     # a lone surrogate is how Python decodes an argument that is not UTF-8;
     # it could not be written to a CSV header
